@@ -36,6 +36,7 @@ from .scalars import (
     f_from_json,
     f_numeric,
     f_to_json,
+    hash_point,
 )
 
 
@@ -106,8 +107,11 @@ class AlgebraContext:
 
         self.is_rational = self.dim == 1 and self.arity == 0
         self.u_int = None
+        self.hash_point = None
         if self.arity == 0:
             self.u_int = self.denominator.get((), 0)
+        else:
+            self.hash_point = hash_point(self.denominator, self.arity)
 
         self.constants = dict(constants or {})
         self.fourier_q = fourier_q

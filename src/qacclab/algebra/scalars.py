@@ -10,6 +10,7 @@ with field equality whenever the declared basis really is one.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from . import polys
@@ -40,6 +41,31 @@ class FScalar:
 
     def __repr__(self):
         return f"FScalar({self.num!r}, r={self.r})"
+
+
+HASH_PRIME = (1 << 61) - 1
+
+
+def _eval_mod(p: polys.Poly, point) -> int:
+    total = 0
+    for exps, coeff in p.items():
+        term = coeff
+        for e, v in zip(exps, point):
+            if e:
+                term = term * pow(v, e, HASH_PRIME) % HASH_PRIME
+        total += term
+    return total % HASH_PRIME
+
+
+def hash_point(u: polys.Poly, arity: int):
+    """(point, 1/u(point) mod HASH_PRIME) for a fixed pseudo-random integer
+    point at which the denominator u does not vanish modulo HASH_PRIME."""
+    rng = random.Random(0)
+    while True:
+        point = tuple(rng.randrange(1, HASH_PRIME) for _ in range(arity))
+        u_at = _eval_mod(u, point)
+        if u_at:
+            return point, pow(u_at, -1, HASH_PRIME)
 
 
 def f_from_int(value: int, arity: int) -> FScalar:
@@ -170,12 +196,12 @@ class ExactScalar:
         return all(a.is_zero() for a in self.coords)
 
     def key(self):
-        """Canonical hashable form: equal scalars get equal keys.
+        """Hashable form for caches: equal keys mean equal scalars.
 
-        With no indeterminates each coordinate reduces to one Fraction.
-        Otherwise coordinates are aligned onto the largest denominator
-        power; callers hashing scalars from such contexts must keep
-        representations reduced themselves.
+        With no indeterminates each coordinate reduces to one Fraction, so
+        the key is canonical.  Otherwise coordinates are aligned onto the
+        largest denominator power but not reduced, so equal scalars may
+        still get different keys (1/u and u/u^2); __hash__ does not use it.
         """
         if self._key is None:
             ctx = self.ctx
@@ -209,7 +235,18 @@ class ExactScalar:
         )
 
     def __hash__(self):
-        return hash(self.key())
+        ctx = self.ctx
+        if ctx.arity == 0:
+            return hash(self.key())
+        # Each coordinate s/u^r evaluated at an integer point modulo a prime
+        # where u does not vanish: a ring map, so equal scalars agree.
+        point, inv_u = ctx.hash_point
+        return hash(
+            tuple(
+                _eval_mod(a.num, point) * pow(inv_u, a.r, HASH_PRIME) % HASH_PRIME
+                for a in self.coords
+            )
+        )
 
     def conjugate(self) -> "ExactScalar":
         ctx = self.ctx

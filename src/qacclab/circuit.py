@@ -322,30 +322,23 @@ def check_valid(c: Circuit) -> Circuit:
 # -- basis-state helpers -----------------------------------------------------
 
 
-def bit_of(key: int, line: int, width: int) -> int:
-    return (key >> (width - 1 - line)) & 1
+def line_mask(line: int, width: int) -> int:
+    """The key bit of `line`."""
+    return 1 << (width - 1 - line)
 
 
-def with_bit(key: int, line: int, width: int, value: int) -> int:
-    mask = 1 << (width - 1 - line)
-    return (key | mask) if value else (key & ~mask)
-
-
-def flip_bit(key: int, line: int, width: int) -> int:
-    return key ^ (1 << (width - 1 - line))
+def lines_mask(lines: Iterable[int], width: int) -> int:
+    mask = 0
+    for l in lines:
+        mask |= line_mask(l, width)
+    return mask
 
 
 def read_block(key: int, block: tuple[int, ...], width: int) -> int:
     v = 0
     for l in block:
-        v = (v << 1) | bit_of(key, l, width)
+        v = (v << 1) | ((key >> (width - 1 - l)) & 1)
     return v
-
-
-def write_block(key: int, block: tuple[int, ...], width: int, value: int) -> int:
-    for pos, l in enumerate(reversed(block)):
-        key = with_bit(key, l, width, (value >> pos) & 1)
-    return key
 
 
 def key_to_bits(key: int, width: int) -> str:
@@ -357,65 +350,101 @@ def bits_to_key(bits: str) -> int:
 
 
 # -- gate action -------------------------------------------------------------
+#
+# Gates act on basis keys through kernels built once per gate and width
+# from bit masks and per-block tables.  A block table has one entry per
+# value of the block's bits (2^len(block) entries), never one per key.
+
+
+def _block_codes(block: tuple[int, ...], width: int) -> list[int]:
+    """Entry v holds the key bits that spell value v in the block."""
+    codes = [0]
+    for l in reversed(block):
+        m = line_mask(l, width)
+        codes += [c | m for c in codes]
+    return codes
+
+
+def _digit_reader(block, width: int, q: int, sign: int):
+    """(block mask, table: block bits -> sign * value mod q), where a
+    non-qudigit value reads as 0."""
+    codes = _block_codes(block, width)
+    return codes[-1], {c: (sign * v) % q if v < q else 0 for v, c in enumerate(codes)}
+
+
+def _digit_adder(block, width: int, q: int):
+    """(block mask, table: block bits -> the bits after adding d, at index
+    d for d in 0..q-1), where a non-qudigit value is left unchanged."""
+    codes = _block_codes(block, width)
+    return codes[-1], {
+        c: tuple(codes[(v + d) % q] for d in range(q)) if v < q else (c,) * q
+        for v, c in enumerate(codes)
+    }
+
+
+def _modular_add(blocks, result, q: int, inverse: bool, width: int) -> Callable[[int], int]:
+    digits = tuple(_digit_reader(b, width, q, -1 if inverse else 1) for b in blocks)
+    rmask, shifted = _digit_adder(result, width, q)
+    keep = ~rmask
+
+    def act(k):
+        d = 0
+        for m, digit in digits:
+            d += digit[k & m]
+        return k & keep | shifted[k & rmask][d % q]
+
+    return act
+
+
+def _modular_fanout(g: FanOutModGate, width: int) -> Callable[[int], int]:
+    cmask, control = _digit_reader(g.control, width, g.q, -1 if g.inverse else 1)
+    targets = tuple(
+        (m, ~m, shifted) for m, shifted in (_digit_adder(b, width, g.q) for b in g.blocks)
+    )
+
+    def act(k):
+        d = control[k & cmask]
+        if d:
+            for m, keep, shifted in targets:
+                k = k & keep | shifted[k & m][d]
+        return k
+
+    return act
 
 
 def permutation_action(g: Gate, width: int) -> Callable[[int], int] | None:
     """Basis-permutation map for the permutation gates, None for the rest."""
     if isinstance(g, ToffoliGate):
-        def act(key, g=g, width=width):
-            if all(bit_of(key, c, width) for c in g.controls):
-                return flip_bit(key, g.target, width)
-            return key
-        return act
+        c, t = lines_mask(g.controls, width), line_mask(g.target, width)
+        return lambda k: k ^ t if k & c == c else k
     if isinstance(g, FanOutGate):
-        def act(key, g=g, width=width):
-            if bit_of(key, g.control, width):
-                for t in g.targets:
-                    key = flip_bit(key, t, width)
-            return key
-        return act
+        c, t = line_mask(g.control, width), lines_mask(g.targets, width)
+        return lambda k: k ^ t if k & c else k
     if isinstance(g, ModGate):
-        def act(key, g=g, width=width):
-            total = sum(bit_of(key, l, width) for l in g.inputs)
-            if total % g.q == g.r:
-                return flip_bit(key, g.output, width)
-            return key
-        return act
+        m, o, q, r = lines_mask(g.inputs, width), line_mask(g.output, width), g.q, g.r
+        return lambda k: k ^ o if (k & m).bit_count() % q == r else k
     if isinstance(g, AddModGate):
-        def act(key, g=g, width=width):
-            b = read_block(key, g.result, width)
-            if b >= g.q:
-                return key
-            total = 0
-            for blk in g.blocks:
-                v = read_block(key, blk, width)
-                if v < g.q:
-                    total += v
-            delta = -total if g.inverse else total
-            return write_block(key, g.result, width, (b + delta) % g.q)
-        return act
-    if isinstance(g, FanOutModGate):
-        def act(key, g=g, width=width):
-            c = read_block(key, g.control, width)
-            if c >= g.q:
-                return key
-            delta = -c if g.inverse else c
-            for blk in g.blocks:
-                v = read_block(key, blk, width)
-                if v < g.q:
-                    key = write_block(key, blk, width, (v + delta) % g.q)
-            return key
-        return act
+        return _modular_add(g.blocks, g.result, g.q, g.inverse, width)
     if isinstance(g, AddBlockGate):
-        def act(key, g=g, width=width):
-            s = read_block(key, g.addend, width)
-            y = read_block(key, g.result, width)
-            if s >= g.q or y >= g.q:
-                return key
-            delta = -s if g.inverse else s
-            return write_block(key, g.result, width, (y + delta) % g.q)
-        return act
+        return _modular_add((g.addend,), g.result, g.q, g.inverse, width)
+    if isinstance(g, FanOutModGate):
+        return _modular_fanout(g, width)
     return None
+
+
+def cnot_action(pairs, width: int) -> Callable[[int], int]:
+    """Basis map of simultaneous controlled-nots: controls are read from the
+    incoming key."""
+    masks = tuple((line_mask(c, width), line_mask(t, width)) for c, t in pairs)
+
+    def act(k):
+        flips = 0
+        for c, t in masks:
+            if k & c:
+                flips ^= t
+        return k ^ flips
+
+    return act
 
 
 def fourier_columns(g: FourierGate, ctx) -> list[list[tuple[int, ExactScalar]]]:
@@ -442,31 +471,37 @@ def fourier_columns(g: FourierGate, ctx) -> list[list[tuple[int, ExactScalar]]]:
     return cols
 
 
-def apply_gate_to_basis(g: Gate, key: int, width: int, ctx):
-    """List of (basis key, scalar or None) the gate sends |key> to.
+def gate_kernel(g: Gate, width: int, ctx) -> Callable[[int], list]:
+    """Map from a basis key to the list of (basis key, scalar or None) the
+    gate sends it to, built once for the gate.
 
     A None scalar marks an amplitude carried over unchanged, which keeps
     permutation gates free of scalar arithmetic.
     """
     perm = permutation_action(g, width)
     if perm is not None:
-        return [(perm(key), None)]
+        return lambda k: [(perm(k), None)]
     if isinstance(g, OneQubitGate):
-        b = bit_of(key, g.line, width)
-        out = []
-        for y in (0, 1):
-            entry = g.matrix[y][b]
-            if not entry.is_zero():
-                out.append((with_bit(key, g.line, width, y), entry))
-        return out
-    if isinstance(g, FourierGate):
-        v = read_block(key, g.block, width)
-        cols = fourier_columns(g, ctx)
-        out = []
-        for y, scalar in cols[v]:
-            out.append((write_block(key, g.block, width, y), scalar))
-        return out
-    raise TypeError(f"unknown gate {type(g).__name__}")
+        codes = (0, line_mask(g.line, width))
+        columns = [
+            [(codes[y], g.matrix[y][b]) for y in (0, 1) if not g.matrix[y][b].is_zero()]
+            for b in (0, 1)
+        ]
+    elif isinstance(g, FourierGate):
+        codes = _block_codes(g.block, width)
+        columns = [[(codes[y], s) for y, s in col] for col in fourier_columns(g, ctx)]
+    else:
+        raise TypeError(f"unknown gate {type(g).__name__}")
+    mask = codes[-1]
+    keep = ~mask
+    table = {c: tuple(col) for c, col in zip(codes, columns)}
+    return lambda k: [(k & keep | bits, s) for bits, s in table[k & mask]]
+
+
+def apply_gate_to_basis(g: Gate, key: int, width: int, ctx):
+    """List of (basis key, scalar or None) the gate sends |key> to; a
+    one-off use of gate_kernel."""
+    return gate_kernel(g, width, ctx)(key)
 
 
 GATE_MATRIX_CAP = 12
@@ -480,8 +515,9 @@ def gate_matrix(g: Gate, width: int, ctx) -> list[list[ExactScalar]]:
     zero = ctx.zero()
     one = ctx.one()
     cols = [[zero] * size for _ in range(size)]
+    kernel = gate_kernel(g, width, ctx)
     for x in range(size):
-        for key, scalar in apply_gate_to_basis(g, x, width, ctx):
+        for key, scalar in kernel(x):
             cols[key][x] = one if scalar is None else scalar
     return cols
 

@@ -75,11 +75,21 @@ def cmd_accept(args) -> int:
     return 0 if result.decision == "accept" else 1
 
 
+class UsageError(ValueError):
+    pass
+
+
 def _builder_args(args):
     name = args.builder
     if name not in transforms.BUILDERS:
         known = ", ".join(sorted(transforms.BUILDERS))
-        raise ContextError(f"unknown builder {name!r} (known: {known})")
+        raise UsageError(f"unknown builder {name!r} (known: {known})")
+    if args.n < 0:
+        raise UsageError(f"--n {args.n} must be nonnegative")
+    if args.q < 2:
+        raise UsageError(f"--q {args.q} must be at least 2")
+    if not 0 <= args.r < args.q:
+        raise UsageError(f"--r {args.r} must satisfy 0 <= r < q = {args.q}")
     return transforms.BUILDERS[name]
 
 
@@ -209,7 +219,7 @@ def main(argv=None) -> int:
     except (CapExceededError, PathCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (dsl.ParseError, ValidationError, ContextError, FileNotFoundError) as exc:
+    except (dsl.ParseError, ValidationError, ContextError, FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AcceptanceError, statevec.SimulationError, tensorgraph.GraphError) as exc:

@@ -1,10 +1,15 @@
 """Brute-force exact simulator and the E/N/B acceptance predicates.
 
 States are sparse maps from basis keys to exact scalars; amplitudes that
-become exactly zero are pruned eagerly.  Permutation gates move keys with
-no scalar arithmetic at all; only one-qubit and Fourier gates touch the
-algebra.  Exact runs are capped at 20 lines (override with QACC_LINE_CAP
-at your own risk: the cost is exponential and the scalars are heavy).
+become exactly zero are pruned eagerly.  A circuit runs through one compile
+step: compile_circuit validates it once and builds every gate's kernel once
+from bit masks, fusing each maximal run of permutation gates and
+controlled-not layers into a single key map.  The resulting Program runs
+any number of inputs; run and apply_layer both go through it.  Permutation
+steps move keys with no scalar arithmetic at all; only one-qubit and
+Fourier gates touch the algebra.  Exact runs are capped at 20 lines
+(override with QACC_LINE_CAP at your own risk: the cost is exponential and
+the scalars are heavy).
 """
 
 from __future__ import annotations
@@ -21,10 +26,9 @@ from .circuit import (
     StagedCNotLayer,
     TensorLayer,
     ValidationError,
-    apply_gate_to_basis,
-    bit_of,
     bits_to_key,
-    flip_bit,
+    cnot_action,
+    gate_kernel,
     key_to_bits,
     permutation_action,
     validate,
@@ -95,58 +99,81 @@ def _accumulate(target: dict, key: int, amp: ExactScalar):
         target[key] = new
 
 
-def _apply_gate(state: StateVector, gate) -> StateVector:
-    width = state.width
-    perm = permutation_action(gate, width)
-    if perm is not None:
-        return StateVector(
-            {perm(key): amp for key, amp in state.entries.items()}, width, state.context
-        )
-    ctx = state.context
-    out: dict = {}
-    for key, amp in state.entries.items():
-        for new_key, scalar in apply_gate_to_basis(gate, key, width, ctx):
-            _accumulate(out, new_key, amp if scalar is None else amp * scalar)
-    return StateVector(out, width, ctx)
+@dataclass(frozen=True)
+class Program:
+    """A circuit compiled for repeated runs: each step maps a sparse state
+    (basis key -> amplitude) to the next."""
+
+    steps: tuple
+
+    def apply(self, entries: dict) -> dict:
+        for step in self.steps:
+            entries = step(entries)
+        return entries
 
 
-def _apply_pairs(state: StateVector, pairs) -> StateVector:
-    width = state.width
-    out = {}
-    for key, amp in state.entries.items():
-        new_key = key
-        for ctrl, tgt in pairs:
-            if bit_of(key, ctrl, width):
-                new_key = flip_bit(new_key, tgt, width)
-        out[new_key] = amp
-    return StateVector(out, width, state.context)
+def _fuse(maps: list):
+    if len(maps) == 1:
+        return maps[0]
+    maps = tuple(maps)
+
+    def fused(key):
+        for f in maps:
+            key = f(key)
+        return key
+
+    return fused
 
 
-def apply_layer(state: StateVector, layer: Layer) -> StateVector:
-    """Exact action of one layer; gates in a tensor layer commute, so they
-    are applied in sequence."""
-    if isinstance(layer, TensorLayer):
-        for gate in layer.gates:
-            for line in gate.lines():
-                if not 0 <= line < state.width:
-                    raise SimulationError(f"line {line} out of range")
-            state = _apply_gate(state, gate)
-        return state
-    if isinstance(layer, CNotLayer):
-        return _apply_pairs(state, layer.pairs)
-    if isinstance(layer, StagedCNotLayer):
-        for stage in layer.stages:
-            state = _apply_pairs(state, stage)
-        return state
-    raise TypeError(f"unknown layer {type(layer).__name__}")
+def _permute(key_map):
+    return lambda entries: {key_map(key): amp for key, amp in entries.items()}
 
 
-def run(c: Circuit, input_bits: str, check: bool = True) -> StateVector:
-    """U_t ... U_1 |x, 0^aux> with exact amplitudes."""
-    if len(input_bits) != c.n_inputs:
-        raise SimulationError(
-            f"input has {len(input_bits)} bits, circuit expects {c.n_inputs}"
-        )
+def _branch(kernel):
+    def step(entries):
+        out: dict = {}
+        for key, amp in entries.items():
+            for new_key, scalar in kernel(key):
+                _accumulate(out, new_key, amp * scalar)
+        return out
+
+    return step
+
+
+def _compile_steps(layers, width: int, ctx) -> tuple:
+    """One step per one-qubit or Fourier gate, one fused key map per maximal
+    run of permutation gates and controlled-not layers.  Gates in a tensor
+    layer commute, so they are applied in sequence."""
+    steps: list = []
+    maps: list = []
+
+    def close_run():
+        if maps:
+            steps.append(_permute(_fuse(maps)))
+            maps.clear()
+
+    for layer in layers:
+        if isinstance(layer, TensorLayer):
+            for gate in layer.gates:
+                perm = permutation_action(gate, width)
+                if perm is not None:
+                    maps.append(perm)
+                else:
+                    close_run()
+                    steps.append(_branch(gate_kernel(gate, width, ctx)))
+        elif isinstance(layer, CNotLayer):
+            maps.append(cnot_action(layer.pairs, width))
+        elif isinstance(layer, StagedCNotLayer):
+            maps.extend(cnot_action(stage, width) for stage in layer.stages)
+        else:
+            raise TypeError(f"unknown layer {type(layer).__name__}")
+    close_run()
+    return tuple(steps)
+
+
+def compile_circuit(c: Circuit, check: bool = True) -> Program:
+    """Check the line cap, validate once (unless check=False) and build
+    every gate's kernel once."""
     if c.width > line_cap():
         raise CapExceededError(
             f"{c.width} lines exceed the exact-run cap {line_cap()} "
@@ -156,10 +183,24 @@ def run(c: Circuit, input_bits: str, check: bool = True) -> StateVector:
         diags = validate(c)
         if diags:
             raise ValidationError(diags)
-    state = basis_state(input_bits + "0" * c.n_aux, c.context)
-    for layer in c.layers:
-        state = apply_layer(state, layer)
-    return state
+    return Program(_compile_steps(c.layers, c.width, c.context))
+
+
+def apply_layer(state: StateVector, layer: Layer) -> StateVector:
+    """Exact action of one layer, compiled as a one-layer circuit."""
+    program = compile_circuit(Circuit(state.width, 0, (layer,), state.context))
+    return StateVector(program.apply(state.entries), state.width, state.context)
+
+
+def run(c: Circuit, input_bits: str, check: bool = True) -> StateVector:
+    """U_t ... U_1 |x, 0^aux> with exact amplitudes."""
+    if len(input_bits) != c.n_inputs:
+        raise SimulationError(
+            f"input has {len(input_bits)} bits, circuit expects {c.n_inputs}"
+        )
+    program = compile_circuit(c, check=check)
+    start = basis_state(input_bits + "0" * c.n_aux, c.context)
+    return StateVector(program.apply(start.entries), c.width, c.context)
 
 
 def amplitude(c: Circuit, input_bits: str, target_bits: str, check: bool = True) -> ExactScalar:

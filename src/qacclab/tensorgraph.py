@@ -428,9 +428,10 @@ def apply_dense_gate(g: TensorGraph, gate) -> TensorGraph:
     lines = tuple(gate.lines())
     k = len(lines)
     local = _relabel(gate, {l: i for i, l in enumerate(lines)})
+    kernel = cir.gate_kernel(local, k, ctx)
     entries = []
     for x in range(1 << k):
-        for y, scalar in cir.apply_gate_to_basis(local, x, k, ctx):
+        for y, scalar in kernel(x):
             entries.append((x, y, scalar))
     lo, hi = min(lines) + 1, max(lines) + 1
     first_line = lines[0]

@@ -49,6 +49,10 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         (["build", "--builder", "nonsense", "--n", "1", "--q", "2"], 2),
         (["check", "--builder", "modq_from_mq", "--n", "3", "--q", "3"], 0),
         (["check", "--builder", "modqr_from_modq", "--n", "2", "--q", "3", "--r", "2"], 0),
+        (["check", "--builder", "modhat", "--n", "2", "--q", "5", "--r", "7"], 2),
+        (["check", "--builder", "modhat", "--n", "-1", "--q", "3"], 2),
+        (["build", "--builder", "modqr_from_modq", "--n", "2", "--q", "3", "--r", "-1"], 2),
+        (["build", "--builder", "f_from_fq", "--n", "1", "--q", "1"], 2),
         (["graph", "--circuit", bell_file, "--input", "00"], 0),
         (["graph", "--circuit", bell_file, "--input", "00", "--target", "11", "--method", "dp"], 0),
         (["graph", "--circuit", bell_file, "--input", "00", "--target", "11", "--method", "paths"], 0),
@@ -58,6 +62,20 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
     for argv, want in cases:
         code, _out, _err = run_cli(capsys, *argv)
         assert code == want, (argv, code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--builder", "modhat", "--n", "2", "--q", "5", "--r", "7"],
+        ["check", "--builder", "modhat", "--n", "-1", "--q", "3"],
+        ["build", "--builder", "mq_from_modq", "--n", "-2", "--q", "3"],
+    ],
+)
+def test_builder_argument_errors_are_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_accept_n_output(capsys, hadamard_file):

@@ -196,3 +196,36 @@ def test_hash_consistent_with_equality(c3):
     assert q_over_q == c3.one()
     assert hash(q_over_q) == hash(c3.one())
     assert q_over_q.key() == c3.one().key()
+
+
+def test_hash_consistent_with_equality_with_indeterminates():
+    # with u = a1: 1/u and u/u^2 are one scalar in two representations
+    from qacclab.algebra import AlgebraContext
+
+    one = FScalar(polys.const(1, 1), 0)
+    ctx = AlgebraContext(["a1"], ["1"], [[(one,)]], polys.variable(1, 0), {"a1": [2.0, 0.0]})
+    inv_u = ExactScalar(ctx, [FScalar(polys.const(1, 1), 1)])
+    u_over_u2 = ExactScalar(ctx, [FScalar(polys.variable(1, 0), 2)])
+    assert inv_u == u_over_u2
+    assert hash(inv_u) == hash(u_over_u2)
+    assert len({inv_u, u_over_u2}) == 1
+    assert len({inv_u, ctx.one()}) == 2
+
+
+def test_hash_invariant_under_rescaling_two_indeterminates():
+    # u = a1 - a2 + 1 vanishes on the line a2 = a1 + 1; scaling a numerator
+    # by u^k and raising r by k must not change the hash
+    from qacclab.algebra import AlgebraContext
+
+    one = FScalar(polys.const(2, 1), 0)
+    u = polys.from_terms([[1, [1, 0]], [-1, [0, 1]], [1, [0, 0]]], 2)
+    ctx = AlgebraContext(
+        ["a1", "a2"], ["1"], [[(one,)]], u, {"a1": [3.0, 0.0], "a2": [0.5, 0.0]}
+    )
+    rng = random.Random(31)
+    for _ in range(20):
+        num = {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-5, 5) or 1}
+        r, k = rng.randint(0, 2), rng.randint(1, 3)
+        a = ExactScalar(ctx, [FScalar(num, r)])
+        b = ExactScalar(ctx, [FScalar(polys.mul(num, ctx.u_power(k)), r + k)])
+        assert a == b and hash(a) == hash(b)
