@@ -33,6 +33,7 @@ from . import polys
 from .scalars import (
     ExactScalar,
     FScalar,
+    f_eq,
     f_from_json,
     f_numeric,
     f_to_json,
@@ -193,12 +194,12 @@ class AlgebraContext:
             for j in range(d):
                 entry = self.mult_table[0][b][j]
                 expected = self.f_one if j == b else self.f_zero
-                if not _f_struct_eq(entry, expected, self):
+                if not f_eq(entry, expected, self):
                     raise ContextError("identity row of mult_table is not the unit vector")
         for a in range(d):
             for b in range(a + 1, d):
                 for j in range(d):
-                    if not _f_struct_eq(self.mult_table[a][b][j], self.mult_table[b][a][j], self):
+                    if not f_eq(self.mult_table[a][b][j], self.mult_table[b][a][j], self):
                         raise ContextError(f"mult_table not symmetric at ({a},{b})")
         for a in range(d):
             for b in range(d):
@@ -290,15 +291,6 @@ def _pair(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
     return [float(v[0]), float(v[1])]
-
-
-def _f_struct_eq(a: FScalar, b: FScalar, ctx) -> bool:
-    if a.r == b.r:
-        return a.num == b.num
-    r0 = max(a.r, b.r)
-    na = a.num if a.r == r0 else polys.mul(a.num, ctx.u_power(r0 - a.r))
-    nb = b.num if b.r == r0 else polys.mul(b.num, ctx.u_power(r0 - b.r))
-    return na == nb
 
 
 # ---------------------------------------------------------------------------
@@ -562,5 +554,20 @@ def save_context(ctx: AlgebraContext, path) -> None:
 
 
 def load_context(path) -> AlgebraContext:
+    """Read a context written by save_context.  A file that is not JSON, or
+    whose JSON does not describe a context, raises ContextError."""
     with open(path, encoding="utf-8") as fh:
-        return AlgebraContext.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ContextError(f"context file {path} is not JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ContextError(f"context file {path} does not hold a JSON object")
+    try:
+        return AlgebraContext.from_json(data)
+    except ContextError:
+        raise
+    except KeyError as exc:
+        raise ContextError(f"context file {path} lacks the key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ContextError(f"context file {path} is malformed: {exc}") from exc

@@ -1,14 +1,23 @@
 """Iterated sums and products of integer polynomials, with the product
-recoverable by multivariate Lagrange interpolation on the principal
-lattice of a simplex.
+recoverable by multivariate interpolation on the principal lattice of a
+simplex.
 
 The interpolation route evaluates every factor at each lattice point,
-multiplies the resulting integers pointwise, and rebuilds the product as
-sum_j p_j * k_j, where the p_j are the lattice's Lagrange basis
-polynomials (Kronecker delta on the nodes).  It must agree exactly with
-direct convolution whenever the true product degree fits the lattice
-order; a violated degree bound is rejected rather than silently returning
-a wrong polynomial.
+multiplies the resulting integers pointwise, and rebuilds the product from
+those values in integers only, in the Newton form on the lattice:
+
+* forward differences along each coordinate line give the Newton
+  coefficients c_a = Delta^a f(0), so f(y) = sum_a c_a prod_s C(y_s, a_s);
+* a_s! C(y, a_s) = sum_k s(a_s, k) y^k (signed Stirling numbers of the
+  first kind) and the integer weight p'!/prod_s a_s! carry the binomial
+  basis to monomials over the one common denominator p'!;
+* one exact division by p'! ends it, and a nonzero remainder raises.
+
+The principal lattice is unisolvent for total degree <= p' (Chung & Yao,
+SIAM J. Numer. Anal. 1977), so the result agrees exactly with direct
+convolution whenever the true product degree fits the lattice order; a
+violated degree bound is rejected rather than silently returning a wrong
+polynomial.
 """
 
 from __future__ import annotations
@@ -60,51 +69,106 @@ def principal_lattice(spec: LatticeSpec) -> list[tuple[int, ...]]:
     return points
 
 
-def _linear(arity: int, const, var_coeffs) -> dict:
-    """Fraction-coefficient polynomial const + sum coeff_i * y_i."""
-    out = {}
-    if const != 0:
-        out[(0,) * arity] = Fraction(const)
-    for i, c in enumerate(var_coeffs):
-        if c != 0:
-            exps = [0] * arity
-            exps[i] = 1
-            out[tuple(exps)] = Fraction(c)
+def _coordinate_lines(points: list[tuple[int, ...]], arity: int) -> list[list[list[int]]]:
+    """For each coordinate s, the lattice lines along s as lists of point
+    indices, ordered by the s-th coordinate (lex order makes them so).
+    Lines of one point are left out: both transforms fix them."""
+    per_coord = []
+    for s in range(arity):
+        lines: dict = {}
+        for i, point in enumerate(points):
+            lines.setdefault(point[:s] + point[s + 1:], []).append(i)
+        per_coord.append([line for line in lines.values() if len(line) > 1])
+    return per_coord
+
+
+def _stirling_first(p: int) -> list[list[int]]:
+    """rows[n][k] = s(n, k), so that y(y-1)...(y-n+1) = sum_k s(n, k) y^k."""
+    rows = [[1]]
+    for n in range(1, p + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [prev[k - 1] - (n - 1) * prev[k] for k in range(1, n + 1)])
+    return rows
+
+
+def _scaled_interpolant(spec: LatticeSpec, values) -> tuple[list, list[int]]:
+    """(lattice points, p'! times the interpolant's coefficients), the
+    coefficient of y^e at the index of point e.
+
+    `values` holds one integer per lattice point in principal_lattice
+    order; the interpolant is the unique polynomial of total degree <= p'
+    taking those values, and p'! times it has integer coefficients.
+    """
+    p = spec.degree_bound
+    points = principal_lattice(spec)
+    v = list(values)
+    if len(v) != len(points):
+        raise ValueError(f"expected {len(points)} lattice values, got {len(v)}")
+    lines = _coordinate_lines(points, spec.arity)
+    # forward differences along every coordinate leave c_a = Delta^a f(0) at a
+    for coord_lines in lines:
+        for line in coord_lines:
+            col = [v[i] for i in line]
+            for k in range(1, len(col)):
+                for i in range(len(col) - 1, k - 1, -1):
+                    col[i] -= col[i - 1]
+            for i, c in zip(line, col):
+                v[i] = c
+    # p'! c_a prod_s C(y_s, a_s) = c_a (p'!/prod_s a_s!) prod_s a_s! C(y_s, a_s),
+    # and the weight p'!/prod_s a_s! is an integer because sum(a) <= p'
+    fact = [math.factorial(k) for k in range(p + 1)]
+    for i, point in enumerate(points):
+        if v[i]:
+            w = fact[p]
+            for a in point:
+                w //= fact[a]
+            v[i] *= w
+    # a! C(y, a) = sum_k s(a, k) y^k, applied along every coordinate
+    stirling = _stirling_first(p)
+    for coord_lines in lines:
+        for line in coord_lines:
+            col = [v[i] for i in line]
+            for k, i in enumerate(line):
+                v[i] = sum(stirling[a][k] * col[a] for a in range(k, len(col)) if col[a])
+    return points, v
+
+
+def interpolate(spec: LatticeSpec, values) -> polys.Poly:
+    """The integer polynomial of total degree <= p' taking `values` (one
+    integer per lattice point, in principal_lattice order).
+
+    Raises ValueError if that polynomial does not have integer
+    coefficients: the final division by p'! must be exact.
+    """
+    points, scaled = _scaled_interpolant(spec, values)
+    denom = math.factorial(spec.degree_bound)
+    out: polys.Poly = {}
+    for point, c in zip(points, scaled):
+        if c:
+            quo, rem = divmod(c, denom)
+            if rem:
+                raise ValueError(
+                    f"non-integral interpolant: coefficient of {point} is {c}/{denom}"
+                )
+            out[point] = quo
     return out
 
 
-_BASIS_CACHE: dict[LatticeSpec, list] = {}
-
-
 def lagrange_basis(spec: LatticeSpec) -> list[dict]:
-    """One polynomial per lattice point, delta-valued on the lattice.
+    """One Fraction-coefficient polynomial per lattice point, delta-valued
+    on the lattice and of total degree <= p'.
 
-    For node (i_1..i_m) with slack i_0 = p' - sum(i_s), the basis polynomial
-    is the product over each coordinate s (the slack counting as coordinate
-    0 with linear form p' - sum_t y_t) of (ell_s - t) / (i_s - t) for
-    t = 0..i_s-1.  Multiplying the linear factors out keeps every p_j of
-    total degree <= p'.
+    Basis polynomial j is the interpolant of the j-th unit vector, read off
+    the integer kernel as (p'! p_j) / p'!.
     """
-    cached = _BASIS_CACHE.get(spec)
-    if cached is not None:
-        return cached
-    m, p = spec.arity, spec.degree_bound
+    n = spec.point_count
+    denom = math.factorial(spec.degree_bound)
     basis = []
-    for point in principal_lattice(spec):
-        slack = p - sum(point)
-        poly = polys.const(m, Fraction(1))
-        for s, i_s in enumerate(point):
-            for t in range(i_s):
-                coeffs = [0] * m
-                coeffs[s] = Fraction(1, i_s - t)
-                factor = _linear(m, Fraction(-t, i_s - t), coeffs)
-                poly = polys.mul(poly, factor)
-        for t in range(slack):
-            denom = slack - t
-            factor = _linear(m, Fraction(p - t, denom), [Fraction(-1, denom)] * m)
-            poly = polys.mul(poly, factor)
-        basis.append(poly)
-    _BASIS_CACHE[spec] = basis
+    for j in range(n):
+        points, scaled = _scaled_interpolant(spec, [int(i == j) for i in range(n)])
+        basis.append(
+            {point: Fraction(c, denom) for point, c in zip(points, scaled) if c}
+        )
     return basis
 
 
@@ -141,17 +205,30 @@ def ipoly_interpolated_product(items, spec: LatticeSpec) -> polys.Poly:
             f"product degree {true_degree} exceeds lattice order {spec.degree_bound}"
         )
     points = principal_lattice(spec)
-    values = []
-    for point in points:
-        v = 1
-        for p in items:
-            v *= polys.evaluate(p, point)
-        values.append(v)
-    result: dict = {}
-    for p_j, k_j in zip(lagrange_basis(spec), values):
-        if k_j:
-            result = polys.add(result, polys.scale(p_j, k_j))
-    return polys.make_integral(result)
+    values = [1] * len(points)
+    for p in items:
+        for i, v in enumerate(_lattice_values(p, spec, points)):
+            values[i] *= v
+    return interpolate(spec, values)
+
+
+def _lattice_values(p: polys.Poly, spec: LatticeSpec, points) -> list[int]:
+    """p at every lattice point, in `points` order, one variable at a time:
+    stage s maps (x_0..x_{s-1}, e_s..e_{m-1}) to the partial sum with the
+    first s variables evaluated, so each term meets each value of x_s once
+    rather than once per lattice point."""
+    bound = spec.degree_bound
+    powers = [[x**e for e in range(bound + 1)] for x in range(bound + 1)]
+    partial = p
+    for s in range(spec.arity):
+        staged: dict = {}
+        for key, c in partial.items():
+            head, e, tail = key[:s], key[s], key[s + 1:]
+            for x in range(bound - sum(head) + 1):
+                k = head + (x,) + tail
+                staged[k] = staged.get(k, 0) + c * powers[x][e]
+        partial = staged
+    return [partial.get(point, 0) for point in points]
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +238,14 @@ def ipoly_interpolated_product(items, spec: LatticeSpec) -> polys.Poly:
 def g_interpolated_product(xs: list[ExactScalar], ctx=None) -> ExactScalar:
     """Iterated product in G via lattice evaluation of d-variate linear forms.
 
-    Each factor sum_j lambda_j beta_j is read as the linear polynomial
-    sum_j lambda_j y_j; the product polynomial (degree = number of factors)
-    is interpolated from pointwise products on the principal lattice, then
-    the basis elements are substituted back for the y_j.  Exact for
-    contexts without indeterminates; the mult-table fold remains the
-    source of truth.
+    Factor i, sum_j lambda_ij beta_j with lambda_ij = n_ij / u^r_ij, is
+    scaled by u^R_i (R_i its largest r) to the integer linear form
+    sum_j (u^R_i lambda_ij) y_j.  The product of those forms is interpolated
+    on the principal lattice of order k = number of factors; each of its
+    monomials y^e then has beta^e substituted once, through the mult table
+    over one common power of u.  Each coordinate comes back as s/u^r with
+    the least r.  Exact for contexts without indeterminates; the mult-table
+    fold remains the source of truth.
     """
     if xs:
         ctx = xs[0].ctx
@@ -176,69 +255,68 @@ def g_interpolated_product(xs: list[ExactScalar], ctx=None) -> ExactScalar:
         raise ValueError("interpolated products need a context with no indeterminates")
     if not xs:
         return ctx.one()
-    d = ctx.dim
-    n_factors = len(xs)
+    d, u = ctx.dim, ctx.u_int
 
-    def coords_frac(x: ExactScalar) -> list[Fraction]:
-        out = []
-        for c in x.coords:
-            if c.is_zero():
-                out.append(Fraction(0))
+    r_total = 0
+    forms = []
+    for x in xs:
+        r = max(c.r for c in x.coords)
+        r_total += r
+        forms.append(
+            [0 if c.is_zero() else c.num[()] * u ** (r - c.r) for c in x.coords]
+        )
+    spec = LatticeSpec(arity=d, degree_bound=len(xs))
+    values = []
+    for point in principal_lattice(spec):
+        v = 1
+        for form in forms:
+            v *= sum(lam * y for lam, y in zip(form, point) if y)
+            if not v:
+                break
+        values.append(v)
+    product = interpolate(spec, values)
+
+    # beta_k beta_j as integer vectors over u^t, t the table's largest r
+    t = max(e.r for row in ctx.mult_rows for cell in row for _j, e in cell)
+    table = [
+        [[(j, e.num[()] * u ** (t - e.r)) for j, e in cell] for cell in row]
+        for row in ctx.mult_rows
+    ]
+    # every monomial of a product of k linear forms has degree k, so every
+    # beta^e below is a vector over the same u^((k-1) t)
+    powers: dict = {}
+
+    def beta_power(exps: tuple[int, ...]) -> list[int]:
+        vec = powers.get(exps)
+        if vec is None:
+            j = max(s for s, e in enumerate(exps) if e)
+            lower = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+            vec = [0] * d
+            if any(lower):
+                for k, a in enumerate(beta_power(lower)):
+                    if a:
+                        for l, entry in table[k][j]:
+                            vec[l] += a * entry
             else:
-                out.append(Fraction(c.num[()], ctx.u_int**c.r))
-        return out
+                vec[j] = 1
+            powers[exps] = vec
+        return vec
 
-    factor_coords = [coords_frac(x) for x in xs]
-    spec = LatticeSpec(arity=d, degree_bound=n_factors)
-    points = principal_lattice(spec)
-    k_values = []
-    for point in points:
-        v = Fraction(1)
-        for coords in factor_coords:
-            v *= sum(c * y for c, y in zip(coords, point))
-        k_values.append(v)
-
-    # substitute y_j := beta_j into each Lagrange basis polynomial, working
-    # in Fraction coordinate vectors through the mult table
-    basis_vecs = []
-    for j in range(d):
-        vec = [Fraction(0)] * d
-        vec[j] = Fraction(1)
-        basis_vecs.append(vec)
-
-    def vec_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * d
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for k, bk in enumerate(b):
-                if bk == 0:
-                    continue
-                w = ai * bk
-                for j, entry in ctx.mult_rows[i][k]:
-                    out[j] += w * Fraction(entry.num[()], ctx.u_int**entry.r)
-        return out
-
-    total = [Fraction(0)] * d
-    for p_j, k_j in zip(lagrange_basis(spec), k_values):
-        if k_j == 0:
-            continue
-        for exps, coeff in p_j.items():
-            term = None
-            for j, e in enumerate(exps):
-                for _ in range(e):
-                    term = basis_vecs[j] if term is None else vec_mul(term, basis_vecs[j])
-            if term is None:
-                term = basis_vecs[0]
-            w = coeff * k_j
-            for j in range(d):
-                total[j] += w * term[j]
-
-    coords = [_frac_to_fscalar(v, ctx) for v in total]
-    return ExactScalar(ctx, coords)
+    total = [0] * d
+    for exps, coeff in product.items():
+        for l, b in enumerate(beta_power(exps)):
+            if b:
+                total[l] += coeff * b
+    r_total += (len(xs) - 1) * t
+    return ExactScalar(ctx, [_least_power(n, r_total, ctx) for n in total])
 
 
-def _frac_to_fscalar(value: Fraction, ctx) -> FScalar:
-    if value == 0:
+def _least_power(num: int, r: int, ctx) -> FScalar:
+    """num / u^r as an FScalar with the least denominator power."""
+    if num == 0:
         return ctx.f_zero
-    return ctx.f_from_rational(value)
+    u = ctx.u_int
+    while r and num % u == 0:
+        num //= u
+        r -= 1
+    return FScalar(polys.const(0, num), r)

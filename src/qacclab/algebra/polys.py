@@ -1,16 +1,13 @@
 """Sparse multivariate polynomial arithmetic with exact coefficients.
 
 A polynomial in m variables is a dict mapping exponent tuples of length m
-to nonzero coefficients; the zero polynomial is the empty dict.  The core
-arithmetic works over arbitrary-precision ints, but every helper also
-accepts Fraction coefficients, which the Lagrange interpolation machinery
-relies on.  Zero-coefficient terms are never stored, so dict equality is
-polynomial equality.
+to nonzero arbitrary-precision integer coefficients; the zero polynomial is
+the empty dict.  Zero-coefficient terms are never stored, so dict equality
+is polynomial equality.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -165,14 +162,3 @@ def from_terms(terms: Iterable, arity: int | None = None) -> Poly:
                 out[exps] = new
     return out
 
-
-def make_integral(p: Poly) -> Poly:
-    """Convert Fraction coefficients back to ints (they must be integral)."""
-    out: Poly = {}
-    for exps, coeff in p.items():
-        if isinstance(coeff, Fraction):
-            if coeff.denominator != 1:
-                raise ValueError(f"non-integral coefficient {coeff}")
-            coeff = coeff.numerator
-        out[exps] = coeff
-    return out

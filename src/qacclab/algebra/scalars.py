@@ -94,11 +94,8 @@ def f_sub(a: FScalar, b: FScalar, ctx) -> FScalar:
 
 def f_mul(a: FScalar, b: FScalar) -> FScalar:
     if a.is_zero() or b.is_zero():
-        return _F_ZEROS.get(0) or FScalar({}, 0)
+        return FScalar({}, 0)
     return FScalar(polys.mul(a.num, b.num), a.r + b.r)
-
-
-_F_ZEROS = {}
 
 
 def f_eq(a: FScalar, b: FScalar, ctx) -> bool:
@@ -303,18 +300,6 @@ def _fmt_fscalar(a: FScalar, ctx) -> str:
     return f"{num}/u^{a.r}"
 
 
-def g_mul(a: ExactScalar, b: ExactScalar) -> ExactScalar:
-    return a * b
-
-
-def g_is_zero(a: ExactScalar) -> bool:
-    return a.is_zero()
-
-
-def g_eval_numeric(a: ExactScalar) -> complex:
-    return a.numeric()
-
-
 def g_iterated_sum(xs, ctx=None) -> ExactScalar:
     """Exact sum of a sequence of scalars (empty sum needs a context)."""
     xs = list(xs)
@@ -332,8 +317,8 @@ def g_iterated_product(xs, ctx=None, method: str = "table") -> ExactScalar:
     """Exact product; "table" folds through the basis multiplication table.
 
     The optional "interpolated" route (evaluation on a principal lattice
-    followed by Lagrange interpolation) lives in the interpolation module
-    and is dispatched from here for convenience.
+    followed by exact integer interpolation) lives in the interpolation
+    module and is dispatched from here for convenience.
     """
     xs = list(xs)
     if method == "interpolated":

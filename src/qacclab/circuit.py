@@ -345,7 +345,13 @@ def key_to_bits(key: int, width: int) -> str:
     return format(key, f"0{width}b") if width else ""
 
 
-def bits_to_key(bits: str) -> int:
+def parse_bits(bits: str, width: int) -> int:
+    """The basis key spelled by `bits`, which must be exactly `width`
+    characters, each 0 or 1 (line 0 first)."""
+    if len(bits) != width or bits.strip("01"):
+        raise ValidationError(
+            [Diagnostic(None, f"basis state {bits!r} must be {width} characters, each 0 or 1")]
+        )
     return int(bits, 2) if bits else 0
 
 

@@ -219,7 +219,14 @@ def main(argv=None) -> int:
     except (CapExceededError, PathCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (dsl.ParseError, ValidationError, ContextError, FileNotFoundError, UsageError) as exc:
+    except (
+        dsl.ParseError,
+        ValidationError,
+        ContextError,
+        FileNotFoundError,
+        UsageError,
+        transforms.BuilderArgumentError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AcceptanceError, statevec.SimulationError, tensorgraph.GraphError) as exc:

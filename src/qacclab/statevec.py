@@ -26,10 +26,10 @@ from .circuit import (
     StagedCNotLayer,
     TensorLayer,
     ValidationError,
-    bits_to_key,
     cnot_action,
     gate_kernel,
     key_to_bits,
+    parse_bits,
     permutation_action,
     validate,
 )
@@ -62,7 +62,7 @@ class StateVector:
 
     def amplitude_of(self, key) -> ExactScalar:
         if isinstance(key, str):
-            key = bits_to_key(key)
+            key = parse_bits(key, self.width)
         return self.entries.get(key, self.context.zero())
 
     def support(self) -> list[int]:
@@ -84,7 +84,7 @@ class StateVector:
 
 
 def basis_state(bits: str, ctx) -> StateVector:
-    return StateVector({bits_to_key(bits): ctx.one()}, len(bits), ctx)
+    return StateVector({parse_bits(bits, len(bits)): ctx.one()}, len(bits), ctx)
 
 
 def _accumulate(target: dict, key: int, amp: ExactScalar):
@@ -194,22 +194,15 @@ def apply_layer(state: StateVector, layer: Layer) -> StateVector:
 
 def run(c: Circuit, input_bits: str, check: bool = True) -> StateVector:
     """U_t ... U_1 |x, 0^aux> with exact amplitudes."""
-    if len(input_bits) != c.n_inputs:
-        raise SimulationError(
-            f"input has {len(input_bits)} bits, circuit expects {c.n_inputs}"
-        )
+    key = parse_bits(input_bits, c.n_inputs) << c.n_aux
     program = compile_circuit(c, check=check)
-    start = basis_state(input_bits + "0" * c.n_aux, c.context)
-    return StateVector(program.apply(start.entries), c.width, c.context)
+    return StateVector(program.apply({key: c.context.one()}), c.width, c.context)
 
 
 def amplitude(c: Circuit, input_bits: str, target_bits: str, check: bool = True) -> ExactScalar:
     """The single coefficient <target| C |input, 0^aux>."""
-    if len(target_bits) != c.width:
-        raise SimulationError(
-            f"target has {len(target_bits)} bits, circuit has {c.width} lines"
-        )
-    return run(c, input_bits, check=check).amplitude_of(target_bits)
+    target = parse_bits(target_bits, c.width)
+    return run(c, input_bits, check=check).amplitude_of(target)
 
 
 def norm_squared(state: StateVector) -> ExactScalar:

@@ -57,6 +57,7 @@ from .circuit import (
     ToffoliGate,
     FanOutGate,
     ValidationError,
+    parse_bits,
     validate,
 )
 
@@ -540,8 +541,7 @@ def apply_layer(g: TensorGraph, layer) -> TensorGraph:
 
 def tg_build(c: Circuit, input_bits: str, check: bool = True) -> TensorGraph:
     """Graph whose amplitude map equals running the circuit on |x, 0^aux>."""
-    if len(input_bits) != c.n_inputs:
-        raise GraphError(f"input has {len(input_bits)} bits, expected {c.n_inputs}")
+    parse_bits(input_bits, c.n_inputs)
     if check:
         diags = validate(c)
         if diags:
@@ -597,8 +597,7 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
     over all partial paths; color products multiply in path order, the
     regime where the algebra behaves associatively.
     """
-    if len(target_bits) != g.height:
-        raise GraphError(f"target has {len(target_bits)} bits, graph height {g.height}")
+    parse_bits(target_bits, g.height)
     ctx = g.ctx
     acc: dict[int, ColorTerm] = {n: ColorTerm(ctx) for n in g.nodes}
     acc[g.source] = ColorTerm.unit(ctx)
@@ -638,8 +637,7 @@ def tg_amplitude_paths(
     g: TensorGraph, target_bits: str, cap: int = PATH_CAP_DEFAULT
 ) -> ExactScalar:
     """Sum over explicit source-terminal paths; color-annihilated paths drop."""
-    if len(target_bits) != g.height:
-        raise GraphError(f"target has {len(target_bits)} bits, graph height {g.height}")
+    parse_bits(target_bits, g.height)
     n_paths = tg_path_count(g)
     if n_paths > cap:
         raise PathCapExceeded(f"{n_paths} paths exceed the cap {cap}")

@@ -37,6 +37,10 @@ EQUIVALENCE_MAIN_CAP = 12
 Target = Union[Gate, Circuit, Callable[[int], int]]
 
 
+class BuilderArgumentError(ValueError):
+    """A builder's (n, q, r) lies outside the domain its construction covers."""
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     verdict: str  # "equivalent" | "counterexample"
@@ -171,7 +175,7 @@ def _ctx_for(q: int, ctx) -> AlgebraContext:
 def build_mq_via_conjugation(n: int, q: int, ctx=None) -> Circuit:
     """Modular addition as Fourier, inverse q-ary fan-out, inverse Fourier."""
     if q < 2 or n < 1:
-        raise ValueError("need q >= 2 and n >= 1")
+        raise BuilderArgumentError("need q >= 2 and n >= 1")
     ctx = _ctx_for(q, ctx)
     w = block_width(q)
     blocks = _blocks(0, n + 1, w)
@@ -190,7 +194,7 @@ def mq_target(n: int, q: int) -> AddModGate:
 def build_modqr_from_modq(n: int, q: int, r: int, ctx=None) -> Circuit:
     """MOD_{q,r} from a MOD_q gate with (q-r) mod q extra inputs held at 1."""
     if not 0 <= r < q:
-        raise ValueError("need 0 <= r < q")
+        raise BuilderArgumentError("need 0 <= r < q")
     ctx = _ctx_for(q, ctx)
     extra = (q - r) % q
     aux = tuple(range(n + 1, n + 1 + extra))
@@ -256,7 +260,7 @@ def _fan_copy_layout(n: int, q: int, first_aux: int):
 def build_modhat(n: int, q: int, r: int, ctx=None) -> Circuit:
     """Digit-sum residue detector: constant fan-out feeding one MOD gate."""
     if not 0 <= r < q:
-        raise ValueError("need 0 <= r < q")
+        raise BuilderArgumentError("need 0 <= r < q")
     ctx = _ctx_for(q, ctx)
     w = block_width(q)
     b_line = n * w
@@ -342,7 +346,7 @@ def build_f_from_fq(n: int, q: int, ctx=None) -> Circuit:
     inverse fan-out clears the blocks.
     """
     if q < 2:
-        raise ValueError("need q >= 2")
+        raise BuilderArgumentError("need q >= 2")
     ctx = _ctx_for(q, ctx)
     w = block_width(q)
     x_line = n

@@ -15,7 +15,9 @@ from qacclab.circuit import (
     TensorLayer,
     ToffoliGate,
     gate_matrix,
+    ValidationError,
     inverse_circuit,
+    parse_bits,
     validate,
 )
 
@@ -187,3 +189,11 @@ def test_line_out_of_range_diagnostic(c2):
 def test_gate_matrix_width_cap(c3):
     with pytest.raises(ValueError, match="cap"):
         gate_matrix(ToffoliGate((0,), 1), 13, c3)
+
+
+def test_parse_bits():
+    assert parse_bits("", 0) == 0
+    assert parse_bits("0110", 4) == 0b0110
+    for bits, width in (("2", 1), ("0", 2), ("00", 1), ("0 ", 2), ("1b", 2), ("١", 1)):
+        with pytest.raises(ValidationError, match="basis state"):
+            parse_bits(bits, width)

@@ -32,6 +32,10 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
     big.write_text("circuit n=21 aux=0\n")
     bad = tmp_path / "bad.qc"
     bad.write_text("circuit n=1 aux=0\nlayer { H [ }\n")
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("not json\n")
+    no_key = tmp_path / "no_key.json"
+    no_key.write_text('{"basis": ["1"]}\n')
 
     cases = [
         (["simulate", "--circuit", hadamard_file, "--input", "0"], 0),
@@ -58,6 +62,18 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         (["graph", "--circuit", bell_file, "--input", "00", "--target", "11", "--method", "paths"], 0),
         (["metrics", "--circuit", bell_file, "--input", "00"], 0),
         (["simulate", "--circuit", hadamard_file, "--input", "0", "--bogus"], 2),
+        (["check", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"], 2),
+        (["build", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"], 2),
+        (["simulate", "--circuit", hadamard_file, "--input", "0",
+          "--context-file", not_json.as_posix()], 2),
+        (["simulate", "--circuit", hadamard_file, "--input", "0",
+          "--context-file", no_key.as_posix()], 2),
+        (["graph", "--circuit", hadamard_file, "--input", "0", "--target", "2"], 2),
+        (["graph", "--circuit", hadamard_file, "--input", "2"], 2),
+        (["simulate", "--circuit", hadamard_file, "--input", "2"], 2),
+        (["simulate", "--circuit", hadamard_file, "--input", "00"], 2),
+        (["metrics", "--circuit", hadamard_file, "--input", "00"], 2),
+        (["graph", "--circuit", hadamard_file, "--input", "0", "--target", "11"], 2),
     ]
     for argv, want in cases:
         code, _out, _err = run_cli(capsys, *argv)
@@ -70,10 +86,36 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         ["check", "--builder", "modhat", "--n", "2", "--q", "5", "--r", "7"],
         ["check", "--builder", "modhat", "--n", "-1", "--q", "3"],
         ["build", "--builder", "mq_from_modq", "--n", "-2", "--q", "3"],
+        ["check", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"],
+        ["build", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"],
     ],
 )
 def test_builder_argument_errors_are_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--input", "0", "--target", "2"],
+        ["graph", "--input", "2"],
+        ["graph", "--input", "0", "--target", "11"],
+        ["simulate", "--input", "2"],
+        ["simulate", "--input", "00"],
+        ["metrics", "--input", "00"],
+        ["amplitude", "--input", "0", "--target", "x"],
+        ["simulate", "--input", "0", "--context-file", "{not_json}"],
+        ["simulate", "--input", "0", "--context-file", "{no_key}"],
+    ],
+)
+def test_input_errors_are_one_line(capsys, tmp_path, hadamard_file, argv):
+    (tmp_path / "not_json.json").write_text("not json\n")
+    (tmp_path / "no_key.json").write_text('{"basis": ["1"]}\n')
+    paths = {"not_json": tmp_path / "not_json.json", "no_key": tmp_path / "no_key.json"}
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = run_cli(capsys, argv[0], "--circuit", hadamard_file, *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -71,6 +71,16 @@ def test_json_round_trip_bit_exact(tmp_path):
         assert path.read_text() == second.read_text()
 
 
+@pytest.mark.parametrize(
+    "text", ["not json\n", '{"basis": ["1"]}\n', "[1]\n", '{"indeterminates": 5}\n']
+)
+def test_malformed_context_file_is_context_error(tmp_path, text):
+    path = tmp_path / "ctx.json"
+    path.write_text(text)
+    with pytest.raises(ContextError, match="context file"):
+        load_context(path)
+
+
 def test_registry_names():
     assert get_context("cyclotomic3") is get_context("cyclotomic3")
     assert get_context("rational").u_int == 10

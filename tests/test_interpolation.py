@@ -5,9 +5,13 @@ import pytest
 
 from qacclab.algebra import (
     DegreeBoundError,
+    ExactScalar,
+    FScalar,
     LatticeSpec,
     cyclotomic_context,
+    g_interpolated_product,
     g_iterated_product,
+    get_context,
     ipoly_direct_product,
     ipoly_interpolated_product,
     ipoly_iterated_sum,
@@ -15,6 +19,7 @@ from qacclab.algebra import (
     principal_lattice,
     polys,
 )
+from qacclab.algebra import interpolation
 
 
 def test_lattice_m2_p2():
@@ -137,3 +142,118 @@ def test_g_interpolated_product_matches_fold():
 def test_g_interpolated_empty_product_is_one():
     ctx = cyclotomic_context(3)
     assert (g_iterated_product([], ctx, method="interpolated") - ctx.one()).is_zero()
+
+
+# -- the integer kernel against direct convolution and the table fold ----------
+
+
+def _random_poly(rng, m, degree):
+    """Integer polynomial with signed coefficients and total degree exactly
+    `degree`."""
+    coeffs = (-7, -3, -1, 1, 2, 5, 11)
+
+    def exponents(total):
+        exps, left = [], total
+        for _ in range(m - 1):
+            k = rng.randint(0, left)
+            exps.append(k)
+            left -= k
+        exps.append(left)
+        rng.shuffle(exps)
+        return tuple(exps)
+
+    p = {}
+    for _ in range(rng.randint(0, 5)):
+        p = polys.add(p, {exponents(rng.randint(0, degree)): rng.choice(coeffs)})
+    top, c = exponents(degree), rng.choice(coeffs)
+    p[top] = p.get(top, 0) + c or c
+    return p
+
+
+LATTICE_BOUNDS = {
+    1: range(21),
+    2: (0, 1, 2, 3, 5, 8, 13, 20),
+    3: (0, 1, 2, 4, 7, 11, 20),
+    4: (0, 1, 3, 6, 10, 20),
+}
+
+
+@pytest.mark.parametrize("arity", sorted(LATTICE_BOUNDS))
+def test_kernel_random_products_vs_direct(arity):
+    rng = random.Random(1000 + arity)
+    for bound in LATTICE_BOUNDS[arity]:
+        spec = LatticeSpec(arity, bound)
+        for trial in range(4):
+            # trial 0 fills the bound exactly; the others stay below it
+            budget = bound if trial == 0 else rng.randint(0, bound)
+            degree, items = budget, []
+            while budget > 0:
+                d = budget if len(items) == 4 else rng.randint(1, budget)
+                budget -= d
+                items.append(_random_poly(rng, arity, d))
+            direct = ipoly_direct_product(items, arity)
+            assert polys.total_degree(direct) == degree
+            assert ipoly_interpolated_product(items, spec) == direct
+
+
+def test_kernel_cancellation_and_zero_products():
+    a, b = polys.variable(2, 0), polys.variable(2, 1)
+    plus, minus = polys.add(a, b), polys.sub(a, b)
+    spec = LatticeSpec(2, 6)
+    # (a+b)(a-b)(a^2+b^2) = a^4 - b^4: every mixed term cancels
+    square_sum = polys.add(polys.power(a, 2), polys.power(b, 2))
+    got = ipoly_interpolated_product([plus, minus, square_sum], spec)
+    assert got == {(4, 0): 1, (0, 4): -1}
+    # a factor that is zero after cancellation makes the product zero
+    assert ipoly_interpolated_product([plus, polys.sub(plus, plus)], spec) == {}
+    assert interpolation.interpolate(spec, [0] * spec.point_count) == {}
+    # a negative constant and a large coefficient survive the division by p'!
+    big = polys.const(2, -(10**30) - 7)
+    assert ipoly_interpolated_product([big, minus], spec) == polys.scale(minus, -(10**30) - 7)
+
+
+def test_kernel_rejects_non_integral_interpolant():
+    # the values 0, 0, 1 at y = 0, 1, 2 interpolate to y(y-1)/2
+    with pytest.raises(ValueError, match="non-integral"):
+        interpolation.interpolate(LatticeSpec(1, 2), [0, 0, 1])
+    with pytest.raises(ValueError, match="non-integral"):
+        interpolation.interpolate(LatticeSpec(2, 2), [0, 0, 0, 0, 0, 1])
+
+
+def _least_r_form(x):
+    """The coordinates as ctx.f_from_rational writes them: least power of u."""
+    ctx = x.ctx
+    coords = [
+        ctx.f_zero if c.is_zero() else ctx.f_from_rational(Fraction(c.num[()], ctx.u_int**c.r))
+        for c in x.coords
+    ]
+    return ExactScalar(ctx, coords).to_json()
+
+
+@pytest.mark.parametrize(
+    "name,max_factors",
+    [("rational10", 8), ("cyclotomic2", 6), ("cyclotomic3", 4),
+     ("cyclotomic5", 4), ("cyclotomic7", 3)],
+)
+def test_g_interpolated_product_random_vs_fold(name, max_factors):
+    ctx = get_context(name)
+    u = ctx.u_int
+    rng = random.Random(name)
+
+    def rand_scalar():
+        coords = []
+        for _ in range(ctx.dim):
+            n = rng.choice([0, 0, -9, -4, -1, 1, 3, 10, 25])
+            coords.append(FScalar(polys.const(0, n), rng.randint(0, 3)))
+        return ExactScalar(ctx, coords)
+
+    for k in range(1, max_factors + 1):
+        for _ in range(3):
+            xs = [rand_scalar() for _ in range(k)]
+            interp = g_interpolated_product(xs)
+            assert interp == g_iterated_product(xs, ctx)
+            for c in interp.coords:
+                assert c.r == 0 or c.num[()] % u != 0  # least r, no zero stored
+            assert interp.to_json() == _least_r_form(interp)
+    zero_factor = [rand_scalar(), ctx.zero(), rand_scalar()]
+    assert g_interpolated_product(zero_factor).to_json() == ctx.zero().to_json()
