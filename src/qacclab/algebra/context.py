@@ -121,7 +121,6 @@ class AlgebraContext:
         one[0] = self.f_one
         self._one = ExactScalar(self, one)
         self._mul_cache = {}
-        self._gate_cache = {}
 
         if check:
             self.validate()

@@ -10,6 +10,10 @@ which keeps every block gate unitary as a direct sum.
 
 Basis states are ints whose binary expansion, read most significant bit
 first, lists line 0 first.
+
+Both engines share one work budget: BUDGET stored items, basis states in
+a state vector or nodes in a tensor graph.  A run that would go past it
+raises CapExceededError instead of growing further.
 """
 
 from __future__ import annotations
@@ -20,6 +24,13 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .algebra import AlgebraContext, ExactScalar
+
+
+BUDGET = 1 << 20
+
+
+class CapExceededError(RuntimeError):
+    """A run would go past a work budget."""
 
 
 class ValidationError(ValueError):
@@ -455,26 +466,14 @@ def cnot_action(pairs, width: int) -> Callable[[int], int]:
 
 def fourier_columns(g: FourierGate, ctx) -> list[list[tuple[int, ExactScalar]]]:
     """Column v of the block matrix as (output value, scalar) pairs."""
-    cache_key = ("fourier", g.q, g.inverse)
-    cols = ctx._gate_cache.get(cache_key)
-    if cols is not None:
-        return cols
     zeta, invsq = ctx.fourier_scalars(g.q)
-    size = 1 << block_width(g.q)
-    cols = []
-    for v in range(size):
-        if v >= g.q:
-            cols.append([(v, ctx.one())])
-            continue
-        col = []
-        for y in range(g.q):
-            e = (v * y) % g.q
-            if g.inverse:
-                e = (-e) % g.q
-            col.append((y, invsq * zeta[e]))
-        cols.append(col)
-    ctx._gate_cache[cache_key] = cols
-    return cols
+    q = g.q
+    scaled = [invsq * z for z in zeta]  # entry e is invsq * zeta^e
+    sign = -1 if g.inverse else 1
+    return [
+        [(y, scaled[sign * v * y % q]) for y in range(q)] if v < q else [(v, ctx.one())]
+        for v in range(1 << block_width(q))
+    ]
 
 
 def gate_kernel(g: Gate, width: int, ctx) -> Callable[[int], list]:
@@ -585,9 +584,7 @@ def circuit_stats(c: Circuit) -> dict:
                 if is_multiline(g):
                     multi += 1
                 else:
-                    onequbit_kinds.add(
-                        tuple(entry.key() for row in g.matrix for entry in row)
-                    )
+                    onequbit_kinds.add(g.matrix)
         elif isinstance(layer, CNotLayer):
             multi += len(layer.pairs)
             gate_count += len(layer.pairs)

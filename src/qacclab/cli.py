@@ -13,9 +13,8 @@ import sys
 
 from . import dsl, statevec, tensorgraph, transforms
 from .algebra import ContextError, load_context
-from .circuit import ValidationError, circuit_stats
-from .statevec import AcceptanceError, CapExceededError
-from .tensorgraph import PathCapExceeded
+from .circuit import CapExceededError, ValidationError, circuit_stats
+from .statevec import AcceptanceError
 
 
 def _load_circuit(args):
@@ -216,7 +215,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CapExceededError, PathCapExceeded) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (
@@ -229,7 +228,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AcceptanceError, statevec.SimulationError, tensorgraph.GraphError) as exc:
+    except (AcceptanceError, tensorgraph.GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -54,8 +54,7 @@ from .circuit import (
     StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
-    ValidationError,
-    validate,
+    check_valid,
 )
 
 GATE_KEYWORDS = ("H", "U", "TOF", "FAN", "MOD", "MQ", "FQ", "HQ", "T")
@@ -385,11 +384,7 @@ def parse_circuit(
             except ContextError as exc:
                 raise ParseError(str(exc), name_tok.line, name_tok.col) from exc
     layers = parser.parse_layers()
-    c = Circuit(n_inputs, n_aux, tuple(layers), parser.ctx)
-    diags = validate(c)
-    if diags:
-        raise ValidationError(diags)
-    return c
+    return check_valid(Circuit(n_inputs, n_aux, tuple(layers), parser.ctx))
 
 
 # -- serialization ---------------------------------------------------------------

@@ -7,51 +7,37 @@ from bit masks, fusing each maximal run of permutation gates and
 controlled-not layers into a single key map.  The resulting Program runs
 any number of inputs; run and apply_layer both go through it.  Permutation
 steps move keys with no scalar arithmetic at all; only one-qubit and
-Fourier gates touch the algebra.  Exact runs are capped at 20 lines
-(override with QACC_LINE_CAP at your own risk: the cost is exponential and
-the scalars are heavy).
+Fourier gates touch the algebra.  There is no cap on the width: before a
+one-qubit or Fourier step runs, support x 2^(lines of the gate) must be at
+most circuit.BUDGET, or it raises CapExceededError.  Permutation steps map
+keys one-to-one, so they never grow the support.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ExactScalar
+from . import circuit as cir
 from .circuit import (
+    CapExceededError,
     Circuit,
     CNotLayer,
     Layer,
     StagedCNotLayer,
     TensorLayer,
-    ValidationError,
+    check_valid,
     cnot_action,
     gate_kernel,
     key_to_bits,
     parse_bits,
     permutation_action,
-    validate,
 )
 
-DEFAULT_LINE_CAP = 20
 
-
-class SimulationError(RuntimeError):
+class AcceptanceError(RuntimeError):
     pass
-
-
-class CapExceededError(SimulationError):
-    pass
-
-
-class AcceptanceError(SimulationError):
-    pass
-
-
-def line_cap() -> int:
-    value = os.environ.get("QACC_LINE_CAP")
-    return int(value) if value else DEFAULT_LINE_CAP
 
 
 @dataclass(frozen=True)
@@ -129,8 +115,15 @@ def _permute(key_map):
     return lambda entries: {key_map(key): amp for key, amp in entries.items()}
 
 
-def _branch(kernel):
+def _branch(kernel, fan: int):
+    """A step that sends each key to at most `fan` keys."""
+
     def step(entries):
+        if len(entries) * fan > cir.BUDGET:
+            raise CapExceededError(
+                f"{len(entries)} basis states x {fan} branches exceed the work budget "
+                f"{cir.BUDGET}"
+            )
         out: dict = {}
         for key, amp in entries.items():
             for new_key, scalar in kernel(key):
@@ -160,7 +153,8 @@ def _compile_steps(layers, width: int, ctx) -> tuple:
                     maps.append(perm)
                 else:
                     close_run()
-                    steps.append(_branch(gate_kernel(gate, width, ctx)))
+                    fan = 1 << len(gate.lines())
+                    steps.append(_branch(gate_kernel(gate, width, ctx), fan))
         elif isinstance(layer, CNotLayer):
             maps.append(cnot_action(layer.pairs, width))
         elif isinstance(layer, StagedCNotLayer):
@@ -172,17 +166,10 @@ def _compile_steps(layers, width: int, ctx) -> tuple:
 
 
 def compile_circuit(c: Circuit, check: bool = True) -> Program:
-    """Check the line cap, validate once (unless check=False) and build
-    every gate's kernel once."""
-    if c.width > line_cap():
-        raise CapExceededError(
-            f"{c.width} lines exceed the exact-run cap {line_cap()} "
-            "(set QACC_LINE_CAP to override)"
-        )
+    """Validate once (unless check=False) and build every gate's kernel
+    once."""
     if check:
-        diags = validate(c)
-        if diags:
-            raise ValidationError(diags)
+        check_valid(c)
     return Program(_compile_steps(c.layers, c.width, c.context))
 
 

@@ -38,6 +38,9 @@ implement:
 
 The binding correctness contract for all of these is exact agreement with
 the brute-force state-vector simulator.
+
+A graph holds at most circuit.BUDGET nodes: add_node, through which every
+node passes, raises CapExceededError before the count would go past it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .algebra import ExactScalar
 from .algebra.scalars import f_from_json
 from . import circuit as cir
 from .circuit import (
+    CapExceededError,
     Circuit,
     CNotLayer,
     FourierGate,
@@ -56,19 +60,14 @@ from .circuit import (
     TensorLayer,
     ToffoliGate,
     FanOutGate,
-    ValidationError,
+    check_valid,
     parse_bits,
-    validate,
 )
 
 PATH_CAP_DEFAULT = 10**6
 
 
 class GraphError(RuntimeError):
-    pass
-
-
-class PathCapExceeded(GraphError):
     pass
 
 
@@ -234,6 +233,10 @@ class TensorGraph:
     # construction ---------------------------------------------------------
 
     def add_node(self, height: int, node_id: int | None = None) -> int:
+        if len(self.nodes) >= cir.BUDGET:
+            raise CapExceededError(
+                f"tensor graph would exceed the work budget of {cir.BUDGET} nodes"
+            )
         nid = self._next_node if node_id is None else node_id
         if nid in self.nodes:
             raise GraphError(f"duplicate node id {nid}")
@@ -543,9 +546,7 @@ def tg_build(c: Circuit, input_bits: str, check: bool = True) -> TensorGraph:
     """Graph whose amplitude map equals running the circuit on |x, 0^aux>."""
     parse_bits(input_bits, c.n_inputs)
     if check:
-        diags = validate(c)
-        if diags:
-            raise ValidationError(diags)
+        check_valid(c)
     g = tg_init(input_bits + "0" * c.n_aux, c.context)
     for layer in c.layers:
         g = apply_layer(g, layer)
@@ -640,7 +641,7 @@ def tg_amplitude_paths(
     parse_bits(target_bits, g.height)
     n_paths = tg_path_count(g)
     if n_paths > cap:
-        raise PathCapExceeded(f"{n_paths} paths exceed the cap {cap}")
+        raise CapExceededError(f"{n_paths} paths exceed the cap {cap}")
     ctx = g.ctx
     total = ctx.zero()
     stack = [(g.source, UNIT_PRODUCT, ctx.one())]

@@ -181,6 +181,33 @@ def test_circuit_stats(c2):
     assert stats["lines"] == 3
 
 
+def test_circuit_stats_counts_equal_gates_once():
+    # with u = a1: 1/u and u/u^2 are one scalar in two representations, so
+    # the two one-qubit gates below are one distinct gate
+    from qacclab.algebra import AlgebraContext, ExactScalar, FScalar, polys
+
+    one = FScalar(polys.const(1, 1), 0)
+    ctx = AlgebraContext(["a1"], ["1"], [[(one,)]], polys.variable(1, 0), {"a1": [2.0, 0.0]})
+    inv_u = ExactScalar(ctx, [FScalar(polys.const(1, 1), 1)])
+    u_over_u2 = ExactScalar(ctx, [FScalar(polys.variable(1, 0), 2)])
+    assert inv_u.key() != u_over_u2.key()
+    zero = ctx.zero()
+    c = Circuit(
+        2,
+        0,
+        (
+            TensorLayer(
+                (
+                    cir.OneQubitGate(((inv_u, zero), (zero, inv_u)), 0),
+                    cir.OneQubitGate(((u_over_u2, zero), (zero, u_over_u2)), 1),
+                )
+            ),
+        ),
+        ctx,
+    )
+    assert cir.circuit_stats(c)["distinct_one_qubit_gates"] == 1
+
+
 def test_line_out_of_range_diagnostic(c2):
     c = Circuit(2, 0, (TensorLayer((ToffoliGate((0,), 5),)),), c2)
     assert any("out of range" in str(d) for d in validate(c))

@@ -40,7 +40,7 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
     cases = [
         (["simulate", "--circuit", hadamard_file, "--input", "0"], 0),
         (["simulate", "--circuit", hadamard_file, "--input", "0", "--json"], 0),
-        (["simulate", "--circuit", big.as_posix(), "--input", "0" * 21], 3),
+        (["simulate", "--circuit", big.as_posix(), "--input", "0" * 21], 0),
         (["simulate", "--circuit", bad.as_posix(), "--input", "0"], 2),
         (["simulate", "--circuit", str(tmp_path / "nope.qc"), "--input", "0"], 2),
         (["amplitude", "--circuit", hadamard_file, "--input", "0", "--target", "1"], 0),
@@ -53,6 +53,8 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         (["build", "--builder", "nonsense", "--n", "1", "--q", "2"], 2),
         (["check", "--builder", "modq_from_mq", "--n", "3", "--q", "3"], 0),
         (["check", "--builder", "modqr_from_modq", "--n", "2", "--q", "3", "--r", "2"], 0),
+        (["check", "--builder", "modhat", "--n", "3", "--q", "5"], 0),
+        (["check", "--builder", "modqr_from_modq", "--n", "12", "--q", "2"], 3),
         (["check", "--builder", "modhat", "--n", "2", "--q", "5", "--r", "7"], 2),
         (["check", "--builder", "modhat", "--n", "-1", "--q", "3"], 2),
         (["build", "--builder", "modqr_from_modq", "--n", "2", "--q", "3", "--r", "-1"], 2),
@@ -117,6 +119,15 @@ def test_input_errors_are_one_line(capsys, tmp_path, hadamard_file, argv):
     argv = [a.format(**paths) for a in argv]
     code, out, err = run_cli(capsys, argv[0], "--circuit", hadamard_file, *argv[1:])
     assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_work_budget_exits_3_with_one_line(capsys, monkeypatch, bell_file):
+    from qacclab import circuit as cir
+
+    monkeypatch.setattr(cir, "BUDGET", 4)
+    code, out, err = run_cli(capsys, "metrics", "--circuit", bell_file, "--input", "00")
+    assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -121,12 +121,16 @@ def test_permutation_circuits_have_unit_support(c2):
         assert (amp - c2.one()).is_zero()
 
 
-def test_line_cap_enforced(c2, monkeypatch):
-    c = Circuit(21, 0, (), c2)
-    with pytest.raises(sv.CapExceededError):
-        sv.run(c, "0" * 21)
-    monkeypatch.setenv("QACC_LINE_CAP", "22")
-    assert sv.run(c, "0" * 21).support() == [0]
+def test_work_budget_enforced(c2, monkeypatch):
+    # width alone is never refused; the budget bounds the stored support
+    assert sv.run(Circuit(21, 0, (), c2), "0" * 21).support() == [0]
+    monkeypatch.setattr(cir, "BUDGET", 4)
+    two = Circuit(3, 0, (TensorLayer((cir.hadamard_gate(0), cir.hadamard_gate(1))),), c2)
+    assert len(sv.run(two, "000").entries) == 4
+    three = Circuit(3, 0, (TensorLayer(tuple(cir.hadamard_gate(l) for l in range(3))),), c2)
+    # refused at 4 stored states, before the step that would reach 8
+    with pytest.raises(sv.CapExceededError, match="^4 basis states x 2 branches"):
+        sv.run(three, "000")
 
 
 def test_numeric_agreement_with_double_simulator(c2):

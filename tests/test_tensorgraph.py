@@ -268,8 +268,16 @@ def test_path_cap(c2):
     g = tg.tg_init("00", c2)
     for _ in range(3):
         g = tg.apply_toffoli(g, (0,), 1)
-    with pytest.raises(tg.PathCapExceeded):
+    with pytest.raises(cir.CapExceededError):
         tg.tg_amplitude_paths(g, "00", cap=7)
+
+
+def test_node_budget(c2, monkeypatch):
+    c = Circuit(2, 0, (TensorLayer((ToffoliGate((0,), 1),)),), c2)
+    assert len(tg.tg_build(c, "10").nodes) == 6
+    monkeypatch.setattr(cir, "BUDGET", 5)
+    with pytest.raises(cir.CapExceededError, match="budget of 5 nodes"):
+        tg.tg_build(c, "10")
 
 
 # -- paper figures -----------------------------------------------------------

@@ -18,10 +18,6 @@ from qacclab.circuit import (
 GRID = [(q, n) for q in (2, 3, 4, 5) for n in (1, 2, 3)]
 
 
-def _within_cap(candidate):
-    return candidate.width <= sv.line_cap()
-
-
 @pytest.mark.parametrize("q,n", [(q, n) for q in (2, 3, 4, 5) for n in (1, 2)])
 def test_mq_via_conjugation_exact_on_every_basis_state(q, n):
     report = tf.check_builder("mq_via_conjugation", n, q)
@@ -71,9 +67,6 @@ def test_modq_from_mq_parity_case():
 
 @pytest.mark.parametrize("q,n", GRID)
 def test_modhat(q, n):
-    c = tf.build_modhat(n, q, 0)
-    if not _within_cap(c):
-        pytest.skip("over the exact-run line cap")
     for r in (0, q - 1):
         report = tf.check_builder("modhat", n, q, r)
         assert report.equivalent and report.aux_restored, (q, n, r)
@@ -104,9 +97,6 @@ def test_modhat_bit_weight_expansion():
 
 @pytest.mark.parametrize("q,n", GRID)
 def test_mq_from_modq(q, n):
-    c = tf.build_mq_from_modq(n, q)
-    if not _within_cap(c):
-        pytest.skip("over the exact-run line cap")
     report = tf.check_builder("mq_from_modq", n, q)
     assert report.equivalent and report.aux_restored
 
@@ -201,8 +191,6 @@ def test_builder_outputs_restore_aux_structurally():
     # every builder: on every basis input, all reachable states keep aux = 0
     for name, spec in tf.BUILDERS.items():
         c = spec.build(2, 3, 1 if spec.needs_r else 0)
-        if not _within_cap(c):
-            continue
         aux = c.width - spec.main_lines(2, 3)
         mask = (1 << aux) - 1
         for x in range(1 << c.n_inputs):
