@@ -25,13 +25,7 @@ from .scalars import (
     EvaluationError,
     ExactScalar,
     FScalar,
-    f_add,
-    f_eq,
-    f_from_int,
-    f_mul,
-    f_neg,
     f_numeric,
-    f_sub,
     g_iterated_product,
     g_iterated_sum,
 )
@@ -46,13 +40,7 @@ __all__ = [
     "LatticeSpec",
     "cyclotomic_context",
     "cyclotomic_polynomial",
-    "f_add",
-    "f_eq",
-    "f_from_int",
-    "f_mul",
-    "f_neg",
     "f_numeric",
-    "f_sub",
     "g_interpolated_product",
     "g_iterated_product",
     "g_iterated_sum",

@@ -3,6 +3,12 @@
 A context fixes the ordered indeterminates A, the basis B (with basis
 element 0 being 1), the d x d basis multiplication table, the common
 denominator u, and floating approximations used only for sanity checks.
+From the table (and the conjugation, when given) it computes once the
+structure constants the scalar kernel reads: for each basis product
+beta_a beta_b the nonzero (j, numerator) pairs of its coordinates over one
+power u^mul_r (`mul_constants`), and likewise over u^conj_r for the
+conjugates (`conj_constants`).  Numerators are ints without
+indeterminates and polynomials with them.
 
 Shipped contexts:
 
@@ -33,11 +39,12 @@ from . import polys
 from .scalars import (
     ExactScalar,
     FScalar,
-    f_eq,
     f_from_json,
     f_numeric,
     f_to_json,
     hash_point,
+    numerator_ring,
+    structure_constants,
 )
 
 
@@ -72,23 +79,26 @@ class AlgebraContext:
         self.numeric = dict(numeric)
         self.name = name
 
+        self.is_rational = self.dim == 1 and self.arity == 0
+        if self.arity == 0:
+            self.u_int, self.hash_point = self.denominator[()], None
+        else:
+            self.u_int, self.hash_point = None, hash_point(self.denominator, self.arity)
+        self.num_zero, self.num_add, self.num_sub, self.num_neg, self.num_mul = (
+            numerator_ring(self.arity)
+        )
         self.f_zero = FScalar({}, 0)
         self.f_one = FScalar(polys.const(self.arity, 1), 0)
-        self._u_pows = [polys.const(self.arity, 1), dict(self.denominator)]
-        self.mult_rows = [
-            [
-                [(j, entry) for j, entry in enumerate(vec) if not entry.is_zero()]
-                for vec in row
-            ]
-            for row in self.mult_table
-        ]
-        self.conjugation = None
+
+        d = self.dim
+        self.mul_r, cells = structure_constants(
+            self, (vec for row in self.mult_table for vec in row)
+        )
+        self.mul_constants = tuple(tuple(cells[i * d:(i + 1) * d]) for i in range(d))
+        self.conjugation = self.conj_r = self.conj_constants = None
         if conjugation is not None:
-            self.conjugation = tuple(
-                [(j, entry) for j, entry in enumerate(vec) if not entry.is_zero()]
-                for vec in conjugation
-            )
-        self._conj_dense = tuple(tuple(vec) for vec in conjugation) if conjugation else None
+            self.conjugation = tuple(tuple(vec) for vec in conjugation)
+            self.conj_r, self.conj_constants = structure_constants(self, self.conjugation)
 
         self.indeterminate_values = [
             complex(*_pair(self.numeric[a])) if a in self.numeric else None
@@ -106,21 +116,12 @@ class AlgebraContext:
                 raise ContextError(f"numeric assignment missing for basis element {b!r}")
         self.u_numeric = complex(polys.evaluate(self.denominator, self.indeterminate_values))
 
-        self.is_rational = self.dim == 1 and self.arity == 0
-        self.u_int = None
-        self.hash_point = None
-        if self.arity == 0:
-            self.u_int = self.denominator.get((), 0)
-        else:
-            self.hash_point = hash_point(self.denominator, self.arity)
-
         self.constants = dict(constants or {})
         self.fourier_q = fourier_q
         self._zero = ExactScalar(self, [self.f_zero] * self.dim)
         one = [self.f_zero] * self.dim
         one[0] = self.f_one
         self._one = ExactScalar(self, one)
-        self._mul_cache = {}
 
         if check:
             self.validate()
@@ -167,10 +168,11 @@ class AlgebraContext:
                 )
         return FScalar(polys.const(self.arity, num * (cur // den)), r)
 
-    def u_power(self, k: int) -> polys.Poly:
-        while len(self._u_pows) <= k:
-            self._u_pows.append(polys.mul(self._u_pows[-1], self.denominator))
-        return self._u_pows[k]
+    def u_power(self, k: int):
+        """u^k as a numerator: an int without indeterminates, else a polynomial."""
+        if self.u_int is not None:
+            return self.u_int**k
+        return polys.power(self.denominator, k)
 
     def symbol(self, name: str) -> ExactScalar:
         if name in self.constants:
@@ -189,17 +191,14 @@ class AlgebraContext:
 
     def validate(self, tol: float = 1e-9):
         d = self.dim
+        unit = self.u_power(self.mul_r)
         for b in range(d):
-            for j in range(d):
-                entry = self.mult_table[0][b][j]
-                expected = self.f_one if j == b else self.f_zero
-                if not f_eq(entry, expected, self):
-                    raise ContextError("identity row of mult_table is not the unit vector")
+            if self.mul_constants[0][b] != ((b, unit),):
+                raise ContextError("identity row of mult_table is not the unit vector")
         for a in range(d):
             for b in range(a + 1, d):
-                for j in range(d):
-                    if not f_eq(self.mult_table[a][b][j], self.mult_table[b][a][j], self):
-                        raise ContextError(f"mult_table not symmetric at ({a},{b})")
+                if self.mul_constants[a][b] != self.mul_constants[b][a]:
+                    raise ContextError(f"mult_table not symmetric at ({a},{b})")
         for a in range(d):
             for b in range(d):
                 direct = self.basis_values[a] * self.basis_values[b]
@@ -227,12 +226,7 @@ class AlgebraContext:
             or self.denominator != other.denominator
         ):
             return False
-        for ra, rb in zip(self.mult_table, other.mult_table):
-            for va, vb in zip(ra, rb):
-                for ea, eb in zip(va, vb):
-                    if ea.r != eb.r or ea.num != eb.num:
-                        return False
-        return True
+        return self.mul_r == other.mul_r and self.mul_constants == other.mul_constants
 
     def __hash__(self):
         return hash((self.indeterminates, self.basis, tuple(sorted(self.denominator.items()))))
@@ -251,9 +245,9 @@ class AlgebraContext:
             "u": polys.to_terms(self.denominator),
             "numeric": {k: _pair(v) for k, v in self.numeric.items()},
         }
-        if self._conj_dense is not None:
+        if self.conjugation is not None:
             data["conjugation"] = [
-                [f_to_json(entry) for entry in vec] for vec in self._conj_dense
+                [f_to_json(entry) for entry in vec] for vec in self.conjugation
             ]
         if self.fourier_q is not None:
             data["fourier_q"] = self.fourier_q

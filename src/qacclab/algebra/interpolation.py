@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .scalars import ExactScalar, FScalar
+from .scalars import ExactScalar, from_numerators
 
 
 class DegreeBoundError(ValueError):
@@ -232,20 +232,19 @@ def _lattice_values(p: polys.Poly, spec: LatticeSpec, points) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# interpolated products in G (optional, non-canonical route)
+# interpolated products in G
 
 
 def g_interpolated_product(xs: list[ExactScalar], ctx=None) -> ExactScalar:
     """Iterated product in G via lattice evaluation of d-variate linear forms.
 
-    Factor i, sum_j lambda_ij beta_j with lambda_ij = n_ij / u^r_ij, is
-    scaled by u^R_i (R_i its largest r) to the integer linear form
-    sum_j (u^R_i lambda_ij) y_j.  The product of those forms is interpolated
-    on the principal lattice of order k = number of factors; each of its
-    monomials y^e then has beta^e substituted once, through the mult table
-    over one common power of u.  Each coordinate comes back as s/u^r with
-    the least r.  Exact for contexts without indeterminates; the mult-table
-    fold remains the source of truth.
+    Factor i, sum_j (n_ij / u^r_i) beta_j, contributes its numerators as the
+    integer linear form sum_j n_ij y_j.  The product of those forms is
+    interpolated on the principal lattice of order k = number of factors;
+    each of its monomials y^e then has beta^e substituted once, through the
+    context's structure constants over u^t.  The result is over
+    u^(sum_i r_i + (k-1) t), reduced.  Exact for contexts without
+    indeterminates; the mult-table fold remains the source of truth.
     """
     if xs:
         ctx = xs[0].ctx
@@ -255,35 +254,22 @@ def g_interpolated_product(xs: list[ExactScalar], ctx=None) -> ExactScalar:
         raise ValueError("interpolated products need a context with no indeterminates")
     if not xs:
         return ctx.one()
-    d, u = ctx.dim, ctx.u_int
-
-    r_total = 0
-    forms = []
-    for x in xs:
-        r = max(c.r for c in x.coords)
-        r_total += r
-        forms.append(
-            [0 if c.is_zero() else c.num[()] * u ** (r - c.r) for c in x.coords]
-        )
+    d = ctx.dim
     spec = LatticeSpec(arity=d, degree_bound=len(xs))
     values = []
     for point in principal_lattice(spec):
         v = 1
-        for form in forms:
-            v *= sum(lam * y for lam, y in zip(form, point) if y)
+        for x in xs:
+            v *= sum(lam * y for lam, y in zip(x.nums, point) if y)
             if not v:
                 break
         values.append(v)
     product = interpolate(spec, values)
 
-    # beta_k beta_j as integer vectors over u^t, t the table's largest r
-    t = max(e.r for row in ctx.mult_rows for cell in row for _j, e in cell)
-    table = [
-        [[(j, e.num[()] * u ** (t - e.r)) for j, e in cell] for cell in row]
-        for row in ctx.mult_rows
-    ]
-    # every monomial of a product of k linear forms has degree k, so every
-    # beta^e below is a vector over the same u^((k-1) t)
+    # beta_k beta_j as integer vectors over u^t; every monomial of a product
+    # of k linear forms has degree k, so every beta^e below is a vector over
+    # the same u^((k-1) t)
+    table = ctx.mul_constants
     powers: dict = {}
 
     def beta_power(exps: tuple[int, ...]) -> list[int]:
@@ -307,16 +293,5 @@ def g_interpolated_product(xs: list[ExactScalar], ctx=None) -> ExactScalar:
         for l, b in enumerate(beta_power(exps)):
             if b:
                 total[l] += coeff * b
-    r_total += (len(xs) - 1) * t
-    return ExactScalar(ctx, [_least_power(n, r_total, ctx) for n in total])
-
-
-def _least_power(num: int, r: int, ctx) -> FScalar:
-    """num / u^r as an FScalar with the least denominator power."""
-    if num == 0:
-        return ctx.f_zero
-    u = ctx.u_int
-    while r and num % u == 0:
-        num //= u
-        r -= 1
-    return FScalar(polys.const(0, num), r)
+    r_total = sum(x.r for x in xs) + (len(xs) - 1) * ctx.mul_r
+    return from_numerators(ctx, total, r_total)

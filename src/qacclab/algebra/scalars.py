@@ -1,15 +1,23 @@
 """Exact amplitude scalars.
 
-An amplitude lives in the extension field G = Q(A)(B): it is stored as a
-length-d coordinate vector over the basis B, each coordinate an FScalar
-s/u^r where s is an integer polynomial in the indeterminates A and u is
-the context's common denominator.  All arithmetic is exact; equality is
-decided structurally after aligning denominator powers, which coincides
-with field equality whenever the declared basis really is one.
+An amplitude lives in the extension field G = Q(A)(B).  It is stored in one
+form: d numerators over one power u^r of the context's common denominator
+u, the scalar being sum_j (nums[j] / u^r) beta_j.  A numerator is an int
+when the context has no indeterminates and an integer polynomial (a
+``polys`` dict) otherwise.  Without indeterminates the form is reduced: u
+is stripped while r > 0 and it divides every numerator, so equal scalars
+have equal forms and ==, hash and key() compare tuples.  With
+indeterminates equality aligns the two powers of u, which coincides with
+field equality whenever the declared basis really is one.
+
+Products and conjugates run one loop over the context's structure
+constants: mult_table and conjugation as numerators over one power of u
+each, computed once per context.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -21,7 +29,11 @@ class EvaluationError(ArithmeticError):
 
 
 class FScalar:
-    """A coefficient s/u^r: integer-polynomial numerator, denominator power."""
+    """A coefficient s/u^r: integer-polynomial numerator, denominator power.
+
+    The form mult_table and conjugation entries are given in, and the view
+    ExactScalar.coords gives of each coordinate.
+    """
 
     __slots__ = ("num", "r")
 
@@ -35,9 +47,6 @@ class FScalar:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def key(self):
-        return (self.r, tuple(sorted((e, c) for e, c in self.num.items())))
 
     def __repr__(self):
         return f"FScalar({self.num!r}, r={self.r})"
@@ -68,43 +77,55 @@ def hash_point(u: polys.Poly, arity: int):
             return point, pow(u_at, -1, HASH_PRIME)
 
 
-def f_from_int(value: int, arity: int) -> FScalar:
-    return FScalar(polys.const(arity, value), 0)
+def numerator_ring(arity: int):
+    """(zero, add, sub, neg, mul) on numerators: ints without
+    indeterminates, polynomial dicts with them."""
+    if arity == 0:
+        return 0, operator.add, operator.sub, operator.neg, operator.mul
+    return {}, polys.add, polys.sub, polys.neg, polys.mul
 
 
-def f_add(a: FScalar, b: FScalar, ctx) -> FScalar:
-    """Add after rescaling both onto the larger denominator power of u."""
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    r0 = max(a.r, b.r)
-    na = a.num if a.r == r0 else polys.mul(a.num, ctx.u_power(r0 - a.r))
-    nb = b.num if b.r == r0 else polys.mul(b.num, ctx.u_power(r0 - b.r))
-    return FScalar(polys.add(na, nb), r0)
+def numerators(ctx, coords, r: int | None = None) -> tuple[list, int]:
+    """(numerators, r): FScalar coordinates over u^r, r their largest
+    power of u unless given."""
+    if r is None:
+        r = max((c.r for c in coords), default=0)
+    mul = ctx.num_mul
+    out = []
+    for c in coords:
+        n = c.num if ctx.arity else (c.num[()] if c.num else 0)
+        out.append(n if c.r == r else mul(n, ctx.u_power(r - c.r)))
+    return out, r
 
 
-def f_neg(a: FScalar) -> FScalar:
-    return FScalar(polys.neg(a.num), a.r)
+def structure_constants(ctx, vectors) -> tuple[int, list]:
+    """(t, cells): each FScalar vector as its nonzero (j, numerator) pairs,
+    every numerator over the one power u^t."""
+    vectors = list(vectors)
+    t = max((c.r for vec in vectors for c in vec), default=0)
+    cells = []
+    for vec in vectors:
+        nums, _ = numerators(ctx, vec, t)
+        cells.append(tuple((j, n) for j, n in enumerate(nums) if n))
+    return t, cells
 
 
-def f_sub(a: FScalar, b: FScalar, ctx) -> FScalar:
-    return f_add(a, f_neg(b), ctx)
-
-
-def f_mul(a: FScalar, b: FScalar) -> FScalar:
-    if a.is_zero() or b.is_zero():
-        return FScalar({}, 0)
-    return FScalar(polys.mul(a.num, b.num), a.r + b.r)
-
-
-def f_eq(a: FScalar, b: FScalar, ctx) -> bool:
-    if a.r == b.r:
-        return a.num == b.num
-    r0 = max(a.r, b.r)
-    na = a.num if a.r == r0 else polys.mul(a.num, ctx.u_power(r0 - a.r))
-    nb = b.num if b.r == r0 else polys.mul(b.num, ctx.u_power(r0 - b.r))
-    return na == nb
+def from_numerators(ctx, nums, r: int) -> "ExactScalar":
+    """The scalar sum_j (nums[j] / u^r) beta_j, reduced when the context
+    has no indeterminates."""
+    u = ctx.u_int
+    if u is None:
+        if r and not any(nums):
+            r = 0
+    else:
+        while r and not any(map(u.__rmod__, nums)):
+            nums = [n // u for n in nums]
+            r -= 1
+    x = object.__new__(ExactScalar)
+    x.ctx = ctx
+    x.nums = tuple(nums)
+    x.r = r
+    return x
 
 
 def f_numeric(a: FScalar, ctx) -> complex:
@@ -128,135 +149,126 @@ def f_from_json(data: dict, arity: int) -> FScalar:
 
 
 class ExactScalar:
-    """Element of G as a d-vector of FScalar coordinates over the basis."""
+    """Element of G: numerators `nums` over one power u^r (see the module
+    docstring).  Built from FScalar coordinates; read them back through
+    `coords`."""
 
-    __slots__ = ("ctx", "coords", "_key")
+    __slots__ = ("ctx", "nums", "r")
 
     def __init__(self, ctx, coords):
         coords = tuple(coords)
         if len(coords) != ctx.dim:
             raise ValueError(f"expected {ctx.dim} coordinates, got {len(coords)}")
-        self.ctx = ctx
-        self.coords = coords
-        self._key = None
+        x = from_numerators(ctx, *numerators(ctx, coords))
+        self.ctx, self.nums, self.r = ctx, x.nums, x.r
+
+    @classmethod
+    def from_json(cls, ctx, data: dict) -> "ExactScalar":
+        return cls(ctx, [f_from_json(c, ctx.arity) for c in data["coords"]])
+
+    @property
+    def coords(self) -> tuple[FScalar, ...]:
+        """The coordinates as FScalars.  Without indeterminates each has
+        its least power of u; with them each has the scalar's r."""
+        u = self.ctx.u_int
+        if u is None:
+            return tuple(FScalar(n, self.r) for n in self.nums)
+        out = []
+        for n in self.nums:
+            r = self.r
+            while r and n % u == 0:
+                n //= u
+                r -= 1
+            out.append(FScalar(polys.const(0, n), r))
+        return tuple(out)
 
     def _same_context(self, other: "ExactScalar"):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("scalars from different algebra contexts")
 
-    def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        self._same_context(other)
+    def _combine(self, other: "ExactScalar", op) -> "ExactScalar":
+        """Numerators combined by `op` after aligning both powers of u."""
         ctx = self.ctx
-        return ExactScalar(
-            ctx, [f_add(a, b, ctx) for a, b in zip(self.coords, other.coords)]
-        )
+        if other.ctx is not ctx:
+            self._same_context(other)
+        a, b, r = self.nums, other.nums, self.r
+        if other.r != r:
+            mul = ctx.num_mul
+            if other.r > r:
+                up = ctx.u_power(other.r - r)
+                a, r = [mul(n, up) for n in a], other.r
+            else:
+                up = ctx.u_power(r - other.r)
+                b = [mul(n, up) for n in b]
+        return from_numerators(ctx, list(map(op, a, b)), r)
 
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar(self.ctx, [f_neg(a) for a in self.coords])
+    def __add__(self, other: "ExactScalar") -> "ExactScalar":
+        return self._combine(other, self.ctx.num_add)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        self._same_context(other)
-        ctx = self.ctx
-        return ExactScalar(
-            ctx, [f_sub(a, b, ctx) for a, b in zip(self.coords, other.coords)]
-        )
+        return self._combine(other, self.ctx.num_sub)
+
+    def __neg__(self) -> "ExactScalar":
+        return from_numerators(self.ctx, list(map(self.ctx.num_neg, self.nums)), self.r)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
-        self._same_context(other)
         ctx = self.ctx
-        cache = ctx._mul_cache
-        if cache is not None:
-            ck = (self.key(), other.key())
-            hit = cache.get(ck)
-            if hit is not None:
-                return hit
-        acc = [ctx.f_zero] * ctx.dim
-        rows = ctx.mult_rows
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            row_i = rows[i]
-            for k, b in enumerate(other.coords):
-                if b.is_zero():
-                    continue
-                w = f_mul(a, b)
-                for j, entry in row_i[k]:
-                    acc[j] = f_add(acc[j], f_mul(w, entry), ctx)
-        out = ExactScalar(ctx, acc)
-        if cache is not None:
-            if len(cache) > 200000:
-                cache.clear()
-            cache[ck] = out
-        return out
+        if other.ctx is not ctx:
+            self._same_context(other)
+        add, mul = ctx.num_add, ctx.num_mul
+        acc = [ctx.num_zero] * ctx.dim
+        for a, row in zip(self.nums, ctx.mul_constants):
+            if a:
+                for b, cell in zip(other.nums, row):
+                    if b:
+                        w = mul(a, b)
+                        for j, c in cell:
+                            acc[j] = add(acc[j], mul(w, c))
+        return from_numerators(ctx, acc, self.r + other.r + ctx.mul_r)
+
+    def conjugate(self) -> "ExactScalar":
+        ctx = self.ctx
+        if ctx.conjugation is None:
+            raise ValueError("context does not define a conjugation involution")
+        add, mul = ctx.num_add, ctx.num_mul
+        acc = [ctx.num_zero] * ctx.dim
+        for a, cell in zip(self.nums, ctx.conj_constants):
+            if a:
+                for j, c in cell:
+                    acc[j] = add(acc[j], mul(a, c))
+        return from_numerators(ctx, acc, self.r + ctx.conj_r)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coords)
+        return not any(self.nums)
 
     def key(self):
-        """Hashable form for caches: equal keys mean equal scalars.
+        """Hashable form: equal keys mean equal scalars.
 
-        With no indeterminates each coordinate reduces to one Fraction, so
-        the key is canonical.  Otherwise coordinates are aligned onto the
-        largest denominator power but not reduced, so equal scalars may
-        still get different keys (1/u and u/u^2); __hash__ does not use it.
+        Without indeterminates the form is reduced, so the key is
+        canonical.  With them it is not (1/u and u/u^2 get different
+        keys); __hash__ does not use it.
         """
-        if self._key is None:
-            ctx = self.ctx
-            if ctx.arity == 0:
-                self._key = tuple(
-                    Fraction(a.num[()], ctx.u_int**a.r) if not a.is_zero() else None
-                    for a in self.coords
-                )
-                return self._key
-            parts = [a.key() if not a.is_zero() else (0, ()) for a in self.coords]
-            rmax = max(p[0] for p in parts)
-            if rmax:
-                norm = []
-                for a in self.coords:
-                    if a.is_zero() or a.r == rmax:
-                        norm.append(a)
-                    else:
-                        norm.append(
-                            FScalar(polys.mul(a.num, ctx.u_power(rmax - a.r)), rmax)
-                        )
-                parts = [a.key() if not a.is_zero() else (0, ()) for a in norm]
-            self._key = tuple(parts)
-        return self._key
+        if self.ctx.arity == 0:
+            return (self.r, self.nums)
+        return (self.r, tuple(tuple(sorted(n.items())) for n in self.nums))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
         self._same_context(other)
-        return all(
-            f_eq(a, b, self.ctx) for a, b in zip(self.coords, other.coords)
-        )
+        if self.r == other.r:
+            return self.nums == other.nums
+        return (self - other).is_zero()
 
     def __hash__(self):
         ctx = self.ctx
         if ctx.arity == 0:
-            return hash(self.key())
-        # Each coordinate s/u^r evaluated at an integer point modulo a prime
-        # where u does not vanish: a ring map, so equal scalars agree.
+            return hash((self.r, self.nums))
+        # The numerators over u^r evaluated at an integer point modulo a
+        # prime where u does not vanish: a ring map, so equal scalars agree.
         point, inv_u = ctx.hash_point
-        return hash(
-            tuple(
-                _eval_mod(a.num, point) * pow(inv_u, a.r, HASH_PRIME) % HASH_PRIME
-                for a in self.coords
-            )
-        )
-
-    def conjugate(self) -> "ExactScalar":
-        ctx = self.ctx
-        table = ctx.conjugation
-        if table is None:
-            raise ValueError("context does not define a conjugation involution")
-        acc = [ctx.f_zero] * ctx.dim
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, entry in table[i]:
-                acc[j] = f_add(acc[j], f_mul(a, entry), ctx)
-        return ExactScalar(ctx, acc)
+        scale = pow(inv_u, self.r, HASH_PRIME)
+        return hash(tuple(_eval_mod(n, point) * scale % HASH_PRIME for n in self.nums))
 
     def numeric(self) -> complex:
         total = 0j
@@ -265,16 +277,18 @@ class ExactScalar:
                 total += f_numeric(coeff, self.ctx) * beta
         return total
 
-    def as_fraction(self) -> Fraction:
-        """Exact rational value; requires a rational (d=1, A=∅) context."""
+    def as_fraction(self, j: int | None = None) -> Fraction:
+        """Exact rational coefficient of basis element j, in a context
+        without indeterminates.  With no j, the scalar's value, which
+        requires a rational (d=1, A=∅) context."""
         ctx = self.ctx
-        if not ctx.is_rational:
-            raise ValueError("scalar is not in a rational context")
-        coeff = self.coords[0]
-        if coeff.is_zero():
-            return Fraction(0)
-        num = coeff.num[()]
-        return Fraction(num, ctx.u_int**coeff.r)
+        if j is None:
+            if not ctx.is_rational:
+                raise ValueError("scalar is not in a rational context")
+            j = 0
+        elif ctx.arity:
+            raise ValueError("coefficients with indeterminates are not rational")
+        return Fraction(self.nums[j], ctx.u_int**self.r)
 
     def to_json(self) -> dict:
         return {"coords": [f_to_json(a) for a in self.coords]}
@@ -284,13 +298,11 @@ class ExactScalar:
         for coeff, name in zip(self.coords, self.ctx.basis):
             if coeff.is_zero():
                 continue
-            terms.append(f"({_fmt_fscalar(coeff, self.ctx)}){'' if name == '1' else '*' + name}")
+            terms.append(f"({_fmt_fscalar(coeff)}){'' if name == '1' else '*' + name}")
         return " + ".join(terms) if terms else "0"
 
 
-def _fmt_fscalar(a: FScalar, ctx) -> str:
-    if a.is_zero():
-        return "0"
+def _fmt_fscalar(a: FScalar) -> str:
     if len(a.num) == 1 and () in a.num:
         num = str(a.num[()])
     else:
@@ -313,20 +325,13 @@ def g_iterated_sum(xs, ctx=None) -> ExactScalar:
     return total
 
 
-def g_iterated_product(xs, ctx=None, method: str = "table") -> ExactScalar:
-    """Exact product; "table" folds through the basis multiplication table.
+def g_iterated_product(xs, ctx=None) -> ExactScalar:
+    """Exact product, folded through the basis multiplication table.
 
-    The optional "interpolated" route (evaluation on a principal lattice
-    followed by exact integer interpolation) lives in the interpolation
-    module and is dispatched from here for convenience.
+    interpolation.g_interpolated_product computes the same product by
+    evaluation on a principal lattice and exact integer interpolation.
     """
     xs = list(xs)
-    if method == "interpolated":
-        from . import interpolation
-
-        return interpolation.g_interpolated_product(xs, ctx)
-    if method != "table":
-        raise ValueError(f"unknown product method {method!r}")
     if not xs:
         if ctx is None:
             raise ValueError("empty product needs an explicit context")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
-from .algebra import AlgebraContext, ExactScalar
+from .algebra import AlgebraContext, ContextError, ExactScalar
 
 
 BUDGET = 1 << 20
@@ -283,6 +283,10 @@ def _gate_diagnostics(g: Gate, idx: int, width: int, ctx) -> list[Diagnostic]:
         out.extend(_block_diagnostics(g.blocks + (g.control,), g.q, idx))
     if isinstance(g, FourierGate):
         out.extend(_block_diagnostics((g.block,), g.q, idx))
+        try:
+            ctx.fourier_scalars(g.q)
+        except ContextError as exc:
+            out.append(Diagnostic(idx, str(exc)))
     if isinstance(g, AddBlockGate):
         out.extend(_block_diagnostics((g.addend, g.result), g.q, idx))
     if isinstance(g, OneQubitGate):
@@ -507,24 +511,6 @@ def apply_gate_to_basis(g: Gate, key: int, width: int, ctx):
     """List of (basis key, scalar or None) the gate sends |key> to; a
     one-off use of gate_kernel."""
     return gate_kernel(g, width, ctx)(key)
-
-
-GATE_MATRIX_CAP = 12
-
-
-def gate_matrix(g: Gate, width: int, ctx) -> list[list[ExactScalar]]:
-    """Dense 2^width matrix of the gate embedded in `width` lines."""
-    if width > GATE_MATRIX_CAP:
-        raise ValueError(f"width {width} exceeds dense-matrix cap {GATE_MATRIX_CAP}")
-    size = 1 << width
-    zero = ctx.zero()
-    one = ctx.one()
-    cols = [[zero] * size for _ in range(size)]
-    kernel = gate_kernel(g, width, ctx)
-    for x in range(size):
-        for key, scalar in kernel(x):
-            cols[key][x] = one if scalar is None else scalar
-    return cols
 
 
 # -- inversion ---------------------------------------------------------------

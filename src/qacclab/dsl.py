@@ -396,12 +396,10 @@ def scalar_to_text(x: ExactScalar) -> str:
     if ctx.u_int is None:
         raise ValueError("only contexts with constant u serialize to DSL literals")
     parts = []
-    for coeff, name in zip(x.coords, ctx.basis):
-        if coeff.is_zero():
+    for j, name in enumerate(ctx.basis):
+        value = x.as_fraction(j)
+        if not value:
             continue
-        if list(coeff.num) != [()]:
-            raise ValueError("scalar coefficient is not constant; not DSL-expressible")
-        value = Fraction(coeff.num[()], ctx.u_int**coeff.r)
         mag = abs(value)
         head = "-" if value < 0 else ("+" if parts else "")
         body = str(mag) if mag.denominator != 1 else str(mag.numerator)

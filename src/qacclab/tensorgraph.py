@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ExactScalar
-from .algebra.scalars import f_from_json
 from . import circuit as cir
 from .circuit import (
     CapExceededError,
@@ -760,8 +759,8 @@ def tg_from_json(data: dict, ctx) -> TensorGraph:
         product = ColorProduct(
             frozenset((int(cid), bool(anti)) for cid, anti in e["colors"])
         )
-        a0 = _scalar_from_json(e["amp0"], ctx)
-        a1 = _scalar_from_json(e["amp1"], ctx)
+        a0 = ExactScalar.from_json(ctx, e["amp0"])
+        a1 = ExactScalar.from_json(ctx, e["amp1"])
         g.add_vedge(e["from"], e["to"], product, a0, a1)
         for cid, _anti in product.factors:
             g._next_color = max(g._next_color, cid + 1)
@@ -770,7 +769,3 @@ def tg_from_json(data: dict, ctx) -> TensorGraph:
     g.source = data["source"]
     g.terminal = data["terminal"]
     return g
-
-
-def _scalar_from_json(data: dict, ctx) -> ExactScalar:
-    return ExactScalar(ctx, [f_from_json(c, ctx.arity) for c in data["coords"]])

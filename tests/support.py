@@ -1,5 +1,6 @@
-"""Shared test helpers: an independent double-precision simulator and a
-seeded random-circuit generator.
+"""Shared test helpers: an independent double-precision simulator, dense
+gate matrices, a Fraction reference for scalar arithmetic and a seeded
+random-circuit generator.
 
 The numeric simulator is deliberately written from scratch (own bit
 conventions, cmath roots of unity) so it can serve as a cross-check
@@ -11,8 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 from qacclab import circuit as cir
+from qacclab.algebra import polys
 from qacclab.circuit import (
     AddBlockGate,
     AddModGate,
@@ -119,6 +122,25 @@ def _numeric_gate(state: dict, gate, width: int) -> dict:
     return out
 
 
+GATE_MATRIX_CAP = 12
+
+
+def gate_matrix(g, width: int, ctx) -> list[list]:
+    """Dense 2^width matrix of the gate embedded in `width` lines, read off
+    circuit.gate_kernel column by column (column = input)."""
+    if width > GATE_MATRIX_CAP:
+        raise ValueError(f"width {width} exceeds dense-matrix cap {GATE_MATRIX_CAP}")
+    size = 1 << width
+    zero = ctx.zero()
+    one = ctx.one()
+    cols = [[zero] * size for _ in range(size)]
+    kernel = cir.gate_kernel(g, width, ctx)
+    for x in range(size):
+        for key, scalar in kernel(x):
+            cols[key][x] = one if scalar is None else scalar
+    return cols
+
+
 def numeric_simulate(c, input_bits: str) -> dict:
     """Plain complex-double simulation; returns basis key -> amplitude."""
     width = c.width
@@ -141,6 +163,55 @@ def numeric_simulate(c, input_bits: str) -> dict:
         else:
             raise TypeError(type(layer).__name__)
     return state
+
+
+# -- Fraction reference for exact scalars ----------------------------------------
+
+
+class FractionReference:
+    """Scalar arithmetic of a context redone with Fractions, as a check on
+    the exact engine.  A scalar is its list of d rational coordinates;
+    products fold through mult_table and conjugates through conjugation,
+    entry by entry.  With indeterminates every polynomial is first
+    evaluated at the rational `point`, a ring map wherever u does not
+    vanish, so agreement at a few points checks an identity of low degree.
+    """
+
+    def __init__(self, ctx, point=()):
+        self.point = tuple(Fraction(v) for v in point)
+        self.u = Fraction(polys.evaluate(ctx.denominator, self.point))
+        self.table = [[self.vector(vec) for vec in row] for row in ctx.mult_table]
+        self.conj = [self.vector(vec) for vec in ctx.conjugation]
+
+    def vector(self, coords) -> list[Fraction]:
+        """FScalar coordinates as Fractions."""
+        return [Fraction(polys.evaluate(f.num, self.point)) / self.u**f.r for f in coords]
+
+    def of(self, x) -> list[Fraction]:
+        return self.vector(x.coords)
+
+    @staticmethod
+    def add(a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    @staticmethod
+    def sub(a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    def mul(self, a, b):
+        out = [Fraction(0)] * len(a)
+        for i, x in enumerate(a):
+            for k, y in enumerate(b):
+                for j, c in enumerate(self.table[i][k]):
+                    out[j] += x * y * c
+        return out
+
+    def conjugate(self, a):
+        out = [Fraction(0)] * len(a)
+        for i, x in enumerate(a):
+            for j, c in enumerate(self.conj[i]):
+                out[j] += x * c
+        return out
 
 
 # -- seeded circuit generator ----------------------------------------------------

@@ -1,7 +1,9 @@
 import pytest
 
+from support import gate_matrix
+
 from qacclab import circuit as cir
-from qacclab import statevec
+from qacclab import statevec, tensorgraph
 from qacclab.algebra import get_context
 from qacclab.circuit import (
     AddBlockGate,
@@ -14,7 +16,6 @@ from qacclab.circuit import (
     StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
-    gate_matrix,
     ValidationError,
     inverse_circuit,
     parse_bits,
@@ -58,6 +59,19 @@ def test_staged_layer_span_overlap(c2):
 def test_block_size_enforced(c3):
     c = Circuit(3, 0, (TensorLayer((FourierGate(3, (0,)),)),), c3)
     assert any("block" in str(d) for d in validate(c))
+
+
+def test_fourier_q_outside_context_diagnostic(c3):
+    # cyclotomic3 holds no 1/sqrt(2): H = Fourier_2 is reported by validate,
+    # before any engine runs
+    c = Circuit(1, 0, (TensorLayer((FourierGate(2, (0,)),)),), c3)
+    assert [str(d) for d in validate(c)] == [
+        "layer 0: context cyclotomic3 has no exact constants for q=2"
+    ]
+    with pytest.raises(ValidationError):
+        statevec.run(c, "0")
+    with pytest.raises(ValidationError):
+        tensorgraph.tg_build(c, "0")
 
 
 def test_nonunitary_matrix_rejected(c2):

@@ -82,6 +82,15 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         assert code == want, (argv, code)
 
 
+def test_fourier_outside_context_exits_2_with_one_line(capsys, tmp_path):
+    qc = tmp_path / "h3.qc"
+    qc.write_text("circuit n=1 aux=0 context=cyclotomic3\nlayer { H [0] }\n")
+    for cmd in ("simulate", "graph", "metrics"):
+        code, out, err = run_cli(capsys, cmd, "--circuit", qc.as_posix(), "--input", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: layer 0: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -131,7 +131,7 @@ def test_g_interpolated_product_matches_fold():
         s = ctx.constants["s"]
         values = [ctx.one() + z, z * s, ctx.from_int(2) - s, s * s]
         fold = g_iterated_product(values, ctx)
-        interp = g_iterated_product(values, ctx, method="interpolated")
+        interp = g_interpolated_product(values, ctx)
         assert (fold - interp).is_zero()
         numeric = 1
         for v in values:
@@ -141,7 +141,7 @@ def test_g_interpolated_product_matches_fold():
 
 def test_g_interpolated_empty_product_is_one():
     ctx = cyclotomic_context(3)
-    assert (g_iterated_product([], ctx, method="interpolated") - ctx.one()).is_zero()
+    assert (g_interpolated_product([], ctx) - ctx.one()).is_zero()
 
 
 # -- the integer kernel against direct convolution and the table fold ----------
@@ -223,10 +223,7 @@ def test_kernel_rejects_non_integral_interpolant():
 def _least_r_form(x):
     """The coordinates as ctx.f_from_rational writes them: least power of u."""
     ctx = x.ctx
-    coords = [
-        ctx.f_zero if c.is_zero() else ctx.f_from_rational(Fraction(c.num[()], ctx.u_int**c.r))
-        for c in x.coords
-    ]
+    coords = [ctx.f_from_rational(x.as_fraction(j)) for j in range(ctx.dim)]
     return ExactScalar(ctx, coords).to_json()
 
 
@@ -251,7 +248,8 @@ def test_g_interpolated_product_random_vs_fold(name, max_factors):
         for _ in range(3):
             xs = [rand_scalar() for _ in range(k)]
             interp = g_interpolated_product(xs)
-            assert interp == g_iterated_product(xs, ctx)
+            fold = g_iterated_product(xs, ctx)
+            assert interp == fold and interp.to_json() == fold.to_json()
             for c in interp.coords:
                 assert c.r == 0 or c.num[()] % u != 0  # least r, no zero stored
             assert interp.to_json() == _least_r_form(interp)

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from support import FractionReference
+
 from qacclab.algebra import (
     ContextError,
     ExactScalar,
     FScalar,
     cyclotomic_context,
-    f_add,
-    f_eq,
-    f_mul,
     g_iterated_sum,
     get_context,
     polys,
@@ -23,31 +22,35 @@ def c3():
     return get_context("cyclotomic3")
 
 
+def _first_coord(ctx, num, r):
+    """The scalar (num / u^r) * 1, written with the given power of u."""
+    return ExactScalar(ctx, [FScalar(polys.const(0, num), r)] + [ctx.f_zero] * (ctx.dim - 1))
+
+
 def test_f_add_common_denominator(c3):
     # s/u^2 + t/u -> (s + t*u)/u^2
-    s = FScalar(polys.const(0, 5), 2)
-    t = FScalar(polys.const(0, 7), 1)
-    out = f_add(s, t, c3)
-    assert out.r == 2
-    assert out.num == polys.const(0, 5 + 7 * 3)
+    out = _first_coord(c3, 5, 2) + _first_coord(c3, 7, 1)
+    assert out.coords[0].r == 2
+    assert out.coords[0].num == polys.const(0, 5 + 7 * 3)
 
 
 def test_f_add_zero_identity(c3):
-    a = FScalar(polys.const(0, 4), 1)
-    zero = FScalar({}, 0)
-    assert f_add(a, zero, c3) is a
-    assert f_eq(f_add(zero, a, c3), a, c3)
+    a = _first_coord(c3, 4, 1)
+    assert (a + c3.zero()).key() == a.key()
+    assert c3.zero() + a == a
 
 
 def test_f_mul_denominators_accumulate(c3):
-    inv_u = FScalar(polys.const(0, 1), 1)
-    out = f_mul(inv_u, inv_u)
+    inv_u = _first_coord(c3, 1, 1)
+    out = (inv_u * inv_u).coords[0]
     assert out.r == 2 and out.num == polys.const(0, 1)
 
 
 def test_f_eq_across_denominator_powers(c3):
-    # 3/u == 9/u^2 for u = 3
-    assert f_eq(FScalar(polys.const(0, 3), 1), FScalar(polys.const(0, 9), 2), c3)
+    # 3/u == 9/u^2 for u = 3, and both are stored as 1
+    a, b = _first_coord(c3, 3, 1), _first_coord(c3, 9, 2)
+    assert a == b == c3.one()
+    assert a.key() == b.key() and a.to_json() == c3.one().to_json()
 
 
 def test_gaussian_integers_product():
@@ -229,3 +232,83 @@ def test_hash_invariant_under_rescaling_two_indeterminates():
         a = ExactScalar(ctx, [FScalar(num, r)])
         b = ExactScalar(ctx, [FScalar(polys.mul(num, ctx.u_power(k)), r + k)])
         assert a == b and hash(a) == hash(b)
+
+
+# -- the flat form against an independent Fraction reference -------------------
+
+
+def _sqrt_a1_context():
+    """Q(a1)(b) with b = 1/sqrt(a1) and u = a1: one indeterminate, and the
+    table entry b*b = 1/u lies over a power of u."""
+    from qacclab.algebra import AlgebraContext
+
+    one, zero = FScalar(polys.const(1, 1), 0), FScalar({}, 0)
+    return AlgebraContext(
+        ["a1"],
+        ["1", "b"],
+        [[(one, zero), (zero, one)], [(zero, one), (FScalar(polys.const(1, 1), 1), zero)]],
+        polys.variable(1, 0),
+        {"a1": [2.0, 0.0], "b": [2**-0.5, 0.0]},
+        conjugation=[[one, zero], [zero, one]],
+    )
+
+
+REFERENCE_CONTEXTS = {
+    "rational10": [()],
+    "cyclotomic2": [()],
+    "cyclotomic3": [()],
+    "cyclotomic5": [()],
+    "cyclotomic7": [()],
+    "sqrt_a1": [(2,), (3,), (Fraction(-5, 2),), (7,), (Fraction(1, 3),)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONTEXTS))
+def test_arithmetic_matches_fraction_reference(name):
+    ctx = _sqrt_a1_context() if name == "sqrt_a1" else get_context(name)
+    refs = [FractionReference(ctx, p) for p in REFERENCE_CONTEXTS[name]]
+    rng = random.Random(name)
+
+    def numerator():
+        if ctx.arity == 0:
+            return polys.const(0, rng.choice([0, 0, -9, -4, -1, 1, 3, 10, 25]))
+        p = {}
+        for _ in range(rng.randint(0, 2)):
+            p = polys.add(p, {(rng.randint(0, 2),): rng.choice([-3, -1, 1, 2, 5])})
+        return p
+
+    def coords():
+        return [FScalar(numerator(), rng.randint(0, 2)) for _ in range(ctx.dim)]
+
+    def rescaled(cs, k):
+        """The same coordinates with numerators times u^k over u^(r+k)."""
+        up = polys.power(ctx.denominator, k)
+        return [FScalar(polys.mul(f.num, up), f.r + k) for f in cs]
+
+    for _ in range(30):
+        ca, cb = coords(), coords()
+        a, b = ExactScalar(ctx, ca), ExactScalar(ctx, cb)
+        for ref in refs:
+            ra, rb = ref.vector(ca), ref.vector(cb)
+            assert ref.of(a) == ra
+            assert ref.of(a + b) == ref.add(ra, rb)
+            assert ref.of(a - b) == ref.sub(ra, rb)
+            assert ref.of(-a) == ref.sub([0] * ctx.dim, ra)
+            assert ref.of(a * b) == ref.mul(ra, rb)
+            assert ref.of(a.conjugate()) == ref.conjugate(ra)
+        assert (a == b) == all(ref.vector(ca) == ref.vector(cb) for ref in refs)
+        same = ExactScalar(ctx, rescaled(ca, rng.randint(1, 3)))
+        assert same == a and hash(same) == hash(a)
+        assert a * b - b * a == ctx.zero() and (a - b) + b == a
+        if ctx.arity == 0:
+            assert same.key() == a.key() and same.to_json() == a.to_json()
+
+    # 1/u and u/u^2: one scalar in two representations
+    rest = [FScalar({}, 0)] * (ctx.dim - 1)
+    inv_u = ExactScalar(ctx, [FScalar(polys.const(ctx.arity, 1), 1)] + rest)
+    u_over_u2 = ExactScalar(ctx, [FScalar(dict(ctx.denominator), 2)] + rest)
+    assert inv_u == u_over_u2 and hash(inv_u) == hash(u_over_u2)
+    assert all(ref.of(inv_u) == ref.of(u_over_u2) for ref in refs)
+    assert inv_u * ExactScalar(ctx, [FScalar(dict(ctx.denominator), 0)] + rest) == ctx.one()
+    if ctx.arity == 0:
+        assert inv_u.key() == u_over_u2.key() and inv_u.to_json() == u_over_u2.to_json()

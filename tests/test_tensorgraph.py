@@ -182,6 +182,23 @@ def test_build_random_circuits_match_oracle(c2):
             assert (tg.tg_amplitude_dp(graph, zb) - state.amplitude_of(zb)).is_zero()
 
 
+def test_dp_and_oracle_amplitudes_print_alike(c2):
+    # equal amplitudes have one exact form, so their JSON is byte-identical
+    rng = random.Random(6067)
+    compared = 0
+    for _ in range(60):
+        c = random_circuit(rng, 6, 3, c2)
+        x = random_bits(rng, 6)
+        state = sv.run(c, x)
+        graph = tg.tg_build(c, x)
+        for z in state.support():
+            zb = cir.key_to_bits(z, 6)
+            want = json.dumps(state.amplitude_of(zb).to_json())
+            assert json.dumps(tg.tg_amplitude_dp(graph, zb).to_json()) == want
+            compared += 1
+    assert compared > 100
+
+
 def test_paths_equal_dp(c2):
     rng = random.Random(777)
     for _ in range(10):
