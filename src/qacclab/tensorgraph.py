@@ -39,6 +39,11 @@ implement:
 The binding correctness contract for all of these is exact agreement with
 the brute-force state-vector simulator.
 
+The public apply_* functions are pure: each copies its input graph once and
+returns the copy.  The private helpers behind them (_one_qubit, _toffoli,
+_fanout, _dense, _cnot_pair, _apply_span_variants) change the graph they
+are given in place, so apply_layer copies once per layer, not once per gate.
+
 A graph holds at most circuit.BUDGET nodes: add_node, through which every
 node passes, raises CapExceededError before the count would go past it.
 """
@@ -46,6 +51,7 @@ node passes, raises CapExceededError before the count would go past it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .algebra import ExactScalar
 from . import circuit as cir
@@ -214,12 +220,18 @@ def color_mul(a: ColorTerm, b: ColorTerm) -> ColorTerm:
 
 class TensorGraph:
     """Mutating builder methods are for construction and loaders; the
-    apply_* functions below never modify their argument."""
+    apply_* functions below never modify their argument.
+
+    levels indexes node ids by height, in insertion order.  The
+    extraction order (_topo_nodes) is kept on the graph until add_node or
+    add_hedge changes its structure.
+    """
 
     def __init__(self, ctx, height: int):
         self.ctx = ctx
         self.height = height
         self.nodes: dict[int, int] = {}
+        self.levels: dict[int, list[int]] = {}
         self.vout: dict[int, tuple] = {}  # src -> (dst, ColorProduct, a0, a1)
         self.vin: dict[int, int] = {}
         self.hout: dict[int, list[int]] = {}
@@ -228,6 +240,7 @@ class TensorGraph:
         self._next_node = 0
         self._next_color = 0
         self.dense_lowered_gates = 0
+        self._order: list[int] | None = None
 
     # construction ---------------------------------------------------------
 
@@ -240,6 +253,8 @@ class TensorGraph:
         if nid in self.nodes:
             raise GraphError(f"duplicate node id {nid}")
         self.nodes[nid] = height
+        self.levels.setdefault(height, []).append(nid)
+        self._order = None
         self._next_node = max(self._next_node, nid + 1)
         return nid
 
@@ -257,10 +272,12 @@ class TensorGraph:
         if self.nodes[src] != self.nodes[dst]:
             raise GraphError("horizontal edge must stay at one height")
         self.hout.setdefault(src, []).append(dst)
+        self._order = None
 
     def copy(self) -> "TensorGraph":
         g = TensorGraph(self.ctx, self.height)
         g.nodes = dict(self.nodes)
+        g.levels = {h: list(ns) for h, ns in self.levels.items()}
         g.vout = dict(self.vout)
         g.vin = dict(self.vin)
         g.hout = {k: list(v) for k, v in self.hout.items()}
@@ -278,23 +295,16 @@ class TensorGraph:
 
     # views ------------------------------------------------------------------
 
-    def nodes_at(self, height: int) -> list[int]:
-        return sorted(n for n, h in self.nodes.items() if h == height)
-
     def vedges_at(self, height: int) -> list[tuple]:
-        """(src, dst, product, a0, a1) for vertical edges ending at height."""
-        out = []
-        for src, (dst, product, a0, a1) in self.vout.items():
-            if self.nodes[dst] == height:
-                out.append((src, dst, product, a0, a1))
+        """(src, dst, product, a0, a1) for vertical edges ending at height,
+        by dst: the order span copies take their node ids in."""
+        vout = self.vout
+        out = [(src, *vout[src]) for src in self.levels.get(height - 1, ()) if src in vout]
         out.sort(key=lambda e: e[1])
         return out
 
     def width(self) -> int:
-        counts: dict[int, int] = {}
-        for h in self.nodes.values():
-            counts[h] = counts.get(h, 0) + 1
-        return max(counts.values()) if counts else 0
+        return max(map(len, self.levels.values()), default=0)
 
 
 def tg_init(bits: str, ctx) -> TensorGraph:
@@ -317,20 +327,30 @@ def tg_init(bits: str, ctx) -> TensorGraph:
 # -- gate application ------------------------------------------------------------
 
 
-def apply_one_qubit(g: TensorGraph, matrix, line: int) -> TensorGraph:
-    """Left-multiply the amplitude pair of every edge at the line's height."""
+def _on_copy(helper, g: TensorGraph, *args) -> TensorGraph:
     out = g.copy()
-    h = line + 1
-    for src, (dst, product, a0, a1) in list(out.vout.items()):
-        if out.nodes[dst] != h:
-            continue
-        b0 = matrix[0][0] * a0 + matrix[0][1] * a1
-        b1 = matrix[1][0] * a0 + matrix[1][1] * a1
-        out.vout[src] = (dst, product, b0, b1)
+    helper(out, *args)
     return out
 
 
-def _apply_span_variants(g: TensorGraph, lo: int, hi: int, transforms) -> TensorGraph:
+def apply_one_qubit(g: TensorGraph, matrix, line: int) -> TensorGraph:
+    """Left-multiply the amplitude pair of every edge at the line's height."""
+    return _on_copy(_one_qubit, g, matrix, line)
+
+
+def _one_qubit(g: TensorGraph, matrix, line: int) -> None:
+    vout = g.vout
+    for src in g.levels.get(line, ()):
+        edge = vout.get(src)
+        if edge is None:
+            continue
+        dst, product, a0, a1 = edge
+        b0 = matrix[0][0] * a0 + matrix[0][1] * a1
+        b1 = matrix[1][0] * a0 + matrix[1][1] * a1
+        vout[src] = (dst, product, b0, b1)
+
+
+def _apply_span_variants(g: TensorGraph, lo: int, hi: int, transforms) -> None:
     """Rewrite the span of heights lo..hi with label transformers.
 
     transforms[0] is applied to the original edges in place; every further
@@ -340,49 +360,53 @@ def _apply_span_variants(g: TensorGraph, lo: int, hi: int, transforms) -> Tensor
     Each existing path therefore splits into exactly len(transforms)
     paths, one per variant.
     """
-    out = g.copy()
     span_edges = {}
     for h in range(lo, hi + 1):
         span_edges[h] = g.vedges_at(h)
     entry_nodes = [src for (src, *_rest) in span_edges[lo]]
     exit_nodes = [dst for (_src, dst, *_rest) in span_edges[hi]]
-    internal = [n for n, h in sorted(g.nodes.items()) if lo <= h <= hi - 1]
-
+    internal = sorted(n for h in range(lo, hi) for n in g.levels.get(h, ()))
+    # the copies only add nodes and edges, so the snapshot above stays the
+    # original span while they are made
     for transform in transforms[1:]:
         mapping = {}
         for n in entry_nodes + internal + exit_nodes:
             if n not in mapping:
-                mapping[n] = out.add_node(g.nodes[n])
+                mapping[n] = g.add_node(g.nodes[n])
         for h in range(lo, hi + 1):
             for src, dst, product, a0, a1 in span_edges[h]:
                 product2, b0, b1 = transform(h, product, a0, a1)
-                out.add_vedge(mapping[src], mapping[dst], product2, b0, b1)
+                g.add_vedge(mapping[src], mapping[dst], product2, b0, b1)
         for src in internal:
             for dst in g.hout.get(src, ()):  # routing inside the span
                 if dst in mapping and lo <= g.nodes[dst] <= hi - 1:
-                    out.add_hedge(mapping[src], mapping[dst])
+                    g.add_hedge(mapping[src], mapping[dst])
         for n in entry_nodes:
-            out.add_hedge(n, mapping[n])
+            g.add_hedge(n, mapping[n])
         for n in exit_nodes:
-            out.add_hedge(mapping[n], n)
+            g.add_hedge(mapping[n], n)
 
     base = transforms[0]
     for h in range(lo, hi + 1):
         for src, dst, product, a0, a1 in span_edges[h]:
             product2, b0, b1 = base(h, product, a0, a1)
-            out.vout[src] = (dst, product2, b0, b1)
-    return out
+            g.vout[src] = (dst, product2, b0, b1)
 
 
 def apply_toffoli(g: TensorGraph, controls, target: int) -> TensorGraph:
     """AND_m(X) = identity plus an all-controls-1 correction variant."""
+    return _on_copy(_toffoli, g, controls, target)
+
+
+def _toffoli(g: TensorGraph, controls, target: int) -> None:
     if not controls:
         ctx = g.ctx
         x_matrix = (
             (ctx.zero(), ctx.one()),
             (ctx.one(), ctx.zero()),
         )
-        return apply_one_qubit(g, x_matrix, target)
+        _one_qubit(g, x_matrix, target)
+        return
     lines = tuple(controls) + (target,)
     lo, hi = min(lines) + 1, max(lines) + 1
     control_heights = {c + 1 for c in controls}
@@ -399,11 +423,15 @@ def apply_toffoli(g: TensorGraph, controls, target: int) -> TensorGraph:
             return product, a1 - a0, a0 - a1
         return product, a0, a1
 
-    return _apply_span_variants(g, lo, hi, [identity, correction])
+    _apply_span_variants(g, lo, hi, [identity, correction])
 
 
 def apply_fanout(g: TensorGraph, targets, control: int) -> TensorGraph:
     """F = (control |0> branch, targets kept) + (|1> branch, targets swapped)."""
+    return _on_copy(_fanout, g, targets, control)
+
+
+def _fanout(g: TensorGraph, targets, control: int) -> None:
     lines = tuple(targets) + (control,)
     lo, hi = min(lines) + 1, max(lines) + 1
     target_heights = {t + 1 for t in targets}
@@ -422,11 +450,15 @@ def apply_fanout(g: TensorGraph, targets, control: int) -> TensorGraph:
             return product, a1, a0
         return product, a0, a1
 
-    return _apply_span_variants(g, lo, hi, [keep_zero, one_branch])
+    _apply_span_variants(g, lo, hi, [keep_zero, one_branch])
 
 
 def apply_dense_gate(g: TensorGraph, gate) -> TensorGraph:
     """Lower a block gate: one span variant per nonzero matrix entry."""
+    return _on_copy(_dense, g, gate)
+
+
+def _dense(g: TensorGraph, gate) -> None:
     ctx = g.ctx
     lines = tuple(gate.lines())
     k = len(lines)
@@ -456,9 +488,8 @@ def apply_dense_gate(g: TensorGraph, gate) -> TensorGraph:
 
         return t
 
-    out = _apply_span_variants(g, lo, hi, [entry_transform(*e) for e in entries])
-    out.dense_lowered_gates += 1
-    return out
+    _apply_span_variants(g, lo, hi, [entry_transform(*e) for e in entries])
+    g.dense_lowered_gates += 1
 
 
 def _relabel(gate, mapping):
@@ -487,58 +518,62 @@ def apply_cnot_pair(g: TensorGraph, control: int, target: int) -> TensorGraph:
     (C*~c, a1, a0).  Mixed picks annihilate through c*~c = 0, so only the
     two globally consistent branch choices survive.
     """
-    out = g.copy()
-    cid = out.fresh_color()
+    return _on_copy(_cnot_pair, g, control, target)
+
+
+def _cnot_pair(g: TensorGraph, control: int, target: int) -> None:
+    cid = g.fresh_color()
     c, anti = color(cid), anticolor(cid)
-    zero = out.ctx.zero()
+    zero = g.ctx.zero()
     for height, is_control in ((control + 1, True), (target + 1, False)):
+        # control companions start no vertical edge at the target height,
+        # so its pass reads the original edges there
         for src, dst, product, a0, a1 in g.vedges_at(height):
             tagged = product.times(c)
             companion_product = product.times(anti)
             if is_control:
-                out.vout[src] = (dst, tagged, a0, zero)
+                g.vout[src] = (dst, tagged, a0, zero)
                 comp = (companion_product, zero, a1)
             else:
-                out.vout[src] = (dst, tagged, a0, a1)
+                g.vout[src] = (dst, tagged, a0, a1)
                 comp = (companion_product, a1, a0)
-            p = out.add_node(g.nodes[src])
-            r = out.add_node(g.nodes[dst])
-            out.add_hedge(src, p)
-            out.add_vedge(p, r, *comp)
-            out.add_hedge(r, dst)
-    return out
+            p = g.add_node(height - 1)
+            r = g.add_node(height)
+            g.add_hedge(src, p)
+            g.add_vedge(p, r, *comp)
+            g.add_hedge(r, dst)
 
 
 def apply_cnot_layer(g: TensorGraph, pairs) -> TensorGraph:
+    out = g.copy()
     for control, target in pairs:
-        g = apply_cnot_pair(g, control, target)
-    return g
+        _cnot_pair(out, control, target)
+    return out
 
 
 def apply_layer(g: TensorGraph, layer) -> TensorGraph:
-    if isinstance(layer, TensorLayer):
-        for gate in layer.gates:
-            if isinstance(gate, OneQubitGate):
-                g = apply_one_qubit(g, gate.matrix, gate.line)
-            elif isinstance(gate, FourierGate) and gate.q == 2:
-                zeta, invsq = g.ctx.fourier_scalars(2)
-                sign = -invsq
-                matrix = ((invsq, invsq), (invsq, sign))
-                g = apply_one_qubit(g, matrix, gate.block[0])
-            elif isinstance(gate, ToffoliGate):
-                g = apply_toffoli(g, gate.controls, gate.target)
-            elif isinstance(gate, FanOutGate):
-                g = apply_fanout(g, gate.targets, gate.control)
-            else:
-                g = apply_dense_gate(g, gate)
-        return g
     if isinstance(layer, CNotLayer):
         return apply_cnot_layer(g, layer.pairs)
     if isinstance(layer, StagedCNotLayer):
-        for stage in layer.stages:
-            g = apply_cnot_layer(g, stage)
-        return g
-    raise TypeError(f"unknown layer {type(layer).__name__}")
+        return apply_cnot_layer(g, [pair for stage in layer.stages for pair in stage])
+    if not isinstance(layer, TensorLayer):
+        raise TypeError(f"unknown layer {type(layer).__name__}")
+    out = g.copy()
+    for gate in layer.gates:
+        if isinstance(gate, OneQubitGate):
+            _one_qubit(out, gate.matrix, gate.line)
+        elif isinstance(gate, FourierGate) and gate.q == 2:
+            zeta, invsq = out.ctx.fourier_scalars(2)
+            sign = -invsq
+            matrix = ((invsq, invsq), (invsq, sign))
+            _one_qubit(out, matrix, gate.block[0])
+        elif isinstance(gate, ToffoliGate):
+            _toffoli(out, gate.controls, gate.target)
+        elif isinstance(gate, FanOutGate):
+            _fanout(out, gate.targets, gate.control)
+        else:
+            _dense(out, gate)
+    return out
 
 
 def tg_build(c: Circuit, input_bits: str, check: bool = True) -> TensorGraph:
@@ -556,32 +591,34 @@ def tg_build(c: Circuit, input_bits: str, check: bool = True) -> TensorGraph:
 
 
 def _topo_nodes(g: TensorGraph) -> list[int]:
-    """Heights ascending; within one height, horizontal-edge topological."""
-    by_height: dict[int, list[int]] = {}
-    for n, h in g.nodes.items():
-        by_height.setdefault(h, []).append(n)
+    """Heights ascending; within one height, horizontal-edge topological,
+    taking the smallest ready node id first so sums run in a fixed order.
+
+    Kept on the graph until add_node or add_hedge changes it.
+    """
+    if g._order is not None:
+        return g._order
+    hout = g.hout
     order = []
-    for h in sorted(by_height):
-        nodes = sorted(by_height[h])
-        indeg = {n: 0 for n in nodes}
+    for h in sorted(g.levels):
+        nodes = g.levels[h]
+        indeg = dict.fromkeys(nodes, 0)
         for src in nodes:
-            for dst in g.hout.get(src, ()):
-                if g.nodes[dst] == h:
-                    indeg[dst] += 1
-        ready = sorted(n for n, d in indeg.items() if d == 0)
-        seen = []
+            for dst in hout.get(src, ()):  # add_hedge keeps dst at height h
+                indeg[dst] += 1
+        ready = [n for n in nodes if not indeg[n]]
+        heapify(ready)
+        start = len(order)
         while ready:
-            n = ready.pop(0)
-            seen.append(n)
-            for dst in g.hout.get(n, ()):
-                if g.nodes[dst] == h:
-                    indeg[dst] -= 1
-                    if indeg[dst] == 0:
-                        ready.append(dst)
-            ready.sort()
-        if len(seen) != len(nodes):
+            n = heappop(ready)
+            order.append(n)
+            for dst in hout.get(n, ()):
+                indeg[dst] -= 1
+                if not indeg[dst]:
+                    heappush(ready, dst)
+        if len(order) - start != len(nodes):
             raise GraphError(f"horizontal cycle at height {h}")
-        order.extend(seen)
+    g._order = order
     return order
 
 
@@ -599,38 +636,42 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
     """
     parse_bits(target_bits, g.height)
     ctx = g.ctx
-    acc: dict[int, ColorTerm] = {n: ColorTerm(ctx) for n in g.nodes}
-    acc[g.source] = ColorTerm.unit(ctx)
+    acc: dict[int, ColorTerm] = {g.source: ColorTerm.unit(ctx)}  # reached nodes only
+
+    def add(dst, term):
+        prev = acc.get(dst)
+        acc[dst] = term if prev is None else prev.plus(term)
+
     for node in _topo_nodes(g):
-        value = acc[node]
-        if value.is_zero():
+        value = acc.get(node)
+        if value is None or value.is_zero():
             continue
         for dst in g.hout.get(node, ()):
-            acc[dst] = acc[dst].plus(value)
-        if node in g.vout:
-            dst, product, a0, a1 = g.vout[node]
-            bit = target_bits[g.nodes[dst] - 1]
-            edge = _edge_value(g, product, a0, a1, bit)
-            if not edge.is_zero():
-                acc[dst] = acc[dst].plus(value.times(edge))
-    final = acc[g.terminal]
+            add(dst, value)
+        edge = g.vout.get(node)
+        if edge is not None:
+            dst, product, a0, a1 = edge
+            term = _edge_value(g, product, a0, a1, target_bits[g.nodes[dst] - 1])
+            if not term.is_zero():
+                add(dst, value.times(term))
+    final = acc.get(g.terminal, ColorTerm(ctx))
     if final.colored_residue():
         raise GraphError("terminal value keeps color factors: graph is not color consistent")
     return final.scalar_part()
 
 
 def tg_path_count(g: TensorGraph) -> int:
-    count = {n: 0 for n in g.nodes}
-    count[g.source] = 1
+    count = {g.source: 1}
     for node in _topo_nodes(g):
-        c = count[node]
+        c = count.get(node)
         if not c:
             continue
         for dst in g.hout.get(node, ()):
-            count[dst] += c
+            count[dst] = count.get(dst, 0) + c
         if node in g.vout:
-            count[g.vout[node][0]] += c
-    return count[g.terminal]
+            dst = g.vout[node][0]
+            count[dst] = count.get(dst, 0) + c
+    return count.get(g.terminal, 0)
 
 
 def tg_amplitude_paths(

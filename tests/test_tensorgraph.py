@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from qacclab.circuit import (
     FanOutGate,
     FourierGate,
     ModGate,
+    StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
 )
@@ -300,45 +302,61 @@ def test_node_budget(c2, monkeypatch):
 # -- paper figures -----------------------------------------------------------
 
 
-def _uncolored_figure(ctx):
+def _uncolored_figure(ctx, middle=True):
+    """middle=False leaves out the right chain's height-2 node and the two
+    vertical edges through it (_right_middle_edges)."""
     s = ctx.constants["s"]
     one, zero = ctx.one(), ctx.zero()
     half = ctx.scalar_from_rational(Fraction(1, 2))
     g = tg.TensorGraph(ctx, 3)
     left = [g.add_node(h) for h in range(4)]
-    right = [g.add_node(h) for h in range(4)]
+    right = [4, 5, 6, 7]
+    for h in range(4):
+        if middle or h != 2:
+            g.add_node(h, right[h])
     g.source, g.terminal = left[0], left[3]
     g.add_vedge(left[0], left[1], tg.UNIT_PRODUCT, zero, one)
     g.add_vedge(left[1], left[2], tg.UNIT_PRODUCT, s, s)
     g.add_vedge(left[2], left[3], tg.UNIT_PRODUCT, half, zero)
     g.add_vedge(right[0], right[1], tg.UNIT_PRODUCT, one, zero)
-    g.add_vedge(right[1], right[2], tg.UNIT_PRODUCT, s, -s)
-    g.add_vedge(right[2], right[3], tg.UNIT_PRODUCT, half, zero)
+    if middle:
+        _right_middle_edges(g, right)
     g.add_hedge(left[0], right[0])
     g.add_hedge(right[3], left[3])
-    return g
+    return g, left, right
 
 
-def test_uncolored_figure_two_path_vectors(c2):
-    g = _uncolored_figure(c2)
-    s = c2.constants["s"]
-    half = c2.scalar_from_rational(Fraction(1, 2))
-    assert tg.tg_path_count(g) == 2
-    # expected amplitudes are the sum of the two product vectors
+def _right_middle_edges(g, right):
+    s = g.ctx.constants["s"]
+    half = g.ctx.scalar_from_rational(Fraction(1, 2))
+    g.add_vedge(right[1], right[2], tg.UNIT_PRODUCT, s, -s)
+    g.add_vedge(right[2], right[3], tg.UNIT_PRODUCT, half, g.ctx.zero())
+
+
+def _uncolored_figure_amplitudes(ctx):
+    # the sum of the figure's two product vectors
+    s = ctx.constants["s"]
+    half = ctx.scalar_from_rational(Fraction(1, 2))
     expected = {
         "100": s * half,
         "110": s * half,
         "000": s * half,
-        "010": c2.zero() - s * half,
+        "010": ctx.zero() - s * half,
     }
-    for z in range(8):
-        zb = cir.key_to_bits(z, 3)
-        want = expected.get(zb, c2.zero())
+    targets = (cir.key_to_bits(z, 3) for z in range(8))
+    return {zb: expected.get(zb, ctx.zero()) for zb in targets}
+
+
+def test_uncolored_figure_two_path_vectors(c2):
+    g, _left, _right = _uncolored_figure(c2)
+    assert tg.tg_path_count(g) == 2
+    for zb, want in _uncolored_figure_amplitudes(c2).items():
         assert (tg.tg_amplitude_dp(g, zb) - want).is_zero()
         assert (tg.tg_amplitude_paths(g, zb) - want).is_zero()
 
 
-def _colored_figure(ctx):
+def _colored_figure(ctx, routed=True):
+    """routed=False leaves out the hedge right[1] -> left[1]."""
     s = ctx.constants["s"]
     one, zero = ctx.one(), ctx.zero()
     g = tg.TensorGraph(ctx, 3)
@@ -354,13 +372,14 @@ def _colored_figure(ctx):
     g.add_vedge(right[2], right[3], anti, zero, one)
     g.add_hedge(left[0], right[0])
     g.add_hedge(right[3], left[3])
-    g.add_hedge(right[1], left[1])
+    if routed:
+        g.add_hedge(right[1], left[1])
     g.add_hedge(right[2], left[2])
-    return g
+    return g, left, right
 
 
 def test_colored_figure_amplitude_half(c2):
-    g = _colored_figure(c2)
+    g, _left, _right = _colored_figure(c2)
     half = c2.scalar_from_rational(Fraction(1, 2))
     m = tg.tg_metrics(g)
     assert m.path_count == 4 and m.color_consistent and m.color_depth == 1
@@ -369,6 +388,44 @@ def test_colored_figure_amplitude_half(c2):
     # only color-balanced paths survive; |001> flows through the right chain
     amp = tg.tg_amplitude_dp(g, "001")
     assert (amp - c2.constants["s"] * c2.constants["s"]).is_zero()
+
+
+def test_extraction_order_follows_structure_changes(c2):
+    # A query keeps the extraction order on the graph.  Each change below
+    # adds a node the kept order lacks, or a hedge it runs against, so the
+    # sums come out whole only if the change dropped that order.
+    expected = _uncolored_figure_amplitudes(c2)
+    g, _left, right = _uncolored_figure(c2, middle=False)
+    assert tg.tg_path_count(g) == 1
+    assert (tg.tg_amplitude_dp(g, "100") - expected["100"]).is_zero()
+    g.add_node(2, right[2])
+    _right_middle_edges(g, right)
+    assert tg.tg_path_count(g) == 2
+    for zb, want in expected.items():
+        assert (tg.tg_amplitude_dp(g, zb) - want).is_zero()
+
+    full, _left, _right = _colored_figure(c2)
+    g, left, right = _colored_figure(c2, routed=False)
+    assert tg.tg_path_count(g) == 3
+    g.add_hedge(right[1], left[1])  # height 1 now visits right[1] before left[1]
+    assert tg.tg_path_count(g) == tg.tg_path_count(full) == 4
+    for z in range(8):
+        zb = cir.key_to_bits(z, 3)
+        assert (tg.tg_amplitude_dp(g, zb) - tg.tg_amplitude_dp(full, zb)).is_zero()
+
+
+def test_horizontal_cycle_is_reported(c2):
+    g = tg.tg_init("0", c2)
+    a = g.add_node(1)
+    b = g.add_node(1)
+    g.add_hedge(a, b)
+    g.add_hedge(b, a)
+    back = tg.tg_from_json(json.loads(json.dumps(tg.tg_to_json(g))), c2)
+    for graph in (g, back):
+        with pytest.raises(tg.GraphError, match="horizontal cycle"):
+            tg.tg_amplitude_dp(graph, "0")
+        with pytest.raises(tg.GraphError, match="horizontal cycle"):
+            tg.tg_path_count(graph)
 
 
 # -- serialization ------------------------------------------------------------
@@ -410,8 +467,6 @@ def test_color_consistency_after_every_apply(c2):
 
 
 def test_staged_layer_color_depth_bound(c2):
-    from qacclab.circuit import StagedCNotLayer
-
     g = tg.tg_init("0000", c2)
     staged = StagedCNotLayer((((0, 3),), ((1, 2),)))
     g = tg.apply_layer(g, staged)
@@ -495,3 +550,31 @@ def test_apply_functions_leave_input_graph_untouched(c2):
         assert tg.tg_to_json(g) == before
         snapshots.append(g2)
         g = g2
+
+
+# Digest of tg_to_json and tg_metrics over seeded random circuits and the
+# dense-lowering circuits above: node ids, edge order and labels must not
+# drift when the builder or the extraction order is reworked.
+GRAPH_BYTES_SHA256 = "0eb27b7320b3a5628f30c346a2097bac7f661bf5745565fbac294a33812c3ae2"
+
+
+def test_graph_bytes_are_pinned(c2):
+    c3 = get_context("cyclotomic3")
+    rng = random.Random(4321)
+    cases = []
+    for _ in range(20):
+        lines = rng.randint(2, 6)
+        c = random_circuit(rng, lines, rng.randint(1, 4), c2)
+        cases.append((c, random_bits(rng, lines)))
+    cases += [
+        (Circuit(5, 0, (TensorLayer((ModGate(2, 0, (0, 2), 4),)),), c2), "10110"),
+        (Circuit(4, 0, (TensorLayer((AddBlockGate(3, (0, 1), (2, 3)),)),), c3), "0110"),
+        (Circuit(3, 0, (CNotLayer(((0, 2),)), TensorLayer((FourierGate(3, (1, 2)),))), c3), "101"),
+        (Circuit(4, 0, (StagedCNotLayer((((0, 3),), ((1, 2),))),), c2), "0110"),
+    ]
+    digest = hashlib.sha256()
+    for c, x in cases:
+        g = tg.tg_build(c, x)
+        digest.update(json.dumps(tg.tg_to_json(g), sort_keys=True).encode())
+        digest.update(json.dumps(tg.tg_metrics(g).to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == GRAPH_BYTES_SHA256
