@@ -10,9 +10,12 @@ have equal forms and ==, hash and key() compare tuples.  With
 indeterminates equality aligns the two powers of u, which coincides with
 field equality whenever the declared basis really is one.
 
-Products and conjugates run one loop over the context's structure
-constants: mult_table and conjugation as numerators over one power of u
-each, computed once per context.
+Products run one loop over the context's structure constants: mult_table
+and conjugation as numerators over one power of u each, computed once per
+context.  Conjugates, and products by a scalar s fixed in advance, run
+apply_rows instead: each numerator times its row of (j, numerator) cells,
+the conjugation's or those of s's multiplier (basis_element(i) * s, built
+once by the product loop).
 """
 
 from __future__ import annotations
@@ -108,6 +111,25 @@ def structure_constants(ctx, vectors) -> tuple[int, list]:
         nums, _ = numerators(ctx, vec, t)
         cells.append(tuple((j, n) for j, n in enumerate(nums) if n))
     return t, cells
+
+
+def multiplier(ctx, s: "ExactScalar") -> tuple[int, list]:
+    """(t, rows): rows[i] holds the (j, numerator) cells of
+    basis_element(i) * s over one u^t, each product built by __mul__.  Then
+    x * s has the numerators apply_rows(ctx, x.nums, rows, zeros) over
+    u^(x.r + t)."""
+    return structure_constants(ctx, ((ctx.basis_element(i) * s).coords for i in range(ctx.dim)))
+
+
+def apply_rows(ctx, nums, rows, acc: list) -> list:
+    """Add sum_i nums[i] * rows[i] into the numerator list acc, each row
+    given by its (j, numerator) cells, and return acc."""
+    add, mul = ctx.num_add, ctx.num_mul
+    for a, cells in zip(nums, rows):
+        if a:
+            for j, c in cells:
+                acc[j] = add(acc[j], mul(a, c))
+    return acc
 
 
 def from_numerators(ctx, nums, r: int) -> "ExactScalar":
@@ -230,12 +252,7 @@ class ExactScalar:
         ctx = self.ctx
         if ctx.conjugation is None:
             raise ValueError("context does not define a conjugation involution")
-        add, mul = ctx.num_add, ctx.num_mul
-        acc = [ctx.num_zero] * ctx.dim
-        for a, cell in zip(self.nums, ctx.conj_constants):
-            if a:
-                for j, c in cell:
-                    acc[j] = add(acc[j], mul(a, c))
+        acc = apply_rows(ctx, self.nums, ctx.conj_constants, [ctx.num_zero] * ctx.dim)
         return from_numerators(ctx, acc, self.r + ctx.conj_r)
 
     def is_zero(self) -> bool:

@@ -480,16 +480,10 @@ def fourier_columns(g: FourierGate, ctx) -> list[list[tuple[int, ExactScalar]]]:
     ]
 
 
-def gate_kernel(g: Gate, width: int, ctx) -> Callable[[int], list]:
-    """Map from a basis key to the list of (basis key, scalar or None) the
-    gate sends it to, built once for the gate.
-
-    A None scalar marks an amplitude carried over unchanged, which keeps
-    permutation gates free of scalar arithmetic.
-    """
-    perm = permutation_action(g, width)
-    if perm is not None:
-        return lambda k: [(perm(k), None)]
+def gate_columns(g: Gate, width: int, ctx) -> tuple[int, dict]:
+    """(mask, table) of a one-qubit or Fourier gate: the mask of its lines'
+    bits in a key, and for each value of those bits the (bits, scalar)
+    pairs its column sends them to, zero entries left out."""
     if isinstance(g, OneQubitGate):
         codes = (0, line_mask(g.line, width))
         columns = [
@@ -501,9 +495,21 @@ def gate_kernel(g: Gate, width: int, ctx) -> Callable[[int], list]:
         columns = [[(codes[y], s) for y, s in col] for col in fourier_columns(g, ctx)]
     else:
         raise TypeError(f"unknown gate {type(g).__name__}")
-    mask = codes[-1]
+    return codes[-1], {c: tuple(col) for c, col in zip(codes, columns)}
+
+
+def gate_kernel(g: Gate, width: int, ctx) -> Callable[[int], list]:
+    """Map from a basis key to the list of (basis key, scalar or None) the
+    gate sends it to, built once for the gate.
+
+    A None scalar marks an amplitude carried over unchanged, which keeps
+    permutation gates free of scalar arithmetic.
+    """
+    perm = permutation_action(g, width)
+    if perm is not None:
+        return lambda k: [(perm(k), None)]
+    mask, table = gate_columns(g, width, ctx)
     keep = ~mask
-    table = {c: tuple(col) for c, col in zip(codes, columns)}
     return lambda k: [(k & keep | bits, s) for bits, s in table[k & mask]]
 
 

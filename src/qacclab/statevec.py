@@ -7,10 +7,14 @@ from bit masks, fusing each maximal run of permutation gates and
 controlled-not layers into a single key map.  The resulting Program runs
 any number of inputs; run and apply_layer both go through it.  Permutation
 steps move keys with no scalar arithmetic at all; only one-qubit and
-Fourier gates touch the algebra.  There is no cap on the width: before a
-one-qubit or Fourier step runs, support x 2^(lines of the gate) must be at
-most circuit.BUDGET, or it raises CapExceededError.  Permutation steps map
-keys one-to-one, so they never grow the support.
+Fourier gates touch the algebra.  Each of their entries s is compiled once
+into a multiplier (scalars.multiplier), so a branching step adds every
+product into its output key's slot as integer numerators over one power of
+u and builds one scalar per nonzero slot, not one per product or partial
+sum.  There is no cap on the width: before a one-qubit or Fourier step
+runs, support x 2^(lines of the gate) must be at most circuit.BUDGET, or it
+raises CapExceededError.  Permutation steps map keys one-to-one, so they
+never grow the support.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ExactScalar
+from .algebra.scalars import apply_rows, from_numerators, multiplier
 from . import circuit as cir
 from .circuit import (
     CapExceededError,
@@ -29,7 +34,7 @@ from .circuit import (
     TensorLayer,
     check_valid,
     cnot_action,
-    gate_kernel,
+    gate_columns,
     key_to_bits,
     parse_bits,
     permutation_action,
@@ -73,18 +78,6 @@ def basis_state(bits: str, ctx) -> StateVector:
     return StateVector({parse_bits(bits, len(bits)): ctx.one()}, len(bits), ctx)
 
 
-def _accumulate(target: dict, key: int, amp: ExactScalar):
-    prev = target.get(key)
-    if prev is None:
-        target[key] = amp
-        return
-    new = prev + amp
-    if new.is_zero():
-        del target[key]
-    else:
-        target[key] = new
-
-
 @dataclass(frozen=True)
 class Program:
     """A circuit compiled for repeated runs: each step maps a sparse state
@@ -115,8 +108,14 @@ def _permute(key_map):
     return lambda entries: {key_map(key): amp for key, amp in entries.items()}
 
 
-def _branch(kernel, fan: int):
-    """A step that sends each key to at most `fan` keys."""
+def _branch(mask: int, table: dict, fan: int, ctx):
+    """A step that sends each key to at most `fan` keys: table[key & mask]
+    lists the (bits, multiplier) pairs of the gate's column.  Each product
+    is added, as numerators, into its output key's [numerators, r] slot,
+    whose r is the largest of its terms' (the alignment _combine makes);
+    one scalar is built per nonzero slot at the end."""
+    keep = ~mask
+    dim, zero, mul, arity = ctx.dim, ctx.num_zero, ctx.num_mul, ctx.arity
 
     def step(entries):
         if len(entries) * fan > cir.BUDGET:
@@ -124,11 +123,29 @@ def _branch(kernel, fan: int):
                 f"{len(entries)} basis states x {fan} branches exceed the work budget "
                 f"{cir.BUDGET}"
             )
-        out: dict = {}
+        slots: dict = {}
         for key, amp in entries.items():
-            for new_key, scalar in kernel(key):
-                _accumulate(out, new_key, amp * scalar)
-        return out
+            rest, nums, r = key & keep, amp.nums, amp.r
+            for bits, (t, rows) in table[key & mask]:
+                out, rt = rest | bits, r + t
+                slot = slots.get(out)
+                if slot is None:
+                    slot = slots[out] = [[zero] * dim, rt]
+                acc, rs = slot
+                terms = nums
+                if rt < rs:
+                    up = ctx.u_power(rs - rt)
+                    terms = [mul(n, up) for n in nums]
+                elif rt > rs:
+                    up = ctx.u_power(rt - rs)
+                    acc[:] = [mul(n, up) for n in acc]
+                    slot[1] = rt
+                apply_rows(ctx, terms, rows, acc)
+                if arity and not any(acc):
+                    slot[1] = 0  # an unreduced zero restarts at r = 0, as in _combine
+        return {
+            out: from_numerators(ctx, acc, r) for out, (acc, r) in slots.items() if any(acc)
+        }
 
     return step
 
@@ -139,6 +156,13 @@ def _compile_steps(layers, width: int, ctx) -> tuple:
     layer commute, so they are applied in sequence."""
     steps: list = []
     maps: list = []
+    built: dict = {}  # scalar form -> its multiplier, shared by the program's gates
+
+    def multiplier_of(s):
+        form = s.key()
+        if form not in built:
+            built[form] = multiplier(ctx, s)
+        return built[form]
 
     def close_run():
         if maps:
@@ -153,8 +177,12 @@ def _compile_steps(layers, width: int, ctx) -> tuple:
                     maps.append(perm)
                 else:
                     close_run()
-                    fan = 1 << len(gate.lines())
-                    steps.append(_branch(gate_kernel(gate, width, ctx), fan))
+                    mask, columns = gate_columns(gate, width, ctx)
+                    table = {
+                        b: tuple((bits, multiplier_of(s)) for bits, s in col)
+                        for b, col in columns.items()
+                    }
+                    steps.append(_branch(mask, table, 1 << len(gate.lines()), ctx))
         elif isinstance(layer, CNotLayer):
             maps.append(cnot_action(layer.pairs, width))
         elif isinstance(layer, StagedCNotLayer):

@@ -126,7 +126,8 @@ def equivalence_check(
     for x in range(1 << main) if inputs is None else inputs:
         entries = program.apply({x << aux: one})
         for key in entries:
-            if key & aux_mask:
+            if key & aux_mask:  # report the smallest aux-dirty output, not the first
+                dirty = min(k for k in entries if k & aux_mask)
                 return EquivalenceReport(
                     "counterexample",
                     zeros,
@@ -134,9 +135,9 @@ def equivalence_check(
                     aux_restored=False,
                     counterexample=(
                         cir.key_to_bits(x, main),
-                        cir.key_to_bits(key >> aux, main),
+                        cir.key_to_bits(dirty >> aux, main),
                         None,
-                        entries[key],
+                        entries[dirty],
                     ),
                 )
         want = target_of(x)

@@ -1,6 +1,7 @@
-"""Shared test helpers: an independent double-precision simulator, dense
-gate matrices, a Fraction reference for scalar arithmetic and a seeded
-random-circuit generator.
+"""Shared test helpers: an independent double-precision simulator, a
+per-branch exact reference for the simulator's branching steps, dense gate
+matrices, a Fraction reference for scalar arithmetic, a context with one
+indeterminate and a seeded random-circuit generator.
 
 The numeric simulator is deliberately written from scratch (own bit
 conventions, cmath roots of unity) so it can serve as a cross-check
@@ -15,7 +16,7 @@ import random
 from fractions import Fraction
 
 from qacclab import circuit as cir
-from qacclab.algebra import polys
+from qacclab.algebra import AlgebraContext, FScalar, polys
 from qacclab.circuit import (
     AddBlockGate,
     AddModGate,
@@ -122,6 +123,47 @@ def _numeric_gate(state: dict, gate, width: int) -> dict:
     return out
 
 
+def _fold_branch(target: dict, key: int, amp) -> bool:
+    """Add amp into target[key], deleting the key when the sum cancels;
+    True when it did."""
+    prev = target.get(key)
+    if prev is None:
+        target[key] = amp
+        return False
+    new = prev + amp
+    if new.is_zero():
+        del target[key]
+        return True
+    target[key] = new
+    return False
+
+
+def reference_run(c, input_bits: str) -> tuple[dict, int]:
+    """(state, cancellations): the state {basis key: ExactScalar} of the
+    circuit on the input, applied one layer and one gate at a time with
+    each branch folded through ExactScalar.__mul__ and __add__, and how
+    many partial sums cancelled to exactly zero.  The per-branch path the
+    compiled branching steps are checked against."""
+    ctx, width = c.context, c.width
+    state = {cir.parse_bits(input_bits, c.n_inputs) << c.n_aux: ctx.one()}
+    cancellations = 0
+    for layer in c.layers:
+        if isinstance(layer, TensorLayer):
+            for gate in layer.gates:
+                kernel = cir.gate_kernel(gate, width, ctx)
+                out: dict = {}
+                for key, amp in state.items():
+                    for new_key, s in kernel(key):
+                        cancellations += _fold_branch(out, new_key, amp if s is None else amp * s)
+                state = out
+        else:
+            stages = layer.stages if isinstance(layer, StagedCNotLayer) else (layer.pairs,)
+            for pairs in stages:
+                act = cir.cnot_action(pairs, width)
+                state = {act(key): amp for key, amp in state.items()}
+    return state, cancellations
+
+
 GATE_MATRIX_CAP = 12
 
 
@@ -212,6 +254,20 @@ class FractionReference:
             for j, c in enumerate(self.conj[i]):
                 out[j] += x * c
         return out
+
+
+def sqrt_a1_context():
+    """Q(a1)(b) with b = 1/sqrt(a1) and u = a1: one indeterminate, and the
+    table entry b*b = 1/u lies over a power of u."""
+    one, zero = FScalar(polys.const(1, 1), 0), FScalar({}, 0)
+    return AlgebraContext(
+        ["a1"],
+        ["1", "b"],
+        [[(one, zero), (zero, one)], [(zero, one), (FScalar(polys.const(1, 1), 1), zero)]],
+        polys.variable(1, 0),
+        {"a1": [2.0, 0.0], "b": [2**-0.5, 0.0]},
+        conjugation=[[one, zero], [zero, one]],
+    )
 
 
 # -- seeded circuit generator ----------------------------------------------------

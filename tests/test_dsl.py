@@ -1,13 +1,21 @@
 import itertools
+import random
 
 import pytest
 
 from qacclab import transforms as tf
 from qacclab.algebra import get_context
+from qacclab import circuit as cir
 from qacclab.circuit import (
+    AddBlockGate,
+    AddModGate,
     CNotLayer,
     Circuit,
+    FanOutGate,
+    FanOutModGate,
     FourierGate,
+    ModGate,
+    OneQubitGate,
     StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
@@ -144,3 +152,110 @@ def test_context_header_resolution():
 def test_float_literals_rejected():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_circuit("circuit n=1 aux=0\nlayer { U [[0.5,0],[0,1]] [0] }")
+
+
+# -- round trip on seeded random canonical circuits ----------------------------
+
+
+def _random_unitary(rng, ctx):
+    """diag(±z^a, ±z^b), its antidiagonal twin, or for q = 2 the Hadamard
+    matrix written out with s."""
+    if ctx.fourier_q == 2 and rng.random() < 0.3:
+        s = ctx.constants["s"]
+        return ((s, s), (s, -s))
+    zeta, _ = ctx.fourier_scalars(ctx.fourier_q)
+    a, b = (rng.choice(zeta) * rng.choice((ctx.one(), -ctx.one())) for _ in range(2))
+    zero = ctx.zero()
+    return ((a, zero), (zero, b)) if rng.random() < 0.5 else ((zero, b), (a, zero))
+
+
+def _random_gate(rng, ctx, avail: list):
+    """A gate of a random kind on lines popped from avail, or None when too
+    few lines are left for the kind drawn.  A Fourier gate at q = 2 prints
+    as H, or as HQ' when inverse."""
+    kind = rng.choice(("U", "TOF", "FAN", "MOD", "MQ", "FQ", "HQ", "T"))
+    inverse = rng.random() < 0.5
+    q = ctx.fourier_q if kind == "HQ" else rng.choice((2, 3, 4, 5))
+    w = cir.block_width(q)
+
+    def take(k):
+        return tuple(avail.pop() for _ in range(k))
+
+    def blocks(k):
+        return tuple(take(w) for _ in range(k))
+
+    need = {"U": 1, "TOF": 1, "FAN": 2, "MOD": 2, "MQ": 2 * w, "FQ": 2 * w,
+            "HQ": w, "T": 2 * w}[kind]
+    if len(avail) < need:
+        return None
+    if kind == "U":
+        return OneQubitGate(_random_unitary(rng, ctx), avail.pop())
+    if kind == "TOF":
+        return ToffoliGate(take(rng.randint(0, min(2, len(avail) - 1))), avail.pop())
+    if kind == "FAN":
+        return FanOutGate(take(rng.randint(1, min(2, len(avail) - 1))), avail.pop())
+    if kind == "MOD":
+        return ModGate(q, rng.randrange(q), take(rng.randint(1, len(avail) - 1)), avail.pop())
+    if kind == "HQ":
+        return FourierGate(q, take(w), inverse=inverse)
+    if kind == "T":
+        return AddBlockGate(q, take(w), take(w), inverse=inverse)
+    count = rng.randint(1, len(avail) // w - 1)
+    if kind == "MQ":
+        return AddModGate(q, blocks(count), take(w), inverse=inverse)
+    return FanOutModGate(q, blocks(count), take(w), inverse=inverse)
+
+
+def _random_pairs(rng, lines: int, staged: bool):
+    """Disjoint pairs in random directions, sorted by lowest line; staged
+    pairs join neighbouring lines, so their spans do not overlap."""
+    if staged:
+        starts = range(rng.randrange(2), lines - 1, 2)
+        pairs = [(a, a + 1) for a in starts if rng.random() < 0.7] or [(0, 1)]
+        return tuple(p if rng.random() < 0.5 else p[::-1] for p in pairs)
+    avail = list(range(lines))
+    rng.shuffle(avail)
+    pairs = [(avail.pop(), avail.pop()) for _ in range(rng.randint(1, lines // 2))]
+    return tuple(sorted(pairs, key=min))
+
+
+def _random_canonical_circuit(rng, ctx) -> Circuit:
+    lines = rng.randint(6, 12)
+    layers = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.15:
+            layers.append(CNotLayer(_random_pairs(rng, lines, staged=False)))
+        elif roll < 0.3:
+            stages = tuple(_random_pairs(rng, lines, staged=True) for _ in range(rng.randint(1, 3)))
+            layers.append(StagedCNotLayer(stages))
+        else:
+            avail = list(range(lines))
+            rng.shuffle(avail)
+            gates = [g for _ in range(4) if (g := _random_gate(rng, ctx, avail)) is not None]
+            layers.append(cir.tensor_layer(*gates or [OneQubitGate(_random_unitary(rng, ctx), 0)]))
+    n_aux = rng.randint(0, 2)
+    return Circuit(lines - n_aux, n_aux, tuple(layers), ctx)
+
+
+def test_round_trip_on_random_canonical_circuits():
+    """parse(serialize(c)) == c for every gate kind, both inverse flags,
+    and controlled-not and staged layers."""
+    rng = random.Random(7531)
+    seen, texts = set(), ""
+    for i in range(120):
+        ctx = get_context(f"cyclotomic{(2, 3, 5)[i % 3]}")
+        c = _random_canonical_circuit(rng, ctx)
+        text = serialize_circuit(c)
+        assert parse_circuit(text) == c, text
+        texts += text
+        for layer in c.layers:
+            seen.add(type(layer).__name__)
+            for g in getattr(layer, "gates", ()):
+                seen.add((type(g).__name__, getattr(g, "inverse", None)))
+    for name in ("AddModGate", "FanOutModGate", "FourierGate", "AddBlockGate"):
+        assert {(name, False), (name, True)} <= seen
+    assert "H [" in texts and "HQ' 2" in texts
+    for name in ("OneQubitGate", "ToffoliGate", "FanOutGate", "ModGate"):
+        assert (name, None) in seen
+    assert {"TensorLayer", "CNotLayer", "StagedCNotLayer"} <= seen

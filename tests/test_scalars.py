@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import FractionReference
+from support import FractionReference, sqrt_a1_context
 
 from qacclab.algebra import (
     ContextError,
@@ -237,22 +237,6 @@ def test_hash_invariant_under_rescaling_two_indeterminates():
 # -- the flat form against an independent Fraction reference -------------------
 
 
-def _sqrt_a1_context():
-    """Q(a1)(b) with b = 1/sqrt(a1) and u = a1: one indeterminate, and the
-    table entry b*b = 1/u lies over a power of u."""
-    from qacclab.algebra import AlgebraContext
-
-    one, zero = FScalar(polys.const(1, 1), 0), FScalar({}, 0)
-    return AlgebraContext(
-        ["a1"],
-        ["1", "b"],
-        [[(one, zero), (zero, one)], [(zero, one), (FScalar(polys.const(1, 1), 1), zero)]],
-        polys.variable(1, 0),
-        {"a1": [2.0, 0.0], "b": [2**-0.5, 0.0]},
-        conjugation=[[one, zero], [zero, one]],
-    )
-
-
 REFERENCE_CONTEXTS = {
     "rational10": [()],
     "cyclotomic2": [()],
@@ -265,7 +249,7 @@ REFERENCE_CONTEXTS = {
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CONTEXTS))
 def test_arithmetic_matches_fraction_reference(name):
-    ctx = _sqrt_a1_context() if name == "sqrt_a1" else get_context(name)
+    ctx = sqrt_a1_context() if name == "sqrt_a1" else get_context(name)
     refs = [FractionReference(ctx, p) for p in REFERENCE_CONTEXTS[name]]
     rng = random.Random(name)
 

@@ -4,15 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from support import numeric_simulate, random_bits, random_circuit
+from support import (
+    numeric_simulate,
+    random_bits,
+    random_circuit,
+    reference_run,
+    sqrt_a1_context,
+)
 
 from qacclab import circuit as cir
 from qacclab import statevec as sv
-from qacclab.algebra import get_context, rational_context
+from qacclab.algebra import ExactScalar, FScalar, get_context, polys, rational_context, scalars
 from qacclab.circuit import (
     CNotLayer,
     Circuit,
     FanOutGate,
+    FourierGate,
+    OneQubitGate,
     TensorLayer,
     ToffoliGate,
     inverse_circuit,
@@ -233,3 +241,86 @@ def test_apply_layer_leaves_input_state_untouched(c2):
     before = dict(state.entries)
     sv.apply_layer(state, TensorLayer((cir.hadamard_gate(1),)))
     assert state.entries == before
+
+
+# -- the branching steps against the per-branch fold ------------------------------
+
+
+def _random_scalar(rng, ctx):
+    """A sparse scalar: a few basis elements with small numerators over
+    u^0..u^2, each coordinate its own power of u."""
+    coords = [ctx.f_zero] * ctx.dim
+    for j in rng.sample(range(ctx.dim), rng.randint(1, min(2, ctx.dim))):
+        if ctx.arity:
+            num = {(rng.randint(0, 2),): rng.choice([-3, -1, 1, 2, 5])}
+        else:
+            num = polys.const(0, rng.choice([-9, -4, -1, 1, 3, 10, 25]))
+        coords[j] = FScalar(num, rng.randint(0, 2))
+    return ExactScalar(ctx, coords)
+
+
+def _random_branching_layer(rng, ctx, lines: int) -> TensorLayer:
+    """One-qubit gates, Fourier gates where the context has them, and a
+    Toffoli now and then.  The matrices ((a, b), (a, -b)) and ((a, a),
+    (b, -b)) make branches of a superposition cancel exactly."""
+    avail = list(range(lines))
+    rng.shuffle(avail)
+    q, gates = ctx.fourier_q, []
+    while avail:
+        kind = rng.choice(("cancel", "cancel", "dense", "fourier", "tof"))
+        if kind == "fourier" and q is not None and len(avail) >= cir.block_width(q):
+            block = sorted(avail.pop() for _ in range(cir.block_width(q)))
+            gates.append(FourierGate(q, tuple(block), inverse=rng.random() < 0.5))
+        elif kind == "tof" and len(avail) >= 2:
+            gates.append(ToffoliGate((avail.pop(),), avail.pop()))
+        else:
+            a, b = _random_scalar(rng, ctx), _random_scalar(rng, ctx)
+            if kind == "dense":
+                m = ((a, b), (_random_scalar(rng, ctx), _random_scalar(rng, ctx)))
+            elif rng.random() < 0.5:
+                m = ((a, b), (a, -b))
+            else:
+                m = ((a, a), (b, -b))
+            gates.append(OneQubitGate(m, avail.pop()))
+    return cir.tensor_layer(*gates)
+
+
+@pytest.mark.parametrize(
+    "name", ["rational10", "cyclotomic2", "cyclotomic3", "cyclotomic5", "cyclotomic7", "sqrt_a1"]
+)
+def test_branching_steps_match_per_branch_fold(name):
+    """Numerator accumulation gives the amplitudes, and the exact forms, of
+    folding every branch through ExactScalar.__mul__ and __add__."""
+    ctx = sqrt_a1_context() if name == "sqrt_a1" else get_context(name)
+    rng = random.Random(f"branch-{name}")
+    cancellations = 0
+    for _ in range(12):
+        lines = rng.randint(3, 6)
+        layers = []
+        for _ in range(rng.randint(2, 5)):
+            if rng.random() < 0.2:
+                layers.append(CNotLayer(((0, lines - 1),)))
+            else:
+                layers.append(_random_branching_layer(rng, ctx, lines))
+        c = Circuit(lines, 0, tuple(layers), ctx)
+        x = random_bits(rng, lines)
+        want, cancelled = reference_run(c, x)
+        cancellations += cancelled
+        got = sv.run(c, x, check=False)
+        assert got.entries == want
+        assert {k: a.key() for k, a in got.entries.items()} == {k: a.key() for k, a in want.items()}
+        assert json.dumps(got.to_json()) == json.dumps(sv.StateVector(want, lines, ctx).to_json())
+    assert cancellations > 0
+
+
+def test_unreduced_cancellation_restarts_at_r_zero():
+    # Three branches into one key, the first two cancelling: with
+    # indeterminates the form is not reduced, so the third term keeps the
+    # power of u that __mul__ gives it, not the cancelled terms' power.
+    ctx = sqrt_a1_context()
+    x = ExactScalar(ctx, [FScalar({(1,): 3}, 2), ctx.f_zero])
+    z = ExactScalar(ctx, [FScalar({(0,): 5}, 0), ctx.f_zero])
+    one = scalars.multiplier(ctx, ctx.one())
+    step = sv._branch(0b11, {bits: ((0, one),) for bits in range(3)}, 1, ctx)
+    out = step({0: x, 1: -x, 2: z})
+    assert out[0].key() == (z * ctx.one()).key()

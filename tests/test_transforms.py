@@ -158,6 +158,23 @@ def test_aux_restoration_detected():
     assert not report.aux_restored
 
 
+def test_aux_counterexample_names_smallest_dirty_output():
+    # |1,00> -> H -> (|0> - |1>)s, then X on the main line and on aux
+    # line 2: the state holds 101 before 001, both aux-dirty
+    ctx = get_context("cyclotomic2")
+    layers = (
+        TensorLayer((cir.hadamard_gate(0),)),
+        TensorLayer((cir.x_gate(0), cir.x_gate(2))),
+    )
+    bad = Circuit(1, 2, layers, ctx)
+    assert list(sv.run(bad, "1").entries) == [0b101, 0b001]
+    report = tf.equivalence_check(lambda x: x, bad, 1, inputs=[1])
+    assert not report.aux_restored
+    x, y, lhs, rhs = report.counterexample
+    assert (x, y, lhs) == ("1", "0", None)
+    assert rhs == -ctx.constants["s"]
+
+
 def test_end_to_end_chain_mod3():
     base = tf.build_modq_from_mq(2, 3)
     chain = tf.expand_addmod(base)
