@@ -2,6 +2,7 @@
 
 from . import polys
 from .context import (
+    CONTEXT_DIM_CAP,
     AlgebraContext,
     ContextError,
     cyclotomic_context,
@@ -31,6 +32,7 @@ from .scalars import (
 )
 
 __all__ = [
+    "CONTEXT_DIM_CAP",
     "AlgebraContext",
     "ContextError",
     "DegreeBoundError",

@@ -48,6 +48,10 @@ from .scalars import (
 )
 
 
+CONTEXT_DIM_CAP = 64  # basis size of a cyclotomic context; its table grows as d^3
+U_POWER_CAP = 64  # largest power of u in a rational literal or a context-table entry
+
+
 class ContextError(ValueError):
     pass
 
@@ -61,10 +65,8 @@ class AlgebraContext:
         denominator,
         numeric,
         conjugation=None,
-        constants=None,
         fourier_q=None,
         name=None,
-        check=True,
     ):
         self.indeterminates = tuple(indeterminates)
         self.basis = tuple(basis)
@@ -116,15 +118,14 @@ class AlgebraContext:
                 raise ContextError(f"numeric assignment missing for basis element {b!r}")
         self.u_numeric = complex(polys.evaluate(self.denominator, self.indeterminate_values))
 
-        self.constants = dict(constants or {})
+        self.constants = {}
         self.fourier_q = fourier_q
         self._zero = ExactScalar(self, [self.f_zero] * self.dim)
         one = [self.f_zero] * self.dim
         one[0] = self.f_one
         self._one = ExactScalar(self, one)
 
-        if check:
-            self.validate()
+        self.validate()
 
     # -- basic element constructors ------------------------------------
 
@@ -162,7 +163,7 @@ class AlgebraContext:
         while cur % den:
             r += 1
             cur *= self.u_int
-            if r > 64:
+            if r > U_POWER_CAP:
                 raise ContextError(
                     f"denominator {den} does not divide a power of u={self.u_int}"
                 )
@@ -189,7 +190,7 @@ class AlgebraContext:
 
     # -- verification ----------------------------------------------------
 
-    def validate(self, tol: float = 1e-9):
+    def validate(self):
         d = self.dim
         unit = self.u_power(self.mul_r)
         for b in range(d):
@@ -207,7 +208,7 @@ class AlgebraContext:
                     for j, entry in enumerate(self.mult_table[a][b])
                     if not entry.is_zero()
                 )
-                if abs(direct - via_table) > tol:
+                if abs(direct - via_table) > 1e-9:
                     raise ContextError(
                         f"numeric assignment violates mult_table at ({a},{b}): "
                         f"{direct} vs {via_table}"
@@ -258,13 +259,17 @@ class AlgebraContext:
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraContext":
         arity = len(data["indeterminates"])
-        mult_table = [
-            [[f_from_json(e, arity) for e in vec] for vec in row]
-            for row in data["mult_table"]
-        ]
+
+        def entry(e) -> FScalar:
+            f = f_from_json(e, arity)
+            if not 0 <= f.r <= U_POWER_CAP:
+                raise ContextError(f"table entry over u^{f.r}, outside u^0..u^{U_POWER_CAP}")
+            return f
+
+        mult_table = [[[entry(e) for e in vec] for vec in row] for row in data["mult_table"]]
         conj = None
         if "conjugation" in data:
-            conj = [[f_from_json(e, arity) for e in vec] for vec in data["conjugation"]]
+            conj = [[entry(e) for e in vec] for vec in data["conjugation"]]
         ctx = cls(
             data["indeterminates"],
             data["basis"],
@@ -386,50 +391,45 @@ def _sqrt_in_cyclotomic(q: int, phi: list[int]) -> list[int] | None:
     return cand
 
 
+def _totient(q: int, bound: int) -> int | None:
+    """Euler's phi(q) if it is at most `bound`, else None.  phi(q) >=
+    sqrt(q/2), so a q above 2 bound^2 is refused before any counting."""
+    if q > 2 * bound * bound:
+        return None
+    phi = sum(math.gcd(k, q) == 1 for k in range(q))
+    return phi if phi <= bound else None
+
+
+def _cyclotomic_parts(q: int):
+    """(deg, red, root): the degree phi(q) of Q(zeta_q), zeta^e in its power
+    basis for e = 0..q-1, and sqrt(q) there (None when it is absent)."""
+    phi = cyclotomic_polynomial(q)
+    red = [_poly_mod([0] * e + [1], phi) for e in range(q)]
+    return len(phi) - 1, red, _sqrt_in_cyclotomic(q, phi)
+
+
+def _coords(vec: list[int], dim: int, offset: int = 0, r: int = 0) -> list[FScalar]:
+    """Integer coordinates over u^r, placed from basis index `offset` on."""
+    coords = [FScalar({}, 0)] * dim
+    for j, c in enumerate(vec):
+        if c:
+            coords[offset + j] = FScalar(polys.const(0, c), r)
+    return coords
+
+
 def cyclotomic_context(q: int) -> AlgebraContext:
-    """Exact context for circuits over the q-ary Fourier gate set."""
+    """Exact context for circuits over the q-ary Fourier gate set.  Its
+    dimension, phi(q), or 2 phi(q) when sqrt(q) is not in Q(zeta_q) (q = 2,
+    3 mod 4), must be at most CONTEXT_DIM_CAP: the table grows as d^3."""
     if q < 2:
         raise ContextError("q must be at least 2")
-    phi = cyclotomic_polynomial(q)
-    deg = len(phi) - 1
-    # zeta^e in the power basis, for e = 0..q-1
-    red = []
-    for e in range(q):
-        red.append(_poly_mod([0] * e + [1], phi))
-
-    root = _sqrt_in_cyclotomic(q, phi)
+    if _totient(q, CONTEXT_DIM_CAP // (2 if q % 4 in (2, 3) else 1)) is None:
+        raise ContextError(f"cyclotomic{q} would have dimension above the cap {CONTEXT_DIM_CAP}")
+    deg, red, root = _cyclotomic_parts(q)
     extended = root is None
     d = 2 * deg if extended else deg
-
-    def names():
-        out = []
-        for eps in range(2 if extended else 1):
-            for j in range(deg):
-                head = "1" if j == 0 else ("z" if j == 1 else f"z^{j}")
-                if eps == 0:
-                    out.append(head)
-                else:
-                    out.append("s" if j == 0 else f"{head}*s")
-        return out
-
-    basis = names()
-    u = polys.const(0, q)
-
-    def f_int(c):
-        return FScalar(polys.const(0, c), 0) if c else FScalar({}, 0)
-
-    def f_over_q(c):
-        if c == 0:
-            return FScalar({}, 0)
-        return FScalar(polys.const(0, c), 1)
-
-    def vec_from(zvec, eps, over_q=False):
-        coords = [FScalar({}, 0)] * d
-        offset = eps * deg
-        for j, c in enumerate(zvec):
-            if c:
-                coords[offset + j] = f_over_q(c) if over_q else f_int(c)
-        return coords
+    heads = ["1" if j == 0 else "z" if j == 1 else f"z^{j}" for j in range(deg)]
+    basis = heads + (["s"] + [f"{h}*s" for h in heads[1:]] if extended else [])
 
     table = []
     for a in range(d):
@@ -437,15 +437,10 @@ def cyclotomic_context(q: int) -> AlgebraContext:
         ja, ea = a % deg, a // deg
         for b in range(d):
             jb, eb = b % deg, b // deg
-            # z^ja * z^jb folds through z^q = 1, then reduces modulo phi_q
-            zvec = red[(ja + jb) % q]
+            # z^ja * z^jb folds through z^q = 1, then reduces modulo phi_q;
+            # s^(ea + eb) is 1, s or s*s = 1/q
             e_sum = ea + eb
-            if e_sum == 0:
-                row.append(vec_from(zvec, 0))
-            elif e_sum == 1:
-                row.append(vec_from(zvec, 1))
-            else:  # s*s = 1/q
-                row.append(vec_from(zvec, 0, over_q=True))
+            row.append(_coords(red[(ja + jb) % q], d, e_sum % 2 * deg, e_sum // 2))
         table.append(row)
 
     zeta_num = cmath.exp(2j * cmath.pi / q)
@@ -457,50 +452,38 @@ def cyclotomic_context(q: int) -> AlgebraContext:
         j, eps = idx % deg, idx // deg
         numeric[name] = zeta_num**j * (invsq_num if eps else 1)
 
-    conjugation = []
-    for idx in range(d):
-        j, eps = idx % deg, idx // deg
-        conjugation.append(vec_from(red[(q - j) % q], eps))
+    conjugation = [_coords(red[(q - a % deg) % q], d, a // deg * deg) for a in range(d)]
 
     ctx = AlgebraContext(
         [],
         basis,
         table,
-        u,
+        polys.const(0, q),
         numeric,
         conjugation=conjugation,
         fourier_q=q,
         name=f"cyclotomic{q}",
-        check=True,
     )
-    _attach_fourier_constants(ctx, q, red=red, root=root, deg=deg, extended=extended)
+    _attach_fourier_constants(ctx, q)
     return ctx
 
 
-def _attach_fourier_constants(ctx, q, red=None, root=None, deg=None, extended=None):
-    """Bind z (= w) and s constants plus the zeta power list used by gates."""
-    if red is None:
-        phi = cyclotomic_polynomial(q)
-        deg = len(phi) - 1
-        red = [_poly_mod([0] * e + [1], phi) for e in range(q)]
-        root = _sqrt_in_cyclotomic(q, phi)
-        extended = root is None
-
-    def z_scalar(zvec, eps=0, over_q=False):
-        coords = [ctx.f_zero] * ctx.dim
-        for j, c in enumerate(zvec):
-            if c:
-                num = polys.const(0, c)
-                coords[eps * deg + j] = FScalar(num, 1 if over_q else 0)
-        return ExactScalar(ctx, coords)
-
-    zeta_pows = [z_scalar(red[k % q]) for k in range(q)]
-    if extended:
+def _attach_fourier_constants(ctx, q):
+    """Bind z (= w) and s constants plus the zeta power list used by gates.
+    A q whose phi(q) exceeds the context's dimension raises ContextError
+    before any cyclotomic polynomial is built."""
+    if not isinstance(q, int) or q < 1:
+        raise ContextError(f"fourier_q={q!r} must be a positive integer")
+    if _totient(q, ctx.dim) is None:
+        raise ContextError(f"fourier_q={q}: phi(q) exceeds the context dimension {ctx.dim}")
+    deg, red, root = _cyclotomic_parts(q)
+    ctx._zeta_pows = [ExactScalar(ctx, _coords(z, ctx.dim)) for z in red]
+    if root is None:
         s = ctx.basis_element(deg)
     else:
-        s = z_scalar(root, over_q=True)
-    ctx._zeta_pows = zeta_pows
-    ctx.constants.update({"z": zeta_pows[1 % q], "w": zeta_pows[1 % q], "s": s})
+        s = ExactScalar(ctx, _coords(root, ctx.dim, r=1))
+    z = ctx._zeta_pows[1 % q]
+    ctx.constants.update({"z": z, "w": z, "s": s})
 
 
 def rational_context(u: int = 10) -> AlgebraContext:
@@ -527,15 +510,14 @@ def get_context(name: str) -> AlgebraContext:
     """Resolve a context name: cyclotomic<q> or rational<u> (default u=10)."""
     if name in _REGISTRY_CACHE:
         return _REGISTRY_CACHE[name]
-    m = re.fullmatch(r"cyclotomic(\d+)", name)
-    if m:
-        ctx = cyclotomic_context(int(m.group(1)))
-    else:
-        m = re.fullmatch(r"rational(\d*)", name)
-        if m:
-            ctx = rational_context(int(m.group(1)) if m.group(1) else 10)
-        else:
-            raise ContextError(f"unknown context name {name!r}")
+    m = re.fullmatch(r"(cyclotomic|rational)(\d*)", name)
+    if m is None or m.group(1) == "cyclotomic" and not m.group(2):
+        raise ContextError(f"unknown context name {name!r}")
+    try:
+        number = int(m.group(2)) if m.group(2) else 10
+    except ValueError as exc:  # more digits than int() converts
+        raise ContextError(f"context name {name!r}: {exc}") from exc
+    ctx = cyclotomic_context(number) if m.group(1) == "cyclotomic" else rational_context(number)
     _REGISTRY_CACHE[name] = ctx
     return ctx
 
@@ -554,6 +536,8 @@ def load_context(path) -> AlgebraContext:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ContextError(f"context file {path} is not JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ContextError(f"context file {path} nests too deeply") from exc
     if not isinstance(data, dict):
         raise ContextError(f"context file {path} does not hold a JSON object")
     try:

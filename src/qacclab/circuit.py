@@ -11,9 +11,13 @@ which keeps every block gate unitary as a direct sum.
 Basis states are ints whose binary expansion, read most significant bit
 first, lists line 0 first.
 
+A Circuit is well formed by construction: making one runs validate and
+raises ValidationError with its diagnostics, so no engine validates again.
+
 Both engines share one work budget: BUDGET stored items, basis states in
 a state vector or nodes in a tensor graph.  A run that would go past it
-raises CapExceededError instead of growing further.
+raises CapExceededError instead of growing further; so does a run of a
+circuit wider than BUDGET lines, before any key or graph is built.
 """
 
 from __future__ import annotations
@@ -197,18 +201,22 @@ Layer = Union[TensorLayer, CNotLayer, StagedCNotLayer]
 
 @dataclass(frozen=True)
 class Circuit:
+    """A validated circuit: construction raises ValidationError when
+    validate reports any diagnostic."""
+
     n_inputs: int
     n_aux: int
     layers: tuple[Layer, ...]
     context: AlgebraContext
 
+    def __post_init__(self):
+        diags = validate(self)  # the module global, so a wrapper of validate sees it
+        if diags:
+            raise ValidationError(diags)
+
     @property
     def width(self) -> int:
         return self.n_inputs + self.n_aux
-
-
-def circuit(n_inputs: int, n_aux: int, layers: Iterable[Layer], context) -> Circuit:
-    return Circuit(n_inputs, n_aux, tuple(layers), context)
 
 
 # -- validation --------------------------------------------------------------
@@ -327,11 +335,11 @@ def _unitarity_diagnostics(g: OneQubitGate, idx: int, ctx) -> list[Diagnostic]:
     return []
 
 
-def check_valid(c: Circuit) -> Circuit:
-    diags = validate(c)
-    if diags:
-        raise ValidationError(diags)
-    return c
+def check_width(c: Circuit) -> None:
+    """A basis key holds one bit per line: a circuit wider than BUDGET
+    lines exceeds the work budget before any key or graph is built."""
+    if c.width > BUDGET:
+        raise CapExceededError(f"{c.width} lines exceed the work budget {BUDGET}")
 
 
 # -- basis-state helpers -----------------------------------------------------

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import dsl, statevec, tensorgraph, transforms
+from . import circuit as cir, dsl, statevec, tensorgraph, transforms
 from .algebra import ContextError, load_context
 from .circuit import CapExceededError, ValidationError, circuit_stats
 from .statevec import AcceptanceError
@@ -85,6 +85,8 @@ def _builder_args(args):
         raise UsageError(f"unknown builder {name!r} (known: {known})")
     if args.n < 0:
         raise UsageError(f"--n {args.n} must be nonnegative")
+    if args.n > cir.BUDGET:  # every builder's circuit has at least n lines
+        raise CapExceededError(f"--n {args.n} lines exceed the work budget {cir.BUDGET}")
     if args.q < 2:
         raise UsageError(f"--q {args.q} must be at least 2")
     if not 0 <= args.r < args.q:
@@ -222,7 +224,8 @@ def main(argv=None) -> int:
         dsl.ParseError,
         ValidationError,
         ContextError,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
         UsageError,
         transforms.BuilderArgumentError,
     ) as exc:

@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraContext, ContextError, ExactScalar, get_context
+from .algebra import CONTEXT_DIM_CAP, AlgebraContext, ContextError, ExactScalar, get_context
 from .circuit import (
     AddBlockGate,
     AddModGate,
@@ -54,10 +54,13 @@ from .circuit import (
     StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
-    check_valid,
 )
 
 GATE_KEYWORDS = ("H", "U", "TOF", "FAN", "MOD", "MQ", "FQ", "HQ", "T")
+
+# NAME ^ INT multiplies INT times.  Every basis name z^j that scalar_to_text
+# prints has j below a context's dimension, so it still parses.
+EXPONENT_CAP = CONTEXT_DIM_CAP
 
 
 class ParseError(ValueError):
@@ -150,7 +153,11 @@ class _Parser:
     # -- grammar ---------------------------------------------------------
 
     def parse_int(self) -> int:
-        return int(self.expect("INT").text)
+        tok = self.expect("INT")
+        try:
+            return int(tok.text)
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(str(exc), tok.line, tok.col) from exc
 
     def parse_layers(self):
         layers = []
@@ -347,7 +354,12 @@ class _Parser:
             except ContextError as exc:
                 raise ParseError(str(exc), tok.line, tok.col) from exc
             if self.accept("PUNCT", "^"):
+                exp_tok = self.peek()
                 k = self.parse_int()
+                if k > EXPONENT_CAP:
+                    raise ParseError(
+                        f"exponent {k} is above the cap {EXPONENT_CAP}", exp_tok.line, exp_tok.col
+                    )
                 out = self.ctx.one()
                 for _ in range(k):
                     out = out * base
@@ -356,18 +368,15 @@ class _Parser:
         self.fail(f"found {tok.text!r}", ("INT", "NAME"))
 
 
-def parse_circuit(
-    text: str,
-    context: AlgebraContext | None = None,
-    default_context: str = "cyclotomic2",
-) -> Circuit:
-    """Parse DSL text; the result is always revalidated.
+def parse_circuit(text: str, context: AlgebraContext | None = None) -> Circuit:
+    """Parse DSL text into a Circuit, which validates itself when made.
 
-    `context` overrides whatever the header names (used when loading a
-    circuit against a context from a JSON file).
+    The context is the one the header names, else cyclotomic2.  `context`
+    overrides both (used when loading a circuit against a context from a
+    JSON file).
     """
     tokens = tokenize(text)
-    parser = _Parser(tokens, context if context is not None else get_context(default_context))
+    parser = _Parser(tokens, context if context is not None else get_context("cyclotomic2"))
     parser.expect("NAME", "circuit")
     parser.expect("NAME", "n")
     parser.expect("PUNCT", "=")
@@ -384,7 +393,7 @@ def parse_circuit(
             except ContextError as exc:
                 raise ParseError(str(exc), name_tok.line, name_tok.col) from exc
     layers = parser.parse_layers()
-    return check_valid(Circuit(n_inputs, n_aux, tuple(layers), parser.ctx))
+    return Circuit(n_inputs, n_aux, tuple(layers), parser.ctx)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -1,20 +1,21 @@
 """Brute-force exact simulator and the E/N/B acceptance predicates.
 
 States are sparse maps from basis keys to exact scalars; amplitudes that
-become exactly zero are pruned eagerly.  A circuit runs through one compile
-step: compile_circuit validates it once and builds every gate's kernel once
-from bit masks, fusing each maximal run of permutation gates and
-controlled-not layers into a single key map.  The resulting Program runs
-any number of inputs; run and apply_layer both go through it.  Permutation
-steps move keys with no scalar arithmetic at all; only one-qubit and
-Fourier gates touch the algebra.  Each of their entries s is compiled once
-into a multiplier (scalars.multiplier), so a branching step adds every
-product into its output key's slot as integer numerators over one power of
-u and builds one scalar per nonzero slot, not one per product or partial
-sum.  There is no cap on the width: before a one-qubit or Fourier step
-runs, support x 2^(lines of the gate) must be at most circuit.BUDGET, or it
-raises CapExceededError.  Permutation steps map keys one-to-one, so they
-never grow the support.
+become exactly zero are pruned eagerly.  A Circuit is validated when it is
+made, so nothing here validates again.  A circuit runs through one compile
+step: compile_circuit builds every gate's kernel once from bit masks,
+fusing each maximal run of permutation gates and controlled-not layers
+into a single key map.  The resulting Program runs any number of inputs;
+run and apply_layer both go through it.  Permutation steps move keys with
+no scalar arithmetic at all; only one-qubit and Fourier gates touch the
+algebra.  Each of their entries s is compiled once into a multiplier
+(scalars.multiplier), so a branching step adds every product into its
+output key's slot as integer numerators over one power of u and builds one
+scalar per nonzero slot, not one per product or partial sum.  A run's
+width is at most circuit.BUDGET lines, and before a one-qubit or Fourier
+step runs, support x 2^(lines of the gate) must be at most circuit.BUDGET,
+or it raises CapExceededError.  Permutation steps map keys one-to-one, so
+they never grow the support.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .circuit import (
     Layer,
     StagedCNotLayer,
     TensorLayer,
-    check_valid,
+    check_width,
     cnot_action,
     gate_columns,
     key_to_bits,
@@ -193,11 +194,8 @@ def _compile_steps(layers, width: int, ctx) -> tuple:
     return tuple(steps)
 
 
-def compile_circuit(c: Circuit, check: bool = True) -> Program:
-    """Validate once (unless check=False) and build every gate's kernel
-    once."""
-    if check:
-        check_valid(c)
+def compile_circuit(c: Circuit) -> Program:
+    """Build every gate's kernel once."""
     return Program(_compile_steps(c.layers, c.width, c.context))
 
 
@@ -207,17 +205,18 @@ def apply_layer(state: StateVector, layer: Layer) -> StateVector:
     return StateVector(program.apply(state.entries), state.width, state.context)
 
 
-def run(c: Circuit, input_bits: str, check: bool = True) -> StateVector:
+def run(c: Circuit, input_bits: str) -> StateVector:
     """U_t ... U_1 |x, 0^aux> with exact amplitudes."""
+    check_width(c)
     key = parse_bits(input_bits, c.n_inputs) << c.n_aux
-    program = compile_circuit(c, check=check)
+    program = compile_circuit(c)
     return StateVector(program.apply({key: c.context.one()}), c.width, c.context)
 
 
-def amplitude(c: Circuit, input_bits: str, target_bits: str, check: bool = True) -> ExactScalar:
+def amplitude(c: Circuit, input_bits: str, target_bits: str) -> ExactScalar:
     """The single coefficient <target| C |input, 0^aux>."""
     target = parse_bits(target_bits, c.width)
-    return run(c, input_bits, check=check).amplitude_of(target)
+    return run(c, input_bits).amplitude_of(target)
 
 
 def norm_squared(state: StateVector) -> ExactScalar:

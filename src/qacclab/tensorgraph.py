@@ -65,7 +65,7 @@ from .circuit import (
     TensorLayer,
     ToffoliGate,
     FanOutGate,
-    check_valid,
+    check_width,
     parse_bits,
 )
 
@@ -576,11 +576,10 @@ def apply_layer(g: TensorGraph, layer) -> TensorGraph:
     return out
 
 
-def tg_build(c: Circuit, input_bits: str, check: bool = True) -> TensorGraph:
+def tg_build(c: Circuit, input_bits: str) -> TensorGraph:
     """Graph whose amplitude map equals running the circuit on |x, 0^aux>."""
     parse_bits(input_bits, c.n_inputs)
-    if check:
-        check_valid(c)
+    check_width(c)
     g = tg_init(input_bits + "0" * c.n_aux, c.context)
     for layer in c.layers:
         g = apply_layer(g, layer)

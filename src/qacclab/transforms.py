@@ -101,11 +101,13 @@ def equivalence_check(
     """Exhaustive exact comparison <y|target|x> = <y,0|candidate|x,0>.
 
     Also verifies that every reachable candidate state leaves the
-    auxiliary lines at their initial zeros.  `inputs` optionally restricts
-    the compared basis inputs (e.g. to qudigit-encoded states when the
-    construction only promises to simulate the digit encoding).  The
-    candidate, and a circuit or gate target, are validated and compiled
-    once per check, not once per input.
+    auxiliary lines at their initial zeros.  The compared lines are the
+    first `main_lines` lines, by default the candidate's input lines.
+    `inputs` optionally restricts the compared basis inputs (e.g. to
+    qudigit-encoded states when the construction only promises to simulate
+    the digit encoding).  The candidate, and a circuit or gate target, are
+    compiled once per check, not once per input; a circuit was validated
+    when it was made.
     """
     main = main_lines if main_lines is not None else candidate.n_inputs
     if main > EQUIVALENCE_MAIN_CAP:
@@ -175,16 +177,13 @@ def _ctx_for(q: int, ctx) -> AlgebraContext:
 
 
 def build_mq_via_conjugation(n: int, q: int, ctx=None) -> Circuit:
-    """Modular addition as Fourier, inverse q-ary fan-out, inverse Fourier."""
+    """Modular addition as Fourier, inverse q-ary fan-out, inverse Fourier:
+    the one modular-add gate of mq_target, lowered by expand_addmod."""
     if q < 2 or n < 1:
         raise BuilderArgumentError("need q >= 2 and n >= 1")
     ctx = _ctx_for(q, ctx)
-    w = block_width(q)
-    blocks = _blocks(0, n + 1, w)
-    fourier = cir.tensor_layer(*(FourierGate(q, b) for b in blocks))
-    fanout_inv = cir.tensor_layer(FanOutModGate(q, blocks[:-1], blocks[-1], inverse=True))
-    fourier_inv = cir.tensor_layer(*(FourierGate(q, b, inverse=True) for b in blocks))
-    return Circuit((n + 1) * w, 0, (fourier, fanout_inv, fourier_inv), ctx)
+    one_gate = Circuit((n + 1) * block_width(q), 0, (TensorLayer((mq_target(n, q),)),), ctx)
+    return expand_addmod(one_gate)
 
 
 def mq_target(n: int, q: int) -> AddModGate:
@@ -420,59 +419,48 @@ def qudigit_inputs(n_blocks: int, q: int):
 
 @dataclass(frozen=True)
 class BuilderSpec:
-    name: str
+    """A builder and its target; the candidate's input lines are the
+    compared lines."""
+
     needs_r: bool
     build: Callable
     target: Callable
-    main_lines: Callable
     inputs: Callable | None = None  # optional restriction to encoded inputs
 
 
 BUILDERS = {
     "mq_via_conjugation": BuilderSpec(
-        "mq_via_conjugation",
         False,
         lambda n, q, r=0: build_mq_via_conjugation(n, q),
         lambda n, q, r=0: mq_target(n, q),
-        lambda n, q: (n + 1) * block_width(q),
     ),
     "modqr_from_modq": BuilderSpec(
-        "modqr_from_modq",
         True,
         lambda n, q, r=0: build_modqr_from_modq(n, q, r),
         lambda n, q, r=0: ModGate(q, r, tuple(range(n)), n),
-        lambda n, q: n + 1,
     ),
     "modq_from_mq": BuilderSpec(
-        "modq_from_mq",
         False,
         lambda n, q, r=0: build_modq_from_mq(n, q),
         lambda n, q, r=0: ModGate(q, 0, tuple(range(n)), n),
-        lambda n, q: n + 1,
     ),
     "modhat": BuilderSpec(
-        "modhat",
         True,
         lambda n, q, r=0: build_modhat(n, q, r),
         lambda n, q, r=0: modhat_target(n, q, r),
-        lambda n, q: n * block_width(q) + 1,
     ),
     "mq_from_modq": BuilderSpec(
-        "mq_from_modq",
         False,
         lambda n, q, r=0: build_mq_from_modq(n, q),
         lambda n, q, r=0: mq_target(n, q),
-        lambda n, q: (n + 1) * block_width(q),
         # the residue detectors read raw block values, so the simulation is
         # promised on the digit encoding's support only
         inputs=lambda n, q: qudigit_inputs(n + 1, q),
     ),
     "f_from_fq": BuilderSpec(
-        "f_from_fq",
         False,
         lambda n, q, r=0: build_f_from_fq(n, q),
         lambda n, q, r=0: FanOutGate(tuple(range(n)), n),
-        lambda n, q: n + 1,
     ),
 }
 
@@ -481,6 +469,4 @@ def check_builder(name: str, n: int, q: int, r: int = 0) -> EquivalenceReport:
     spec = BUILDERS[name]
     candidate = spec.build(n, q, r)
     inputs = spec.inputs(n, q) if spec.inputs is not None else None
-    return equivalence_check(
-        spec.target(n, q, r), candidate, spec.main_lines(n, q), inputs=inputs
-    )
+    return equivalence_check(spec.target(n, q, r), candidate, inputs=inputs)

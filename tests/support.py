@@ -138,16 +138,16 @@ def _fold_branch(target: dict, key: int, amp) -> bool:
     return False
 
 
-def reference_run(c, input_bits: str) -> tuple[dict, int]:
+def reference_run(layers, input_bits: str, ctx) -> tuple[dict, int]:
     """(state, cancellations): the state {basis key: ExactScalar} of the
-    circuit on the input, applied one layer and one gate at a time with
-    each branch folded through ExactScalar.__mul__ and __add__, and how
-    many partial sums cancelled to exactly zero.  The per-branch path the
-    compiled branching steps are checked against."""
-    ctx, width = c.context, c.width
-    state = {cir.parse_bits(input_bits, c.n_inputs) << c.n_aux: ctx.one()}
+    layers on the input, which spells every line, applied one layer and one
+    gate at a time with each branch folded through ExactScalar.__mul__ and
+    __add__, and how many partial sums cancelled to exactly zero.  The
+    per-branch path the compiled branching steps are checked against."""
+    width = len(input_bits)
+    state = {cir.parse_bits(input_bits, width): ctx.one()}
     cancellations = 0
-    for layer in c.layers:
+    for layer in layers:
         if isinstance(layer, TensorLayer):
             for gate in layer.gates:
                 kernel = cir.gate_kernel(gate, width, ctx)
@@ -342,7 +342,7 @@ def random_circuit(
             layers.append(random_cnot_layer(rng, lines, separated=separated_pairs))
         else:
             layers.append(random_tensor_layer(rng, lines, ctx))
-    return cir.circuit(lines, 0, layers, ctx)
+    return cir.Circuit(lines, 0, tuple(layers), ctx)
 
 
 def random_bits(rng: random.Random, n: int) -> str:

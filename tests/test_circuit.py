@@ -3,7 +3,7 @@ import pytest
 from support import gate_matrix
 
 from qacclab import circuit as cir
-from qacclab import statevec, tensorgraph
+from qacclab import dsl, statevec
 from qacclab.algebra import get_context
 from qacclab.circuit import (
     AddBlockGate,
@@ -33,11 +33,17 @@ def c3():
     return get_context("cyclotomic3")
 
 
+def _diagnostics(*fields) -> list[str]:
+    """The diagnostics that making Circuit(*fields) raises."""
+    with pytest.raises(ValidationError) as exc:
+        Circuit(*fields)
+    return [str(d) for d in exc.value.diagnostics]
+
+
 def test_overlap_diagnostic(c2):
     layer = TensorLayer((cir.hadamard_gate(3), ToffoliGate((3,), 4)))
-    c = Circuit(5, 0, (TensorLayer(()), layer), c2)
-    diags = validate(c)
-    assert any("layer 1" in str(d) and "line 3" in str(d) for d in diags)
+    diags = _diagnostics(5, 0, (TensorLayer(()), layer), c2)
+    assert any("layer 1" in d and "line 3" in d for d in diags)
 
 
 def test_empty_circuit_is_valid(c2):
@@ -45,39 +51,34 @@ def test_empty_circuit_is_valid(c2):
 
 
 def test_non_disjoint_pairs_diagnostic(c2):
-    c = Circuit(3, 0, (CNotLayer(((0, 1), (1, 2))),), c2)
-    assert any("non-disjoint" in str(d) for d in validate(c))
+    assert any("non-disjoint" in d for d in _diagnostics(3, 0, (CNotLayer(((0, 1), (1, 2))),), c2))
 
 
 def test_staged_layer_span_overlap(c2):
-    c = Circuit(4, 0, (StagedCNotLayer((((0, 2), (1, 3)),)),), c2)
-    assert any("overlap" in str(d) for d in validate(c))
+    diags = _diagnostics(4, 0, (StagedCNotLayer((((0, 2), (1, 3)),)),), c2)
+    assert any("overlap" in d for d in diags)
     ok = Circuit(4, 0, (StagedCNotLayer((((0, 1), (2, 3)),)),), c2)
     assert validate(ok) == []
 
 
 def test_block_size_enforced(c3):
-    c = Circuit(3, 0, (TensorLayer((FourierGate(3, (0,)),)),), c3)
-    assert any("block" in str(d) for d in validate(c))
+    layer = TensorLayer((FourierGate(3, (0,)),))
+    assert any("block" in d for d in _diagnostics(3, 0, (layer,), c3))
 
 
 def test_fourier_q_outside_context_diagnostic(c3):
-    # cyclotomic3 holds no 1/sqrt(2): H = Fourier_2 is reported by validate,
-    # before any engine runs
-    c = Circuit(1, 0, (TensorLayer((FourierGate(2, (0,)),)),), c3)
-    assert [str(d) for d in validate(c)] == [
-        "layer 0: context cyclotomic3 has no exact constants for q=2"
-    ]
-    with pytest.raises(ValidationError):
-        statevec.run(c, "0")
-    with pytest.raises(ValidationError):
-        tensorgraph.tg_build(c, "0")
+    # cyclotomic3 holds no 1/sqrt(2): H = Fourier_2 is refused where the
+    # circuit is made, by the DSL as well, before any engine can run it
+    want = ["layer 0: context cyclotomic3 has no exact constants for q=2"]
+    assert _diagnostics(1, 0, (TensorLayer((FourierGate(2, (0,)),)),), c3) == want
+    with pytest.raises(ValidationError) as exc:
+        dsl.parse_circuit("circuit n=1 aux=0 context=cyclotomic3\nlayer { H [0] }\n")
+    assert [str(d) for d in exc.value.diagnostics] == want
 
 
 def test_nonunitary_matrix_rejected(c2):
     g = cir.one_qubit(c2, [[1, 0], [0, 2]], 0)
-    c = Circuit(1, 0, (TensorLayer((g,)),), c2)
-    assert any("unitary" in str(d) for d in validate(c))
+    assert any("unitary" in d for d in _diagnostics(1, 0, (TensorLayer((g,)),), c2))
 
 
 def test_gate_matrix_cnot(c2):
@@ -196,15 +197,16 @@ def test_circuit_stats(c2):
 
 
 def test_circuit_stats_counts_equal_gates_once():
-    # with u = a1: 1/u and u/u^2 are one scalar in two representations, so
-    # the two one-qubit gates below are one distinct gate
+    # with u = a1: u/u and u^2/u^2 are one scalar in two representations,
+    # so the two (unitary) one-qubit gates below are one distinct gate
     from qacclab.algebra import AlgebraContext, ExactScalar, FScalar, polys
 
     one = FScalar(polys.const(1, 1), 0)
     ctx = AlgebraContext(["a1"], ["1"], [[(one,)]], polys.variable(1, 0), {"a1": [2.0, 0.0]})
-    inv_u = ExactScalar(ctx, [FScalar(polys.const(1, 1), 1)])
-    u_over_u2 = ExactScalar(ctx, [FScalar(polys.variable(1, 0), 2)])
-    assert inv_u.key() != u_over_u2.key()
+    u = polys.variable(1, 0)
+    u_over_u = ExactScalar(ctx, [FScalar(u, 1)])
+    u2_over_u2 = ExactScalar(ctx, [FScalar(polys.power(u, 2), 2)])
+    assert u_over_u.key() != u2_over_u2.key()
     zero = ctx.zero()
     c = Circuit(
         2,
@@ -212,8 +214,8 @@ def test_circuit_stats_counts_equal_gates_once():
         (
             TensorLayer(
                 (
-                    cir.OneQubitGate(((inv_u, zero), (zero, inv_u)), 0),
-                    cir.OneQubitGate(((u_over_u2, zero), (zero, u_over_u2)), 1),
+                    cir.OneQubitGate(((u_over_u, zero), (zero, u_over_u)), 0),
+                    cir.OneQubitGate(((u2_over_u2, zero), (zero, u2_over_u2)), 1),
                 )
             ),
         ),
@@ -223,8 +225,8 @@ def test_circuit_stats_counts_equal_gates_once():
 
 
 def test_line_out_of_range_diagnostic(c2):
-    c = Circuit(2, 0, (TensorLayer((ToffoliGate((0,), 5),)),), c2)
-    assert any("out of range" in str(d) for d in validate(c))
+    diags = _diagnostics(2, 0, (TensorLayer((ToffoliGate((0,), 5),)),), c2)
+    assert any("out of range" in d for d in diags)
 
 
 def test_gate_matrix_width_cap(c3):

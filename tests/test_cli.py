@@ -131,6 +131,35 @@ def test_input_errors_are_one_line(capsys, tmp_path, hadamard_file, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_unreadable_files_exit_2_with_one_line(capsys, tmp_path, hadamard_file):
+    latin1 = tmp_path / "latin1.qc"
+    latin1.write_bytes(b"circuit n=1 aux=0 # caf\xe9\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (
+        ["--circuit", str(tmp_path)],
+        ["--circuit", str(latin1)],
+        ["--circuit", hadamard_file, "--context-file", str(tmp_path)],
+        ["--circuit", hadamard_file, "--context-file", str(deep)],
+    ):
+        code, out, err = run_cli(capsys, "simulate", "--input", "0", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_circuit_wider_than_the_budget_exits_3(capsys, tmp_path):
+    # refused before a key or graph of 10^12 lines is built
+    wide = tmp_path / "wide.qc"
+    wide.write_text("circuit n=1 aux=1000000000000\nlayer { H [0] }\n")
+    for cmd in ("simulate", "graph", "metrics"):
+        code, out, err = run_cli(capsys, cmd, "--circuit", str(wide), "--input", "0")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    huge = str(10**12)
+    code, out, err = run_cli(capsys, "build", "--builder", "modhat", "--n", huge, "--q", "3")
+    assert code == 3 and out == "" and "work budget" in err
+
+
 def test_work_budget_exits_3_with_one_line(capsys, monkeypatch, bell_file):
     from qacclab import circuit as cir
 

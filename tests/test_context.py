@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import pytest
 
 from qacclab.algebra import (
+    CONTEXT_DIM_CAP,
     AlgebraContext,
     ContextError,
     FScalar,
@@ -12,8 +14,10 @@ from qacclab.algebra import (
     get_context,
     load_context,
     polys,
+    rational_context,
     save_context,
 )
+from qacclab.algebra import context as context_module
 
 
 def test_cyclotomic_polynomials():
@@ -139,3 +143,52 @@ def test_conjugation_table_is_a_numeric_involution(q):
         conj = beta.conjugate()
         assert abs(conj.numeric() - beta.numeric().conjugate()) < 1e-9, (q, j)
         assert (conj.conjugate() - beta).is_zero(), (q, j)
+
+
+def test_cyclotomic_dimension_cap_refuses_before_building(monkeypatch):
+    t0 = time.perf_counter()
+    for name in ("cyclotomic10007", "cyclotomic193", "cyclotomic254", f"cyclotomic{10**12}"):
+        with pytest.raises(ContextError, match=f"above the cap {CONTEXT_DIM_CAP}"):
+            get_context(name)
+    assert time.perf_counter() - t0 < 1
+    # the dimension is worked out from q alone: phi(q), doubled for q = 2, 3 mod 4
+    monkeypatch.setattr(context_module, "CONTEXT_DIM_CAP", 12)
+    for q in range(2, 40):
+        try:
+            dim = cyclotomic_context(q).dim
+        except ContextError:
+            dim = None
+        phi = sum(math.gcd(k, q) == 1 for k in range(1, q + 1))
+        want = phi * (2 if q % 4 in (2, 3) else 1)
+        assert dim == (want if want <= 12 else None), q
+
+
+def test_context_file_fourier_q_beyond_its_dimension(tmp_path):
+    path = tmp_path / "ctx.json"
+    data = rational_context(10).to_json()
+    t0 = time.perf_counter()
+    for q in (3, 12000, 10**12):
+        path.write_text(json.dumps({**data, "fourier_q": q}))
+        with pytest.raises(ContextError, match=f"fourier_q={q}: phi"):
+            load_context(path)
+    for q in ("3", 0, -5, 2.5):
+        path.write_text(json.dumps({**data, "fourier_q": q}))
+        with pytest.raises(ContextError, match="positive integer"):
+            load_context(path)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_context_file_table_exponents_are_bounded(tmp_path):
+    data = get_context("cyclotomic2").to_json()
+    data["mult_table"][1][1][0]["r"] = 10**12
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ContextError, match="outside u\\^0..u\\^64"):
+        load_context(path)
+
+
+def test_deeply_nested_context_file_is_context_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ContextError, match="nests too deeply"):
+        load_context(path)

@@ -21,7 +21,8 @@ from qacclab.circuit import (
     ToffoliGate,
     ValidationError,
 )
-from qacclab.dsl import ParseError, parse_circuit, scalar_to_text, serialize_circuit
+from qacclab.algebra import CONTEXT_DIM_CAP
+from qacclab.dsl import EXPONENT_CAP, ParseError, parse_circuit, scalar_to_text, serialize_circuit
 
 
 def test_parse_hadamard_circuit():
@@ -121,6 +122,28 @@ def test_u_gate_symbol_powers():
     gate = c.layers[0].gates[0]
     # z^5 = 1
     assert (gate.matrix[1][1] - c.context.one()).is_zero()
+
+
+def test_exponent_above_the_cap_is_refused_at_its_token():
+    # every basis name z^j of a context has j below its dimension
+    assert EXPONENT_CAP >= CONTEXT_DIM_CAP
+    text = "circuit n=1 aux=0 context=cyclotomic5\nlayer {{ U [[1,0],[0,z^{}]] [0] }}"
+    for k in (EXPONENT_CAP + 1, 10**9):
+        with pytest.raises(ParseError, match=f"exponent {k} is above the cap") as exc:
+            parse_circuit(text.format(k))
+        assert (exc.value.line, exc.value.col) == (2, 23)
+    z = get_context("cyclotomic5").constants["z"]
+    assert parse_circuit(text.format(2)).layers[0].gates[0].matrix[1][1] == z * z
+    z_cap = parse_circuit(text.format(EXPONENT_CAP)).layers[0].gates[0].matrix[1][1]
+    assert z_cap == get_context("cyclotomic5").fourier_scalars(5)[0][EXPONENT_CAP % 5]
+
+
+def test_overlong_numbers_are_parse_errors():
+    # int() converts at most 4300 digits; past that the token is refused
+    with pytest.raises(ParseError, match="2:17: Exceeds the limit"):
+        parse_circuit("circuit n=1 aux=0\nlayer { TOF [-> " + "1" * 5000 + "] }")
+    with pytest.raises(ParseError, match="Exceeds the limit"):
+        parse_circuit("circuit n=1 aux=0 context=cyclotomic" + "9" * 5000 + "\n")
 
 
 def test_rational_literal_requires_compatible_denominator():

@@ -208,7 +208,7 @@ def test_builder_outputs_restore_aux_structurally():
     # every builder: on every basis input, all reachable states keep aux = 0
     for name, spec in tf.BUILDERS.items():
         c = spec.build(2, 3, 1 if spec.needs_r else 0)
-        aux = c.width - spec.main_lines(2, 3)
+        aux = c.n_aux
         mask = (1 << aux) - 1
         for x in range(1 << c.n_inputs):
             state = sv.run(c, cir.key_to_bits(x, c.n_inputs))
