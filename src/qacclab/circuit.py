@@ -166,9 +166,6 @@ Gate = Union[
     AddBlockGate,
 ]
 
-BLOCK_GATES = (AddModGate, FanOutModGate, FourierGate, AddBlockGate)
-
-
 # -- layers ------------------------------------------------------------------
 
 
@@ -385,7 +382,7 @@ def parse_bits(bits: str, width: int) -> int:
 # value of the block's bits (2^len(block) entries), never one per key.
 
 
-def _block_codes(block: tuple[int, ...], width: int) -> list[int]:
+def block_codes(block: tuple[int, ...], width: int) -> list[int]:
     """Entry v holds the key bits that spell value v in the block."""
     codes = [0]
     for l in reversed(block):
@@ -397,14 +394,14 @@ def _block_codes(block: tuple[int, ...], width: int) -> list[int]:
 def _digit_reader(block, width: int, q: int, sign: int):
     """(block mask, table: block bits -> sign * value mod q), where a
     non-qudigit value reads as 0."""
-    codes = _block_codes(block, width)
+    codes = block_codes(block, width)
     return codes[-1], {c: (sign * v) % q if v < q else 0 for v, c in enumerate(codes)}
 
 
 def _digit_adder(block, width: int, q: int):
     """(block mask, table: block bits -> the bits after adding d, at index
     d for d in 0..q-1), where a non-qudigit value is left unchanged."""
-    codes = _block_codes(block, width)
+    codes = block_codes(block, width)
     return codes[-1], {
         c: tuple(codes[(v + d) % q] for d in range(q)) if v < q else (c,) * q
         for v, c in enumerate(codes)
@@ -499,7 +496,7 @@ def gate_columns(g: Gate, width: int, ctx) -> tuple[int, dict]:
             for b in (0, 1)
         ]
     elif isinstance(g, FourierGate):
-        codes = _block_codes(g.block, width)
+        codes = block_codes(g.block, width)
         columns = [[(codes[y], s) for y, s in col] for col in fourier_columns(g, ctx)]
     else:
         raise TypeError(f"unknown gate {type(g).__name__}")
@@ -530,7 +527,7 @@ def apply_gate_to_basis(g: Gate, key: int, width: int, ctx):
 # -- inversion ---------------------------------------------------------------
 
 
-def inverse_gate(g: Gate, ctx) -> Gate:
+def inverse_gate(g: Gate) -> Gate:
     if isinstance(g, OneQubitGate):
         m = g.matrix
         conj = [[m[j][i].conjugate() for j in range(2)] for i in range(2)]
@@ -546,9 +543,9 @@ def _fields(g):
     return {f: getattr(g, f) for f in g.__dataclass_fields__}
 
 
-def inverse_layer(layer: Layer, ctx) -> Layer:
+def inverse_layer(layer: Layer) -> Layer:
     if isinstance(layer, TensorLayer):
-        return TensorLayer(tuple(inverse_gate(g, ctx) for g in layer.gates))
+        return TensorLayer(tuple(inverse_gate(g) for g in layer.gates))
     if isinstance(layer, CNotLayer):
         return layer
     if isinstance(layer, StagedCNotLayer):
@@ -560,7 +557,7 @@ def inverse_circuit(c: Circuit) -> Circuit:
     return Circuit(
         c.n_inputs,
         c.n_aux,
-        tuple(inverse_layer(layer, c.context) for layer in reversed(c.layers)),
+        tuple(inverse_layer(layer) for layer in reversed(c.layers)),
         c.context,
     )
 

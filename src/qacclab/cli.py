@@ -24,7 +24,7 @@ def _load_circuit(args):
     return dsl.parse_circuit(text, context=context)
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human: str | None) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
@@ -91,7 +91,10 @@ def _builder_args(args):
         raise UsageError(f"--q {args.q} must be at least 2")
     if not 0 <= args.r < args.q:
         raise UsageError(f"--r {args.r} must satisfy 0 <= r < q = {args.q}")
-    return transforms.BUILDERS[name]
+    spec = transforms.BUILDERS[name]
+    if args.r and not spec.needs_r:
+        raise UsageError(f"--r {args.r} given, but builder {name!r} takes no r")
+    return spec
 
 
 def cmd_build(args) -> int:
@@ -121,7 +124,9 @@ def cmd_graph(args) -> int:
     g = tensorgraph.tg_build(c, args.input)
     if args.target is None:
         payload = tensorgraph.tg_to_json(g)
-        _emit(args, payload, json.dumps(payload, sort_keys=True, indent=1))
+        # the indented dump costs more than the graph; make it only to print it
+        human = None if args.json else json.dumps(payload, sort_keys=True, indent=1)
+        _emit(args, payload, human)
         return 0
     if args.method == "paths":
         amp = tensorgraph.tg_amplitude_paths(g, args.target)

@@ -39,10 +39,11 @@ implement:
 The binding correctness contract for all of these is exact agreement with
 the brute-force state-vector simulator.
 
-The public apply_* functions are pure: each copies its input graph once and
-returns the copy.  The private helpers behind them (_one_qubit, _toffoli,
-_fanout, _dense, _cnot_pair, _apply_span_variants) change the graph they
-are given in place, so apply_layer copies once per layer, not once per gate.
+apply_layer is the one public way to change a graph, and it is pure: it
+copies its input graph once and returns the copy.  The private rules behind
+it (_one_qubit, _toffoli, _fanout, _dense, _cnot_pair, _apply_span_variants)
+change the graph they are given in place, so a layer costs one copy, not
+one per gate.
 
 A graph holds at most circuit.BUDGET nodes: add_node, through which every
 node passes, raises CapExceededError before the count would go past it.
@@ -50,7 +51,7 @@ node passes, raises CapExceededError before the count would go past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 
 from .algebra import ExactScalar
@@ -80,50 +81,48 @@ class GraphError(RuntimeError):
 
 
 class ColorProduct:
-    """Product of colors/anticolors; at most one polarity per color id.
+    """Product of colors/anticolors as two bit masks: bit i of colors is
+    color i, bit i of antis its anticolor; no bit is set in both.
 
     times() returns None when the product annihilates (a color meets its
     anticolor); matching factors cancel pairwise.  The empty product is
     the scalar 1.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("colors", "antis")
 
-    def __init__(self, factors=frozenset()):
-        self.factors = frozenset(factors)
-        ids = [cid for cid, _ in self.factors]
-        if len(ids) != len(set(ids)):
-            raise GraphError("color product holds both polarities of one color")
+    def __init__(self, colors: int = 0, antis: int = 0):
+        self.colors = colors
+        self.antis = antis
 
     def times(self, other: "ColorProduct"):
-        if not other.factors:
-            return self
-        if not self.factors:
-            return other
-        mine = dict(self.factors)
-        out = dict(mine)
-        for cid, anti in other.factors:
-            if cid in mine:
-                if mine[cid] != anti:
-                    return None  # c * anti(c) = 0
-                del out[cid]
-            else:
-                out[cid] = anti
-        return ColorProduct(frozenset(out.items()))
+        if self.colors & other.antis or self.antis & other.colors:
+            return None  # c * anti(c) = 0
+        return ColorProduct(self.colors ^ other.colors, self.antis ^ other.antis)
+
+    def factors(self):
+        """(color id, is anticolor) pairs, by color id."""
+        both = self.colors | self.antis
+        while both:
+            low = both & -both
+            yield low.bit_length() - 1, bool(self.antis & low)
+            both ^= low
 
     def is_unit(self) -> bool:
-        return not self.factors
+        return not (self.colors or self.antis)
 
     def __eq__(self, other):
-        return isinstance(other, ColorProduct) and self.factors == other.factors
+        if not isinstance(other, ColorProduct):
+            return NotImplemented
+        return self.colors == other.colors and self.antis == other.antis
 
     def __hash__(self):
-        return hash(self.factors)
+        return hash((self.colors, self.antis))
 
     def __repr__(self):
-        if not self.factors:
+        if self.is_unit():
             return "{1}"
-        names = [f"~c{cid}" if anti else f"c{cid}" for cid, anti in sorted(self.factors)]
+        names = [f"~c{cid}" if anti else f"c{cid}" for cid, anti in self.factors()]
         return "{" + "*".join(names) + "}"
 
 
@@ -131,21 +130,11 @@ UNIT_PRODUCT = ColorProduct()
 
 
 def color(cid: int) -> ColorProduct:
-    return ColorProduct(frozenset({(cid, False)}))
+    return ColorProduct(colors=1 << cid)
 
 
 def anticolor(cid: int) -> ColorProduct:
-    return ColorProduct(frozenset({(cid, True)}))
-
-
-def fold_color_products(products) -> ColorProduct | None:
-    """Left-to-right product, the order paths multiply their factors in."""
-    acc = UNIT_PRODUCT
-    for p in products:
-        acc = acc.times(p)
-        if acc is None:
-            return None
-    return acc
+    return ColorProduct(antis=1 << cid)
 
 
 class ColorTerm:
@@ -156,16 +145,6 @@ class ColorTerm:
     def __init__(self, ctx, terms=None):
         self.ctx = ctx
         self.terms = dict(terms or {})
-
-    @classmethod
-    def unit(cls, ctx):
-        return cls(ctx, {UNIT_PRODUCT: ctx.one()})
-
-    @classmethod
-    def single(cls, ctx, product: ColorProduct, scalar: ExactScalar):
-        if scalar.is_zero():
-            return cls(ctx)
-        return cls(ctx, {product: scalar})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -211,20 +190,18 @@ class ColorTerm:
         return " + ".join(f"{p!r}*({s!r})" for p, s in self.terms.items())
 
 
-def color_mul(a: ColorTerm, b: ColorTerm) -> ColorTerm:
-    return a.times(b)
-
-
 # -- the graph -----------------------------------------------------------------
 
 
 class TensorGraph:
-    """Mutating builder methods are for construction and loaders; the
-    apply_* functions below never modify their argument.
+    """Mutating builder methods are for construction and loaders;
+    apply_layer never modifies its argument.
 
     levels indexes node ids by height, in insertion order.  The
     extraction order (_topo_nodes) is kept on the graph until add_node or
-    add_hedge changes its structure.
+    add_hedge changes its structure; the path count (tg_path_count) is
+    kept beside it, as (source, terminal, count), until add_node,
+    add_vedge or add_hedge does.
     """
 
     def __init__(self, ctx, height: int):
@@ -241,6 +218,7 @@ class TensorGraph:
         self._next_color = 0
         self.dense_lowered_gates = 0
         self._order: list[int] | None = None
+        self._paths: tuple[int, int, int] | None = None
 
     # construction ---------------------------------------------------------
 
@@ -254,7 +232,7 @@ class TensorGraph:
             raise GraphError(f"duplicate node id {nid}")
         self.nodes[nid] = height
         self.levels.setdefault(height, []).append(nid)
-        self._order = None
+        self._order = self._paths = None
         self._next_node = max(self._next_node, nid + 1)
         return nid
 
@@ -267,12 +245,13 @@ class TensorGraph:
             raise GraphError("vertical edge must descend exactly one height")
         self.vout[src] = (dst, product, a0, a1)
         self.vin[dst] = src
+        self._paths = None
 
     def add_hedge(self, src: int, dst: int):
         if self.nodes[src] != self.nodes[dst]:
             raise GraphError("horizontal edge must stay at one height")
         self.hout.setdefault(src, []).append(dst)
-        self._order = None
+        self._order = self._paths = None
 
     def copy(self) -> "TensorGraph":
         g = TensorGraph(self.ctx, self.height)
@@ -287,11 +266,6 @@ class TensorGraph:
         g._next_color = self._next_color
         g.dense_lowered_gates = self.dense_lowered_gates
         return g
-
-    def fresh_color(self) -> int:
-        cid = self._next_color
-        self._next_color += 1
-        return cid
 
     # views ------------------------------------------------------------------
 
@@ -327,18 +301,8 @@ def tg_init(bits: str, ctx) -> TensorGraph:
 # -- gate application ------------------------------------------------------------
 
 
-def _on_copy(helper, g: TensorGraph, *args) -> TensorGraph:
-    out = g.copy()
-    helper(out, *args)
-    return out
-
-
-def apply_one_qubit(g: TensorGraph, matrix, line: int) -> TensorGraph:
-    """Left-multiply the amplitude pair of every edge at the line's height."""
-    return _on_copy(_one_qubit, g, matrix, line)
-
-
 def _one_qubit(g: TensorGraph, matrix, line: int) -> None:
+    """Left-multiply the amplitude pair of every edge at the line's height."""
     vout = g.vout
     for src in g.levels.get(line, ()):
         edge = vout.get(src)
@@ -393,12 +357,8 @@ def _apply_span_variants(g: TensorGraph, lo: int, hi: int, transforms) -> None:
             g.vout[src] = (dst, product2, b0, b1)
 
 
-def apply_toffoli(g: TensorGraph, controls, target: int) -> TensorGraph:
-    """AND_m(X) = identity plus an all-controls-1 correction variant."""
-    return _on_copy(_toffoli, g, controls, target)
-
-
 def _toffoli(g: TensorGraph, controls, target: int) -> None:
+    """AND_m(X) = identity plus an all-controls-1 correction variant."""
     if not controls:
         ctx = g.ctx
         x_matrix = (
@@ -426,12 +386,8 @@ def _toffoli(g: TensorGraph, controls, target: int) -> None:
     _apply_span_variants(g, lo, hi, [identity, correction])
 
 
-def apply_fanout(g: TensorGraph, targets, control: int) -> TensorGraph:
-    """F = (control |0> branch, targets kept) + (|1> branch, targets swapped)."""
-    return _on_copy(_fanout, g, targets, control)
-
-
 def _fanout(g: TensorGraph, targets, control: int) -> None:
+    """F = (control |0> branch, targets kept) + (|1> branch, targets swapped)."""
     lines = tuple(targets) + (control,)
     lo, hi = min(lines) + 1, max(lines) + 1
     target_heights = {t + 1 for t in targets}
@@ -453,21 +409,15 @@ def _fanout(g: TensorGraph, targets, control: int) -> None:
     _apply_span_variants(g, lo, hi, [keep_zero, one_branch])
 
 
-def apply_dense_gate(g: TensorGraph, gate) -> TensorGraph:
-    """Lower a block gate: one span variant per nonzero matrix entry."""
-    return _on_copy(_dense, g, gate)
-
-
 def _dense(g: TensorGraph, gate) -> None:
+    """Lower a block gate: one span variant per nonzero matrix entry."""
     ctx = g.ctx
     lines = tuple(gate.lines())
     k = len(lines)
-    local = _relabel(gate, {l: i for i, l in enumerate(lines)})
-    kernel = cir.gate_kernel(local, k, ctx)
-    entries = []
-    for x in range(1 << k):
-        for y, scalar in kernel(x):
-            entries.append((x, y, scalar))
+    codes = cir.block_codes(lines, g.height)  # local value x -> key bits
+    local = {c: x for x, c in enumerate(codes)}
+    kernel = cir.gate_kernel(gate, g.height, ctx)
+    entries = [(x, local[y], scalar) for x, c in enumerate(codes) for y, scalar in kernel(c)]
     lo, hi = min(lines) + 1, max(lines) + 1
     first_line = lines[0]
     position = {l: i for i, l in enumerate(lines)}
@@ -492,25 +442,7 @@ def _dense(g: TensorGraph, gate) -> None:
     g.dense_lowered_gates += 1
 
 
-def _relabel(gate, mapping):
-    def remap(v):
-        if isinstance(v, tuple):
-            return tuple(remap(x) for x in v)
-        if isinstance(v, int) and not isinstance(v, bool):
-            return mapping[v]
-        return v
-
-    fields = {}
-    for name in gate.__dataclass_fields__:
-        value = getattr(gate, name)
-        if name in ("matrix", "q", "r", "inverse"):
-            fields[name] = value
-        else:
-            fields[name] = remap(value)
-    return type(gate)(**fields)
-
-
-def apply_cnot_pair(g: TensorGraph, control: int, target: int) -> TensorGraph:
+def _cnot_pair(g: TensorGraph, control: int, target: int) -> None:
     """Color-bound split of the control and target heights.
 
     Control edges become (C*c, a0, 0) with an anticolor companion
@@ -518,11 +450,8 @@ def apply_cnot_pair(g: TensorGraph, control: int, target: int) -> TensorGraph:
     (C*~c, a1, a0).  Mixed picks annihilate through c*~c = 0, so only the
     two globally consistent branch choices survive.
     """
-    return _on_copy(_cnot_pair, g, control, target)
-
-
-def _cnot_pair(g: TensorGraph, control: int, target: int) -> None:
-    cid = g.fresh_color()
+    cid = g._next_color
+    g._next_color += 1
     c, anti = color(cid), anticolor(cid)
     zero = g.ctx.zero()
     for height, is_control in ((control + 1, True), (target + 1, False)):
@@ -544,35 +473,35 @@ def _cnot_pair(g: TensorGraph, control: int, target: int) -> None:
             g.add_hedge(r, dst)
 
 
-def apply_cnot_layer(g: TensorGraph, pairs) -> TensorGraph:
-    out = g.copy()
-    for control, target in pairs:
-        _cnot_pair(out, control, target)
-    return out
-
-
 def apply_layer(g: TensorGraph, layer) -> TensorGraph:
+    """A copy of g with the layer applied; g itself is left unchanged."""
+    if isinstance(layer, TensorLayer):
+        out = g.copy()
+        for gate in layer.gates:
+            if isinstance(gate, OneQubitGate):
+                _one_qubit(out, gate.matrix, gate.line)
+            elif isinstance(gate, FourierGate) and gate.q == 2:
+                zeta, invsq = out.ctx.fourier_scalars(2)
+                sign = -invsq
+                matrix = ((invsq, invsq), (invsq, sign))
+                _one_qubit(out, matrix, gate.block[0])
+            elif isinstance(gate, ToffoliGate):
+                _toffoli(out, gate.controls, gate.target)
+            elif isinstance(gate, FanOutGate):
+                _fanout(out, gate.targets, gate.control)
+            else:
+                _dense(out, gate)
+        return out
     if isinstance(layer, CNotLayer):
-        return apply_cnot_layer(g, layer.pairs)
-    if isinstance(layer, StagedCNotLayer):
-        return apply_cnot_layer(g, [pair for stage in layer.stages for pair in stage])
-    if not isinstance(layer, TensorLayer):
+        stages = (layer.pairs,)
+    elif isinstance(layer, StagedCNotLayer):
+        stages = layer.stages
+    else:
         raise TypeError(f"unknown layer {type(layer).__name__}")
     out = g.copy()
-    for gate in layer.gates:
-        if isinstance(gate, OneQubitGate):
-            _one_qubit(out, gate.matrix, gate.line)
-        elif isinstance(gate, FourierGate) and gate.q == 2:
-            zeta, invsq = out.ctx.fourier_scalars(2)
-            sign = -invsq
-            matrix = ((invsq, invsq), (invsq, sign))
-            _one_qubit(out, matrix, gate.block[0])
-        elif isinstance(gate, ToffoliGate):
-            _toffoli(out, gate.controls, gate.target)
-        elif isinstance(gate, FanOutGate):
-            _fanout(out, gate.targets, gate.control)
-        else:
-            _dense(out, gate)
+    for stage in stages:
+        for control, target in stage:
+            _cnot_pair(out, control, target)
     return out
 
 
@@ -621,11 +550,6 @@ def _topo_nodes(g: TensorGraph) -> list[int]:
     return order
 
 
-def _edge_value(g: TensorGraph, product, a0, a1, bit: str) -> ColorTerm:
-    amp = a0 if bit == "0" else a1
-    return ColorTerm.single(g.ctx, product, amp)
-
-
 def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
     """Height-by-height dynamic program over color terms.
 
@@ -635,7 +559,7 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
     """
     parse_bits(target_bits, g.height)
     ctx = g.ctx
-    acc: dict[int, ColorTerm] = {g.source: ColorTerm.unit(ctx)}  # reached nodes only
+    acc = {g.source: ColorTerm(ctx, {UNIT_PRODUCT: ctx.one()})}  # reached nodes only
 
     def add(dst, term):
         prev = acc.get(dst)
@@ -650,9 +574,9 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
         edge = g.vout.get(node)
         if edge is not None:
             dst, product, a0, a1 = edge
-            term = _edge_value(g, product, a0, a1, target_bits[g.nodes[dst] - 1])
-            if not term.is_zero():
-                add(dst, value.times(term))
+            amp = a0 if target_bits[g.nodes[dst] - 1] == "0" else a1
+            if not amp.is_zero():
+                add(dst, value.times(ColorTerm(ctx, {product: amp})))
     final = acc.get(g.terminal, ColorTerm(ctx))
     if final.colored_residue():
         raise GraphError("terminal value keeps color factors: graph is not color consistent")
@@ -660,6 +584,11 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
 
 
 def tg_path_count(g: TensorGraph) -> int:
+    """Number of source-terminal paths; kept on the graph as (source,
+    terminal, count) until add_node, add_vedge or add_hedge drops it."""
+    kept = g._paths
+    if kept is not None and kept[0] == g.source and kept[1] == g.terminal:
+        return kept[2]
     count = {g.source: 1}
     for node in _topo_nodes(g):
         c = count.get(node)
@@ -670,17 +599,19 @@ def tg_path_count(g: TensorGraph) -> int:
         if node in g.vout:
             dst = g.vout[node][0]
             count[dst] = count.get(dst, 0) + c
-    return count.get(g.terminal, 0)
+    n_paths = count.get(g.terminal, 0)
+    g._paths = (g.source, g.terminal, n_paths)
+    return n_paths
 
 
-def tg_amplitude_paths(
-    g: TensorGraph, target_bits: str, cap: int = PATH_CAP_DEFAULT
-) -> ExactScalar:
-    """Sum over explicit source-terminal paths; color-annihilated paths drop."""
+def tg_amplitude_paths(g: TensorGraph, target_bits: str) -> ExactScalar:
+    """Sum over explicit source-terminal paths; color-annihilated paths drop.
+
+    Refused with CapExceededError past PATH_CAP_DEFAULT paths."""
     parse_bits(target_bits, g.height)
     n_paths = tg_path_count(g)
-    if n_paths > cap:
-        raise CapExceededError(f"{n_paths} paths exceed the cap {cap}")
+    if n_paths > PATH_CAP_DEFAULT:
+        raise CapExceededError(f"{n_paths} paths exceed the cap {PATH_CAP_DEFAULT}")
     ctx = g.ctx
     total = ctx.zero()
     stack = [(g.source, UNIT_PRODUCT, ctx.one())]
@@ -721,21 +652,14 @@ class GraphMetrics:
     dense_lowered_gates: int
 
     def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "path_count": self.path_count,
-            "color_depth": self.color_depth,
-            "color_consistent": self.color_consistent,
-            "dense_lowered_gates": self.dense_lowered_gates,
-        }
+        return asdict(self)
 
 
 def tg_metrics(g: TensorGraph) -> GraphMetrics:
     heights_of_color: dict[int, dict[bool, set]] = {}
     for src, (dst, product, _a0, _a1) in g.vout.items():
         h = g.nodes[dst]
-        for cid, anti in product.factors:
+        for cid, anti in product.factors():
             heights_of_color.setdefault(cid, {False: set(), True: set()})[anti].add(h)
     consistent = True
     spans = []
@@ -771,7 +695,7 @@ def tg_to_json(g: TensorGraph) -> dict:
             {
                 "from": src,
                 "to": dst,
-                "colors": [[cid, int(anti)] for cid, anti in sorted(product.factors)],
+                "colors": [[cid, int(anti)] for cid, anti in product.factors()],
                 "amp0": a0.to_json(),
                 "amp1": a1.to_json(),
             }
@@ -790,20 +714,33 @@ def tg_to_json(g: TensorGraph) -> dict:
     }
 
 
+def _product_from_json(colors) -> ColorProduct:
+    """The one check of color ids from outside: each id is an int in
+    [0, circuit.BUDGET), read as is, with polarity 0 or 1, and no id is
+    given with both polarities."""
+    masks = [0, 0]  # colors, antis
+    for cid, anti in colors:
+        if type(cid) is not int or not 0 <= cid < cir.BUDGET:
+            raise GraphError(f"color id {cid!r} is not an int in [0, {cir.BUDGET})")
+        if anti not in (0, 1):
+            raise GraphError(f"color polarity {anti!r} is not 0 or 1")
+        masks[anti] |= 1 << cid
+    if masks[0] & masks[1]:
+        raise GraphError("color product holds both polarities of one color")
+    return ColorProduct(*masks)
+
+
 def tg_from_json(data: dict, ctx) -> TensorGraph:
     heights = [n["height"] for n in data["nodes"]]
     g = TensorGraph(ctx, max(heights) if heights else 0)
     for n in data["nodes"]:
         g.add_node(n["height"], n["id"])
     for e in data["vedges"]:
-        product = ColorProduct(
-            frozenset((int(cid), bool(anti)) for cid, anti in e["colors"])
-        )
+        product = _product_from_json(e["colors"])
         a0 = ExactScalar.from_json(ctx, e["amp0"])
         a1 = ExactScalar.from_json(ctx, e["amp1"])
         g.add_vedge(e["from"], e["to"], product, a0, a1)
-        for cid, _anti in product.factors:
-            g._next_color = max(g._next_color, cid + 1)
+        g._next_color = max(g._next_color, (product.colors | product.antis).bit_length())
     for e in data["hedges"]:
         g.add_hedge(e["from"], e["to"])
     g.source = data["source"]

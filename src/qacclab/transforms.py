@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .algebra import AlgebraContext, get_context
+from .algebra import get_context
 from . import circuit as cir
 from .circuit import (
     AddBlockGate,
@@ -172,16 +172,12 @@ def _blocks(first_line: int, count: int, w: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _ctx_for(q: int, ctx) -> AlgebraContext:
-    return ctx if ctx is not None else get_context(f"cyclotomic{q}")
-
-
-def build_mq_via_conjugation(n: int, q: int, ctx=None) -> Circuit:
+def build_mq_via_conjugation(n: int, q: int) -> Circuit:
     """Modular addition as Fourier, inverse q-ary fan-out, inverse Fourier:
     the one modular-add gate of mq_target, lowered by expand_addmod."""
     if q < 2 or n < 1:
         raise BuilderArgumentError("need q >= 2 and n >= 1")
-    ctx = _ctx_for(q, ctx)
+    ctx = get_context(f"cyclotomic{q}")
     one_gate = Circuit((n + 1) * block_width(q), 0, (TensorLayer((mq_target(n, q),)),), ctx)
     return expand_addmod(one_gate)
 
@@ -192,11 +188,11 @@ def mq_target(n: int, q: int) -> AddModGate:
     return AddModGate(q, blocks[:-1], blocks[-1])
 
 
-def build_modqr_from_modq(n: int, q: int, r: int, ctx=None) -> Circuit:
+def build_modqr_from_modq(n: int, q: int, r: int) -> Circuit:
     """MOD_{q,r} from a MOD_q gate with (q-r) mod q extra inputs held at 1."""
     if not 0 <= r < q:
         raise BuilderArgumentError("need 0 <= r < q")
-    ctx = _ctx_for(q, ctx)
+    ctx = get_context(f"cyclotomic{q}")
     extra = (q - r) % q
     aux = tuple(range(n + 1, n + 1 + extra))
     layers = []
@@ -208,10 +204,10 @@ def build_modqr_from_modq(n: int, q: int, r: int, ctx=None) -> Circuit:
     return Circuit(n + 1, extra, tuple(layers), ctx)
 
 
-def build_modq_from_mq(n: int, q: int, ctx=None) -> Circuit:
+def build_modq_from_mq(n: int, q: int) -> Circuit:
     """|x, b> -> |x, b xor Mod_q(x)>: add the bits mod q with a modular-add
     gate, detect a zero sum with an all-negated Toffoli, then uncompute."""
-    ctx = _ctx_for(q, ctx)
+    ctx = get_context(f"cyclotomic{q}")
     w = block_width(q)
     b_line = n
     s_block = tuple(range(n + 1, n + 1 + w))
@@ -229,7 +225,7 @@ def build_modq_from_mq(n: int, q: int, ctx=None) -> Circuit:
         negate_s,
         cir.tensor_layer(ToffoliGate(s_block, b_line)),
         negate_s,
-        cir.tensor_layer(cir.inverse_gate(add, ctx)),
+        cir.tensor_layer(cir.inverse_gate(add)),
     )
     return Circuit(n + 1, w + len(pads), layers, ctx)
 
@@ -258,11 +254,11 @@ def _fan_copy_layout(n: int, q: int, first_aux: int):
     return fans, tuple(mod_inputs), cursor
 
 
-def build_modhat(n: int, q: int, r: int, ctx=None) -> Circuit:
+def build_modhat(n: int, q: int, r: int) -> Circuit:
     """Digit-sum residue detector: constant fan-out feeding one MOD gate."""
     if not 0 <= r < q:
         raise BuilderArgumentError("need 0 <= r < q")
-    ctx = _ctx_for(q, ctx)
+    ctx = get_context(f"cyclotomic{q}")
     w = block_width(q)
     b_line = n * w
     fans, mod_inputs, cursor = _fan_copy_layout(n, q, n * w + 1)
@@ -292,7 +288,7 @@ def modhat_target(n: int, q: int, r: int) -> Callable[[int], int]:
     return act
 
 
-def build_mq_from_modq(n: int, q: int, ctx=None) -> Circuit:
+def build_mq_from_modq(n: int, q: int) -> Circuit:
     """Modular addition of digits using only MOD gates, fan-outs, Toffolis
     and one primitive block-add transform.
 
@@ -303,7 +299,7 @@ def build_mq_from_modq(n: int, q: int, ctx=None) -> Circuit:
     result digit; the whole detector pipeline is then reversed to clear
     every auxiliary line.
     """
-    ctx = _ctx_for(q, ctx)
+    ctx = get_context(f"cyclotomic{q}")
     w = block_width(q)
     main = (n + 1) * w
     b_block = tuple(range(n * w, (n + 1) * w))
@@ -331,14 +327,14 @@ def build_mq_from_modq(n: int, q: int, ctx=None) -> Circuit:
 
     t_layer = cir.tensor_layer(AddBlockGate(q, s_block, b_block))
     backward = [
-        cir.tensor_layer(*(cir.inverse_gate(g, ctx) for g in layer.gates))
+        cir.tensor_layer(*(cir.inverse_gate(g) for g in layer.gates))
         for layer in reversed(forward)
     ]
     layers = tuple(forward) + (t_layer,) + tuple(backward)
     return Circuit(main, cursor - main, layers, ctx)
 
 
-def build_f_from_fq(n: int, q: int, ctx=None) -> Circuit:
+def build_f_from_fq(n: int, q: int) -> Circuit:
     """Bit fan-out from one q-ary fan-out, controlled-nots, and its inverse.
 
     The bit to copy is placed as the low bit of the fan-out's control
@@ -348,7 +344,7 @@ def build_f_from_fq(n: int, q: int, ctx=None) -> Circuit:
     """
     if q < 2:
         raise BuilderArgumentError("need q >= 2")
-    ctx = _ctx_for(q, ctx)
+    ctx = get_context(f"cyclotomic{q}")
     w = block_width(q)
     x_line = n
     blocks = _blocks(n + 1, n, w)
@@ -359,7 +355,7 @@ def build_f_from_fq(n: int, q: int, ctx=None) -> Circuit:
     layers = (
         cir.tensor_layer(fq),
         CNotLayer(pairs),
-        cir.tensor_layer(cir.inverse_gate(fq, ctx)),
+        cir.tensor_layer(cir.inverse_gate(fq)),
     )
     return Circuit(n + 1, n * w + (w - 1), layers, ctx)
 
@@ -466,6 +462,15 @@ BUILDERS = {
 
 
 def check_builder(name: str, n: int, q: int, r: int = 0) -> EquivalenceReport:
+    """Equivalence-check a builder's candidate against its target.
+
+    Every candidate has at least n + 1 input lines, all compared, so a
+    check past EQUIVALENCE_MAIN_CAP is refused before anything is built.
+    """
+    if n + 1 > EQUIVALENCE_MAIN_CAP:
+        raise CapExceededError(
+            f"at least {n + 1} compared lines exceed the equivalence cap {EQUIVALENCE_MAIN_CAP}"
+        )
     spec = BUILDERS[name]
     candidate = spec.build(n, q, r)
     inputs = spec.inputs(n, q) if spec.inputs is not None else None

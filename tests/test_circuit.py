@@ -163,7 +163,7 @@ def test_addmod_then_inverse_is_identity(c3):
     # two 2-bit digit blocks plus a result block within 6 lines: all 2^6
     # basis states come back unchanged with unit amplitude
     g = AddModGate(3, ((0, 1), (2, 3)), (4, 5))
-    c = Circuit(6, 0, (TensorLayer((g,)), TensorLayer((cir.inverse_gate(g, c3),))), c3)
+    c = Circuit(6, 0, (TensorLayer((g,)), TensorLayer((cir.inverse_gate(g),))), c3)
     for x in range(64):
         bits = cir.key_to_bits(x, 6)
         state = statevec.run(c, bits)
@@ -174,7 +174,7 @@ def test_addmod_then_inverse_is_identity(c3):
 def test_one_qubit_inverse_is_conjugate_transpose(c2):
     s = c2.constants["s"]
     h = cir.OneQubitGate(((s, s), (s, -s)), 0)
-    inv = cir.inverse_gate(h, c2)
+    inv = cir.inverse_gate(h)
     assert (inv.matrix[0][1] - s).is_zero()
     assert (inv.matrix[1][1] + s).is_zero()
 

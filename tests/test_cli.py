@@ -59,6 +59,10 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         (["check", "--builder", "modhat", "--n", "-1", "--q", "3"], 2),
         (["build", "--builder", "modqr_from_modq", "--n", "2", "--q", "3", "--r", "-1"], 2),
         (["build", "--builder", "f_from_fq", "--n", "1", "--q", "1"], 2),
+        (["check", "--builder", "modq_from_mq", "--n", "2", "--q", "3", "--r", "2"], 2),
+        (["build", "--builder", "f_from_fq", "--n", "2", "--q", "3", "--r", "1"], 2),
+        (["build", "--builder", "f_from_fq", "--n", "2", "--q", "3", "--r", "0"], 0),
+        (["check", "--builder", "mq_from_modq", "--n", "100000", "--q", "7"], 3),
         (["graph", "--circuit", bell_file, "--input", "00"], 0),
         (["graph", "--circuit", bell_file, "--input", "00", "--target", "11", "--method", "dp"], 0),
         (["graph", "--circuit", bell_file, "--input", "00", "--target", "11", "--method", "paths"], 0),
@@ -99,6 +103,8 @@ def test_fourier_outside_context_exits_2_with_one_line(capsys, tmp_path):
         ["build", "--builder", "mq_from_modq", "--n", "-2", "--q", "3"],
         ["check", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"],
         ["build", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"],
+        ["check", "--builder", "modq_from_mq", "--n", "2", "--q", "3", "--r", "2"],
+        ["build", "--builder", "mq_from_modq", "--n", "1", "--q", "3", "--r", "1"],
     ],
 )
 def test_builder_argument_errors_are_one_line(capsys, argv):
@@ -158,6 +164,42 @@ def test_circuit_wider_than_the_budget_exits_3(capsys, tmp_path):
     huge = str(10**12)
     code, out, err = run_cli(capsys, "build", "--builder", "modhat", "--n", huge, "--q", "3")
     assert code == 3 and out == "" and "work budget" in err
+
+
+def test_oversized_check_exits_3_before_building(capsys, monkeypatch):
+    # every candidate has at least n + 1 compared lines, so n = 12 is past
+    # the cap of 12 whatever the builder; the builder must not run
+    from qacclab import transforms
+
+    def refuse(*_args):
+        raise AssertionError("builder called for a check past the cap")
+
+    spec = transforms.BUILDERS["modq_from_mq"]
+    monkeypatch.setitem(
+        transforms.BUILDERS, "modq_from_mq", transforms.BuilderSpec(False, refuse, spec.target)
+    )
+    for n in ("12", "100000"):
+        code, out, err = run_cli(capsys, "check", "--builder", "modq_from_mq", "--n", n, "--q", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "equivalence cap 12" in err
+
+
+def test_graph_json_makes_no_indented_dump(capsys, monkeypatch, bell_file):
+    dumps = json.dumps
+    indented = []
+
+    def spy(obj, **kwargs):
+        indented.append("indent" in kwargs)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    code, out, _ = run_cli(capsys, "graph", "--circuit", bell_file, "--input", "00", "--json")
+    assert code == 0 and "nodes" in json.loads(out)
+    assert indented == [False]
+    code, out, _ = run_cli(capsys, "graph", "--circuit", bell_file, "--input", "00")
+    assert code == 0 and out.startswith("{\n")
+    assert indented == [False, True]
 
 
 def test_work_budget_exits_3_with_one_line(capsys, monkeypatch, bell_file):

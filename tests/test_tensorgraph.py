@@ -18,6 +18,7 @@ from qacclab.circuit import (
     FanOutGate,
     FourierGate,
     ModGate,
+    OneQubitGate,
     StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
@@ -27,6 +28,10 @@ from qacclab.circuit import (
 @pytest.fixture(scope="module")
 def c2():
     return get_context("cyclotomic2")
+
+
+def one_gate(g, gate):
+    return tg.apply_layer(g, TensorLayer((gate,)))
 
 
 # -- color algebra ---------------------------------------------------------
@@ -48,17 +53,17 @@ def test_distinct_colors_commute():
 def test_nonassociative_fold_witness():
     a, anti = tg.color(5), tg.anticolor(5)
     # (a*a)*~a = ~a, while a*(a*~a) = 0
-    assert tg.fold_color_products([a, a, anti]) == anti
+    assert a.times(a).times(anti) == anti
     inner = a.times(anti)
     assert inner is None
 
 
 def test_color_term_rules(c2):
     one = c2.one()
-    b = tg.ColorTerm.single(c2, tg.color(1), one)
-    anti = tg.ColorTerm.single(c2, tg.anticolor(1), one)
-    assert tg.color_mul(b, b).terms == {tg.UNIT_PRODUCT: one}
-    assert tg.color_mul(b, anti).is_zero()
+    b = tg.ColorTerm(c2, {tg.color(1): one})
+    anti = tg.ColorTerm(c2, {tg.anticolor(1): one})
+    assert b.times(b).terms == {tg.UNIT_PRODUCT: one}
+    assert b.times(anti).is_zero()
 
 
 def test_color_term_distributes_over_random_pairs(c2):
@@ -76,8 +81,8 @@ def test_color_term_distributes_over_random_pairs(c2):
 
     for _ in range(40):
         a, b, c = rand_term(), rand_term(), rand_term()
-        lhs = tg.color_mul(a, b.plus(c))
-        rhs = tg.color_mul(a, b).plus(tg.color_mul(a, c))
+        lhs = a.times(b.plus(c))
+        rhs = a.times(b).plus(a.times(c))
         assert lhs.terms.keys() == rhs.terms.keys()
         for key in lhs.terms:
             assert (lhs.terms[key] - rhs.terms[key]).is_zero()
@@ -99,7 +104,7 @@ def test_one_qubit_preserves_shape(c2):
     g = tg.tg_init("0", c2)
     s = c2.constants["s"]
     h = ((s, s), (s, -s))
-    g2 = tg.apply_one_qubit(g, h, 0)
+    g2 = one_gate(g, OneQubitGate(h, 0))
     assert tg.tg_metrics(g2).width == tg.tg_metrics(g).width == 1
     assert tg.tg_metrics(g2).path_count == 1
     assert (tg.tg_amplitude_dp(g2, "0") - s).is_zero()
@@ -108,14 +113,14 @@ def test_one_qubit_preserves_shape(c2):
 
 def test_x_swaps_amplitudes(c2):
     g = tg.tg_init("0", c2)
-    g2 = tg.apply_toffoli(g, (), 0)  # plain X
+    g2 = one_gate(g, ToffoliGate((), 0))  # plain X
     assert (tg.tg_amplitude_dp(g2, "1") - c2.one()).is_zero()
     assert tg.tg_amplitude_dp(g2, "0").is_zero()
 
 
 def test_toffoli_against_oracle(c2):
     for bits in ("110", "100", "111", "011"):
-        g = tg.apply_toffoli(tg.tg_init(bits, c2), (0, 1), 2)
+        g = one_gate(tg.tg_init(bits, c2), ToffoliGate((0, 1), 2))
         c = Circuit(3, 0, (TensorLayer((ToffoliGate((0, 1), 2),)),), c2)
         state = sv.run(c, bits)
         for z in range(8):
@@ -126,13 +131,13 @@ def test_toffoli_against_oracle(c2):
 def test_toffoli_path_count_at_most_doubles(c2):
     g = tg.tg_init("110", c2)
     before = tg.tg_path_count(g)
-    after = tg.tg_path_count(tg.apply_toffoli(g, (0, 1), 2))
+    after = tg.tg_path_count(one_gate(g, ToffoliGate((0, 1), 2)))
     assert after <= 2 * before
 
 
 def test_fanout_against_oracle(c2):
     for bits in ("001", "000", "101"):
-        g = tg.apply_fanout(tg.tg_init(bits, c2), (0, 1), 2)
+        g = one_gate(tg.tg_init(bits, c2), FanOutGate((0, 1), 2))
         c = Circuit(3, 0, (TensorLayer((FanOutGate((0, 1), 2),)),), c2)
         state = sv.run(c, bits)
         for z in range(8):
@@ -142,7 +147,7 @@ def test_fanout_against_oracle(c2):
 
 def test_cnot_pair_against_oracle(c2):
     for bits in ("10", "00", "11"):
-        g = tg.apply_cnot_layer(tg.tg_init(bits, c2), ((0, 1),))
+        g = tg.apply_layer(tg.tg_init(bits, c2), CNotLayer(((0, 1),)))
         c = Circuit(2, 0, (CNotLayer(((0, 1),)),), c2)
         state = sv.run(c, bits)
         for z in range(4):
@@ -152,17 +157,18 @@ def test_cnot_pair_against_oracle(c2):
 
 def test_cnot_layer_width_doubles_at_most_separated(c2):
     g = tg.tg_init("0000", c2)
-    g = tg.apply_one_qubit(g, ((c2.constants["s"],) * 2, (c2.constants["s"], -c2.constants["s"])), 0)
+    s = c2.constants["s"]
+    g = one_gate(g, OneQubitGate(((s, s), (s, -s)), 0))
     before = tg.tg_metrics(g).width
-    g2 = tg.apply_cnot_layer(g, ((0, 3),))
+    g2 = tg.apply_layer(g, CNotLayer(((0, 3),)))
     assert tg.tg_metrics(g2).width <= 2 * before
 
 
 def test_color_appears_at_exactly_two_heights(c2):
-    g = tg.apply_cnot_layer(tg.tg_init("0101", c2), ((0, 2), (1, 3)))
+    g = tg.apply_layer(tg.tg_init("0101", c2), CNotLayer(((0, 2), (1, 3))))
     heights: dict = {}
     for src, (dst, product, _a0, _a1) in g.vout.items():
-        for cid, _anti in product.factors:
+        for cid, _anti in product.factors():
             heights.setdefault(cid, set()).add(g.nodes[dst])
     assert heights and all(len(hs) == 2 for hs in heights.values())
     assert tg.tg_metrics(g).color_consistent
@@ -283,12 +289,34 @@ def test_dense_lowering_addblock():
             assert (tg.tg_amplitude_dp(graph, zb) - state.amplitude_of(zb)).is_zero()
 
 
-def test_path_cap(c2):
+def test_path_cap(c2, monkeypatch):
     g = tg.tg_init("00", c2)
     for _ in range(3):
-        g = tg.apply_toffoli(g, (0,), 1)
-    with pytest.raises(cir.CapExceededError):
-        tg.tg_amplitude_paths(g, "00", cap=7)
+        g = one_gate(g, ToffoliGate((0,), 1))
+    assert tg.tg_path_count(g) == 8
+    monkeypatch.setattr(tg, "PATH_CAP_DEFAULT", 7)
+    with pytest.raises(cir.CapExceededError, match="8 paths exceed the cap 7"):
+        tg.tg_amplitude_paths(g, "00")
+
+
+def test_path_count_runs_once_per_graph_structure(c2, monkeypatch):
+    # the count tg_amplitude_paths checks its cap against is kept on the
+    # graph: several targets cost one counting pass, and a structure
+    # change costs one more
+    passes = []
+    topo = tg._topo_nodes
+    monkeypatch.setattr(tg, "_topo_nodes", lambda g: passes.append(1) or topo(g))
+    g, _left, right = _uncolored_figure(c2, middle=False)
+    expected = _uncolored_figure_amplitudes(c2)
+    for zb in expected:
+        tg.tg_amplitude_paths(g, zb)
+    assert len(passes) == 1
+    g.add_node(2, right[2])
+    _right_middle_edges(g, right)
+    for zb, want in expected.items():
+        assert (tg.tg_amplitude_paths(g, zb) - want).is_zero()
+    assert len(passes) == 2
+    assert tg.tg_path_count(g) == 2 and len(passes) == 2
 
 
 def test_node_budget(c2, monkeypatch):
@@ -442,6 +470,36 @@ def test_graph_json_round_trip(c2):
     for z in range(16):
         zb = cir.key_to_bits(z, 4)
         assert (tg.tg_amplitude_dp(back, zb) - tg.tg_amplitude_dp(g, zb)).is_zero()
+
+
+@pytest.mark.parametrize("cid", [-1, cir.BUDGET, 10**12, 2.5, "3", True])
+def test_from_json_refuses_color_ids_outside_the_budget(c2, cid):
+    # refused before 1 << cid is formed, and never rounded or parsed
+    data = tg.tg_to_json(tg.tg_init("0", c2))
+    data["vedges"][0]["colors"] = [[cid, 0]]
+    with pytest.raises(tg.GraphError, match="is not an int in"):
+        tg.tg_from_json(data, c2)
+
+
+def test_from_json_refuses_both_polarities_of_one_color(c2):
+    data = tg.tg_to_json(tg.tg_init("0", c2))
+    data["vedges"][0]["colors"] = [[3, 0], [3, 1]]
+    with pytest.raises(tg.GraphError, match="both polarities"):
+        tg.tg_from_json(data, c2)
+    data["vedges"][0]["colors"] = [[3, 2]]
+    with pytest.raises(tg.GraphError, match="polarity 2 is not 0 or 1"):
+        tg.tg_from_json(data, c2)
+
+
+def test_color_product_factors_are_sorted(c2):
+    p = tg.anticolor(7).times(tg.color(2)).times(tg.color(40))
+    assert list(p.factors()) == [(2, False), (7, True), (40, False)]
+    assert repr(p) == "{c2*~c7*c40}" and repr(tg.UNIT_PRODUCT) == "{1}"
+    data = tg.tg_to_json(tg.tg_init("0", c2))
+    data["vedges"][0]["colors"] = [[40, 0], [7, 1], [2, 0]]
+    back = tg.tg_from_json(data, c2)
+    assert back.vout[back.source][1] == p
+    assert tg.tg_to_json(back)["vedges"][0]["colors"] == [[2, 0], [7, 1], [40, 0]]
 
 
 def test_malformed_color_graph_detected(c2):
