@@ -23,7 +23,7 @@ circuit wider than BUDGET lines, before any key or graph is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
@@ -535,12 +535,8 @@ def inverse_gate(g: Gate) -> Gate:
     if isinstance(g, (ToffoliGate, FanOutGate, ModGate)):
         return g
     if isinstance(g, (AddModGate, FanOutModGate, FourierGate, AddBlockGate)):
-        return type(g)(**{**_fields(g), "inverse": not g.inverse})
+        return replace(g, inverse=not g.inverse)
     raise TypeError(f"unknown gate {type(g).__name__}")
-
-
-def _fields(g):
-    return {f: getattr(g, f) for f in g.__dataclass_fields__}
 
 
 def inverse_layer(layer: Layer) -> Layer:

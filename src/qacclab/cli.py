@@ -120,6 +120,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if args.method is not None and args.target is None:
+        raise UsageError(f"--method {args.method} needs --target")
     c = _load_circuit(args)
     g = tensorgraph.tg_build(c, args.input)
     if args.target is None:
@@ -128,14 +130,15 @@ def cmd_graph(args) -> int:
         human = None if args.json else json.dumps(payload, sort_keys=True, indent=1)
         _emit(args, payload, human)
         return 0
-    if args.method == "paths":
+    method = args.method or "dp"
+    if method == "paths":
         amp = tensorgraph.tg_amplitude_paths(g, args.target)
     else:
         amp = tensorgraph.tg_amplitude_dp(g, args.target)
     _emit(
         args,
-        {"method": args.method, **_scalar_report(amp)},
-        f"amplitude[{args.method}] of |{args.target}> = {_scalar_human(amp)}",
+        {"method": method, **_scalar_report(amp)},
+        f"amplitude[{method}] of |{args.target}> = {_scalar_human(amp)}",
     )
     return 0
 
@@ -202,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="tensor-graph dump or amplitude")
     add_circuit_flags(p, target=True)
-    p.add_argument("--method", choices=("dp", "paths"), default="dp")
+    p.add_argument("--method", choices=("dp", "paths"), help="with --target; dp by default")
     add_json(p)
     p.set_defaults(fn=cmd_graph)
 

@@ -16,34 +16,39 @@ pair binds the two heights a controlled-not touches, so paths that pick
 inconsistent control branches annihilate instead of the graph having to
 fan out the span between the two lines.
 
-Gate application rules are stated against the operator identities they
-implement:
+A gate of a tensor layer lowers to a list of variants, and the gate is
+their sum.  A variant maps some of the gate's lines to a local operator
+(a0, a1) -> (b0, b1) on the amplitude pairs at that line's height; every
+line it leaves out keeps the identity.  Variant 0 rewrites the edges of
+the gate's span in place, and each further variant adds one parallel copy
+of the span, so every path splits into one path per variant.  The
+variants state these operator identities:
 
-* one-qubit U: amplitude pairs at the target height are mapped by U; no
-  structural change.
-* Toffoli, from AND_m(X) = I + P(controls all 1) (x) (X - I): the span
-  keeps its original term and gains one variant whose control edges
-  become (0, a1) and whose target edge becomes (a1-a0, a0-a1).
-* fan-out, from F = P0 (x) I + P1 (x) X^(targets): the original term keeps
-  only the control's |0> branch (a0, 0); the added variant carries
-  (0, a1) on the control and swapped pairs on the targets.
-* controlled-not (c,t) in a layer, from P0 (x) I + P1 (x) X: every vertical
-  edge at the control height splits into a c-tagged (a0, 0) edge and an
-  anticolor-tagged (0, a1) companion; at the target height into a
-  c-tagged unchanged edge and an anticolor-tagged swapped companion.
-* any other (block) gate lowers by dense local expansion: one span
-  variant per nonzero matrix entry |y><x|, each picking the input bit's
-  amplitude into the output slot, with the entry's scalar folded into the
-  gate's first line.
+* Toffoli with controls, from AND_m(X) = I + P1(controls) (x) (X - I):
+  [{}, {controls: P1, target: X - I}]; the empty variant keeps the span.
+* fan-out, from F = P0 (x) I + P1 (x) X^(targets):
+  [{control: P0}, {control: P1, targets: X}], with no targets too.
+* every other gate is read off circuit.gate_kernel, the one statement of
+  what it does.  On one line (U, H, H', a Toffoli with no controls) it is
+  one in-place operator that sums its nonzero matrix entries: no
+  structural change.  On k > 1 lines it is one variant per nonzero entry
+  |y><x|, mapping each line to |y_i><x_i| with the entry's scalar on the
+  gate's first line; such a gate is counted in dense_lowered_gates.
+
+A controlled-not (c,t) in a layer, from P0 (x) I + P1 (x) X, is no sum of
+span copies: every vertical edge at the control height splits into a
+c-tagged (a0, 0) edge and an anticolor-tagged (0, a1) companion; at the
+target height into a c-tagged unchanged edge and an anticolor-tagged
+swapped companion.
 
 The binding correctness contract for all of these is exact agreement with
 the brute-force state-vector simulator.
 
-apply_layer is the one public way to change a graph, and it is pure: it
-copies its input graph once and returns the copy.  The private rules behind
-it (_one_qubit, _toffoli, _fanout, _dense, _cnot_pair, _apply_span_variants)
-change the graph they are given in place, so a layer costs one copy, not
-one per gate.
+apply_layer and tg_build leave their input unchanged: apply_layer copies
+its input graph once and returns the copy.  The private rules behind it
+(_apply_variants, _cnot_pair) change the graph they are given in place, so
+a layer costs one copy, not one per gate.  The add_* methods change the
+graph they are called on; they are for construction and loaders.
 
 A graph holds at most circuit.BUDGET nodes: add_node, through which every
 node passes, raises CapExceededError before the count would go past it.
@@ -60,8 +65,6 @@ from .circuit import (
     CapExceededError,
     Circuit,
     CNotLayer,
-    FourierGate,
-    OneQubitGate,
     StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
@@ -301,46 +304,95 @@ def tg_init(bits: str, ctx) -> TensorGraph:
 # -- gate application ------------------------------------------------------------
 
 
-def _one_qubit(g: TensorGraph, matrix, line: int) -> None:
-    """Left-multiply the amplitude pair of every edge at the line's height."""
+def _local(entries, zero):
+    """The local operator (a0, a1) -> (b0, b1) with b_y the sum of
+    scalar * a_x over the (x, y, scalar) entries, in their order; a None
+    scalar takes a_x as it is."""
+
+    def op(a0, a1):
+        a, b = (a0, a1), [None, None]
+        for x, y, s in entries:
+            term = a[x] if s is None else s * a[x]
+            b[y] = term if b[y] is None else b[y] + term
+        return [zero if v is None else v for v in b]
+
+    return op
+
+
+def _lower(g: TensorGraph, gate) -> list[dict]:
+    """The gate as a list of variants on g, by the identities in the module
+    docstring; a gate lowered entry by entry is counted in
+    g.dense_lowered_gates."""
+    zero = g.ctx.zero()
+
+    def p0(a0, a1):
+        return a0, zero
+
+    def p1(a0, a1):
+        return zero, a1
+
+    def flip(a0, a1):
+        return a1, a0
+
+    def flip_minus_id(a0, a1):
+        return a1 - a0, a0 - a1
+
+    if isinstance(gate, ToffoliGate) and gate.controls:
+        return [{}, {**dict.fromkeys(gate.controls, p1), gate.target: flip_minus_id}]
+    if isinstance(gate, FanOutGate):
+        return [{gate.control: p0}, {**dict.fromkeys(gate.targets, flip), gate.control: p1}]
+    lines = gate.lines()
+    k = len(lines)
+    codes = cir.block_codes(lines, g.height)  # value x of the lines -> key bits
+    value_of = {c: x for x, c in enumerate(codes)}
+    kernel = cir.gate_kernel(gate, g.height, g.ctx)
+    entries = [(x, value_of[y], s) for x, c in enumerate(codes) for y, s in kernel(c)]
+    if k == 1:
+        return [{lines[0]: _local(entries, zero)}]
+    g.dense_lowered_gates += 1
+    return [
+        {
+            line: _local([(x >> sh & 1, y >> sh & 1, s if sh == k - 1 else None)], zero)
+            for line, sh in zip(lines, range(k - 1, -1, -1))
+        }
+        for x, y, s in entries
+    ]
+
+
+def _apply_variants(g: TensorGraph, lines, variants) -> None:
+    """Apply the sum of variants to the span of heights the lines cover:
+    variants[0] in place, and one parallel copy of the span per further
+    variant, entered by a horizontal edge at each height lo-1 node that
+    starts a vertical edge and left through one at each height-hi landing
+    node.  Each path splits into exactly len(variants) paths."""
+    lo, hi = min(lines) + 1, max(lines) + 1
     vout = g.vout
-    for src in g.levels.get(line, ()):
-        edge = vout.get(src)
-        if edge is None:
-            continue
-        dst, product, a0, a1 = edge
-        b0 = matrix[0][0] * a0 + matrix[0][1] * a1
-        b1 = matrix[1][0] * a0 + matrix[1][1] * a1
-        vout[src] = (dst, product, b0, b1)
-
-
-def _apply_span_variants(g: TensorGraph, lo: int, hi: int, transforms) -> None:
-    """Rewrite the span of heights lo..hi with label transformers.
-
-    transforms[0] is applied to the original edges in place; every further
-    transformer adds one parallel copy of the span, entered by a
-    horizontal edge at each height lo-1 node that starts a vertical edge
-    and left through a horizontal edge at each height-hi landing node.
-    Each existing path therefore splits into exactly len(transforms)
-    paths, one per variant.
-    """
-    span_edges = {}
-    for h in range(lo, hi + 1):
-        span_edges[h] = g.vedges_at(h)
+    if len(variants) > 1:
+        # the copies read this snapshot: the rewrite in place only relabels
+        # original edges, and the copies only add nodes and edges
+        span_edges = {h: g.vedges_at(h) for h in range(lo, hi + 1)}
+    for line, op in variants[0].items():
+        for src in g.levels.get(line, ()):
+            edge = vout.get(src)
+            if edge is not None:
+                dst, product, a0, a1 = edge
+                vout[src] = (dst, product, *op(a0, a1))
+    if len(variants) == 1:
+        return
     entry_nodes = [src for (src, *_rest) in span_edges[lo]]
     exit_nodes = [dst for (_src, dst, *_rest) in span_edges[hi]]
     internal = sorted(n for h in range(lo, hi) for n in g.levels.get(h, ()))
-    # the copies only add nodes and edges, so the snapshot above stays the
-    # original span while they are made
-    for transform in transforms[1:]:
+    for variant in variants[1:]:
         mapping = {}
         for n in entry_nodes + internal + exit_nodes:
             if n not in mapping:
                 mapping[n] = g.add_node(g.nodes[n])
         for h in range(lo, hi + 1):
+            op = variant.get(h - 1)
             for src, dst, product, a0, a1 in span_edges[h]:
-                product2, b0, b1 = transform(h, product, a0, a1)
-                g.add_vedge(mapping[src], mapping[dst], product2, b0, b1)
+                if op is not None:
+                    a0, a1 = op(a0, a1)
+                g.add_vedge(mapping[src], mapping[dst], product, a0, a1)
         for src in internal:
             for dst in g.hout.get(src, ()):  # routing inside the span
                 if dst in mapping and lo <= g.nodes[dst] <= hi - 1:
@@ -349,97 +401,6 @@ def _apply_span_variants(g: TensorGraph, lo: int, hi: int, transforms) -> None:
             g.add_hedge(n, mapping[n])
         for n in exit_nodes:
             g.add_hedge(mapping[n], n)
-
-    base = transforms[0]
-    for h in range(lo, hi + 1):
-        for src, dst, product, a0, a1 in span_edges[h]:
-            product2, b0, b1 = base(h, product, a0, a1)
-            g.vout[src] = (dst, product2, b0, b1)
-
-
-def _toffoli(g: TensorGraph, controls, target: int) -> None:
-    """AND_m(X) = identity plus an all-controls-1 correction variant."""
-    if not controls:
-        ctx = g.ctx
-        x_matrix = (
-            (ctx.zero(), ctx.one()),
-            (ctx.one(), ctx.zero()),
-        )
-        _one_qubit(g, x_matrix, target)
-        return
-    lines = tuple(controls) + (target,)
-    lo, hi = min(lines) + 1, max(lines) + 1
-    control_heights = {c + 1 for c in controls}
-    target_height = target + 1
-    zero = g.ctx.zero()
-
-    def identity(h, product, a0, a1):
-        return product, a0, a1
-
-    def correction(h, product, a0, a1):
-        if h in control_heights:
-            return product, zero, a1
-        if h == target_height:
-            return product, a1 - a0, a0 - a1
-        return product, a0, a1
-
-    _apply_span_variants(g, lo, hi, [identity, correction])
-
-
-def _fanout(g: TensorGraph, targets, control: int) -> None:
-    """F = (control |0> branch, targets kept) + (|1> branch, targets swapped)."""
-    lines = tuple(targets) + (control,)
-    lo, hi = min(lines) + 1, max(lines) + 1
-    target_heights = {t + 1 for t in targets}
-    control_height = control + 1
-    zero = g.ctx.zero()
-
-    def keep_zero(h, product, a0, a1):
-        if h == control_height:
-            return product, a0, zero
-        return product, a0, a1
-
-    def one_branch(h, product, a0, a1):
-        if h == control_height:
-            return product, zero, a1
-        if h in target_heights:
-            return product, a1, a0
-        return product, a0, a1
-
-    _apply_span_variants(g, lo, hi, [keep_zero, one_branch])
-
-
-def _dense(g: TensorGraph, gate) -> None:
-    """Lower a block gate: one span variant per nonzero matrix entry."""
-    ctx = g.ctx
-    lines = tuple(gate.lines())
-    k = len(lines)
-    codes = cir.block_codes(lines, g.height)  # local value x -> key bits
-    local = {c: x for x, c in enumerate(codes)}
-    kernel = cir.gate_kernel(gate, g.height, ctx)
-    entries = [(x, local[y], scalar) for x, c in enumerate(codes) for y, scalar in kernel(c)]
-    lo, hi = min(lines) + 1, max(lines) + 1
-    first_line = lines[0]
-    position = {l: i for i, l in enumerate(lines)}
-    zero = ctx.zero()
-
-    def entry_transform(x, y, scalar):
-        def t(h, product, a0, a1):
-            line = h - 1
-            pos = position.get(line)
-            if pos is None:
-                return product, a0, a1
-            xb = (x >> (k - 1 - pos)) & 1
-            yb = (y >> (k - 1 - pos)) & 1
-            amp = a0 if xb == 0 else a1
-            if line == first_line and scalar is not None:
-                amp = amp * scalar
-            return (product, amp, zero) if yb == 0 else (product, zero, amp)
-
-        return t
-
-    _apply_span_variants(g, lo, hi, [entry_transform(*e) for e in entries])
-    g.dense_lowered_gates += 1
 
 
 def _cnot_pair(g: TensorGraph, control: int, target: int) -> None:
@@ -478,19 +439,7 @@ def apply_layer(g: TensorGraph, layer) -> TensorGraph:
     if isinstance(layer, TensorLayer):
         out = g.copy()
         for gate in layer.gates:
-            if isinstance(gate, OneQubitGate):
-                _one_qubit(out, gate.matrix, gate.line)
-            elif isinstance(gate, FourierGate) and gate.q == 2:
-                zeta, invsq = out.ctx.fourier_scalars(2)
-                sign = -invsq
-                matrix = ((invsq, invsq), (invsq, sign))
-                _one_qubit(out, matrix, gate.block[0])
-            elif isinstance(gate, ToffoliGate):
-                _toffoli(out, gate.controls, gate.target)
-            elif isinstance(gate, FanOutGate):
-                _fanout(out, gate.targets, gate.control)
-            else:
-                _dense(out, gate)
+            _apply_variants(out, gate.lines(), _lower(out, gate))
         return out
     if isinstance(layer, CNotLayer):
         stages = (layer.pairs,)
@@ -731,18 +680,33 @@ def _product_from_json(colors) -> ColorProduct:
 
 
 def tg_from_json(data: dict, ctx) -> TensorGraph:
-    heights = [n["height"] for n in data["nodes"]]
-    g = TensorGraph(ctx, max(heights) if heights else 0)
-    for n in data["nodes"]:
-        g.add_node(n["height"], n["id"])
-    for e in data["vedges"]:
-        product = _product_from_json(e["colors"])
-        a0 = ExactScalar.from_json(ctx, e["amp0"])
-        a1 = ExactScalar.from_json(ctx, e["amp1"])
-        g.add_vedge(e["from"], e["to"], product, a0, a1)
-        g._next_color = max(g._next_color, (product.colors | product.antis).bit_length())
-    for e in data["hedges"]:
-        g.add_hedge(e["from"], e["to"])
-    g.source = data["source"]
-    g.terminal = data["terminal"]
+    """The graph a tg_to_json dump spells.  Like load_context, it raises
+    GraphError for a dump that spells no graph: one whose node ids, heights
+    or edge ends are not ints >= 0, or whose source is not a node at height
+    0 or terminal not a node at the top height."""
+    try:
+        nodes = [(n["id"], n["height"]) for n in data["nodes"]]
+        ends = [e[k] for e in data["vedges"] + data["hedges"] for k in ("from", "to")]
+        if any(type(v) is not int or v < 0 for v in ends + [v for node in nodes for v in node]):
+            raise GraphError("node ids, heights and edge ends must be ints >= 0")
+        g = TensorGraph(ctx, max((h for _nid, h in nodes), default=0))
+        for nid, h in nodes:
+            g.add_node(h, nid)
+        for e in data["vedges"]:
+            product = _product_from_json(e["colors"])
+            a0 = ExactScalar.from_json(ctx, e["amp0"])
+            a1 = ExactScalar.from_json(ctx, e["amp1"])
+            g.add_vedge(e["from"], e["to"], product, a0, a1)
+            g._next_color = max(g._next_color, (product.colors | product.antis).bit_length())
+        for e in data["hedges"]:
+            g.add_hedge(e["from"], e["to"])
+        g.source, g.terminal = data["source"], data["terminal"]
+    except KeyError as exc:
+        raise GraphError(f"graph dump lacks the key or node {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise GraphError(f"graph dump is malformed: {exc}") from exc
+    for end, height in (("source", 0), ("terminal", g.height)):
+        nid = getattr(g, end)
+        if type(nid) is not int or g.nodes.get(nid) != height:
+            raise GraphError(f"{end} {nid!r} is not a node at height {height}")
     return g

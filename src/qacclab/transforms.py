@@ -326,10 +326,7 @@ def build_mq_from_modq(n: int, q: int) -> Circuit:
         forward.append(cir.tensor_layer(x_gate(target)))
 
     t_layer = cir.tensor_layer(AddBlockGate(q, s_block, b_block))
-    backward = [
-        cir.tensor_layer(*(cir.inverse_gate(g) for g in layer.gates))
-        for layer in reversed(forward)
-    ]
+    backward = [cir.inverse_layer(layer) for layer in reversed(forward)]
     layers = tuple(forward) + (t_layer,) + tuple(backward)
     return Circuit(main, cursor - main, layers, ctx)
 

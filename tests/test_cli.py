@@ -66,6 +66,9 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         (["graph", "--circuit", bell_file, "--input", "00"], 0),
         (["graph", "--circuit", bell_file, "--input", "00", "--target", "11", "--method", "dp"], 0),
         (["graph", "--circuit", bell_file, "--input", "00", "--target", "11", "--method", "paths"], 0),
+        (["graph", "--circuit", bell_file, "--input", "00", "--target", "11"], 0),
+        (["graph", "--circuit", bell_file, "--input", "00", "--method", "dp"], 2),
+        (["graph", "--circuit", bell_file, "--input", "00", "--method", "paths", "--json"], 2),
         (["metrics", "--circuit", bell_file, "--input", "00"], 0),
         (["simulate", "--circuit", hadamard_file, "--input", "0", "--bogus"], 2),
         (["check", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"], 2),
@@ -119,6 +122,8 @@ def test_builder_argument_errors_are_one_line(capsys, argv):
         ["graph", "--input", "0", "--target", "2"],
         ["graph", "--input", "2"],
         ["graph", "--input", "0", "--target", "11"],
+        ["graph", "--input", "0", "--method", "dp"],
+        ["graph", "--input", "0", "--method", "paths", "--json"],
         ["simulate", "--input", "2"],
         ["simulate", "--input", "00"],
         ["metrics", "--input", "00"],
@@ -240,9 +245,13 @@ def test_graph_methods_agree(capsys, bell_file):
         capsys, "graph", "--circuit", bell_file, "--input", "00",
         "--target", "11", "--method", "paths", "--json",
     )
+    _, default_out, _ = run_cli(
+        capsys, "graph", "--circuit", bell_file, "--input", "00", "--target", "11", "--json",
+    )
     dp = json.loads(dp_out)
     paths = json.loads(paths_out)
     assert dp["exact"] == paths["exact"]
+    assert default_out == dp_out  # --method defaults to dp when a target is given
 
 
 def test_build_output_reparses(capsys, tmp_path):

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from support import multiline_gate_count, random_bits, random_circuit
+from support import (
+    multiline_gate_count,
+    random_bits,
+    random_circuit,
+    random_cnot_layer,
+    reference_run,
+    sqrt_a1_context,
+)
 
 from qacclab import circuit as cir
 from qacclab import statevec as sv
@@ -636,3 +643,166 @@ def test_graph_bytes_are_pinned(c2):
         digest.update(json.dumps(tg.tg_to_json(g), sort_keys=True).encode())
         digest.update(json.dumps(tg.tg_metrics(g).to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == GRAPH_BYTES_SHA256
+
+
+# -- lowering branches the random layers never reach ---------------------------
+#
+# These pin behaviour across rewrites of the lowering; they stay out of the
+# pinned digest above.
+
+
+def _lowering_circuits():
+    c2, c3 = get_context("cyclotomic2"), get_context("cyclotomic3")
+    h, z = cir.hadamard_gate, c3.constants["z"]
+
+    def h_prime(line):
+        return FourierGate(2, (line,), inverse=True)
+
+    return {
+        "H'": Circuit(3, 0, (
+            TensorLayer((h_prime(0), h_prime(2))),
+            CNotLayer(((0, 1),)),
+            TensorLayer((h_prime(1),)),
+        ), c2),
+        "FAN [<- c]": Circuit(3, 0, (
+            TensorLayer((h(0),)),
+            CNotLayer(((0, 2),)),
+            TensorLayer((FanOutGate((), 1),)),
+            TensorLayer((FanOutGate((), 0), h(1))),
+        ), c2),
+        "TOF [-> t] in a coloured span": Circuit(3, 0, (
+            TensorLayer((h(0), h(1))),
+            CNotLayer(((0, 2),)),
+            TensorLayer((ToffoliGate((), 1),)),
+        ), c2),
+        "U with zero entries": Circuit(3, 0, (
+            TensorLayer((FourierGate(3, (0, 1)),)),
+            CNotLayer(((0, 2),)),
+            TensorLayer((cir.one_qubit(c3, [[0, 1], [1, 0]], 1),
+                         cir.one_qubit(c3, [[1, 0], [0, z]], 2))),
+            TensorLayer((cir.one_qubit(c3, [[0, z], [1, 0]], 0),)),
+        ), c3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_lowering_circuits()))
+def test_lowering_branch_matches_oracle(name):
+    c = _lowering_circuits()[name]
+    n = c.width
+    for x in range(1 << n):
+        xb = cir.key_to_bits(x, n)
+        graph = tg.tg_build(c, xb)
+        state = sv.run(c, xb)
+        for z in range(1 << n):
+            zb = cir.key_to_bits(z, n)
+            want = state.amplitude_of(zb)
+            assert (tg.tg_amplitude_dp(graph, zb) - want).is_zero(), (xb, zb)
+            assert (tg.tg_amplitude_paths(graph, zb) - want).is_zero(), (xb, zb)
+
+
+def test_one_line_gates_add_no_node():
+    c3 = get_context("cyclotomic3")
+    z = c3.constants["z"]
+    g = tg.apply_layer(tg.tg_init("100", c3), CNotLayer(((0, 2),)))
+    for gate in (
+        cir.one_qubit(c3, [[0, z], [1, 0]], 1),
+        cir.one_qubit(c3, [[1, 0], [0, z]], 0),
+        ToffoliGate((), 2),
+    ):
+        g2 = one_gate(g, gate)
+        assert g2.nodes == g.nodes and g2.hout == g.hout
+        assert {s: e[:2] for s, e in g2.vout.items()} == {s: e[:2] for s, e in g.vout.items()}
+        assert tg.tg_metrics(g2).dense_lowered_gates == 0
+    c2 = get_context("cyclotomic2")
+    g = tg.apply_layer(tg.tg_init("100", c2), CNotLayer(((0, 2),)))
+    for gate in (cir.hadamard_gate(1), FourierGate(2, (2,), inverse=True)):
+        g2 = one_gate(g, gate)
+        assert g2.nodes == g.nodes and g2.hout == g.hout
+
+
+def test_empty_fanout_adds_one_span_copy(c2):
+    g = tg.apply_layer(tg.tg_init("010", c2), CNotLayer(((0, 2),)))
+    g2 = one_gate(g, FanOutGate((), 1))
+    # one copy of the height-2 span: its entry and landing node
+    entries = len(g.vedges_at(2))
+    assert len(g2.nodes) == len(g.nodes) + 2 * entries
+    assert tg.tg_path_count(g2) == 2 * tg.tg_path_count(g)
+    assert tg.tg_metrics(g2).dense_lowered_gates == 0
+
+
+def _sqrt_a1_layer(rng, lines, matrices):
+    avail = list(range(lines))
+    rng.shuffle(avail)
+    gates = []
+    while avail:
+        kind = rng.choice(("u", "u", "x", "tof", "fan", "mod"))
+        if kind == "x":
+            gates.append(ToffoliGate((), avail.pop()))
+        elif kind == "tof" and len(avail) >= 2:
+            gates.append(ToffoliGate((avail.pop(),), avail.pop()))
+        elif kind == "fan" and len(avail) >= 2:
+            gates.append(FanOutGate((avail.pop(),), avail.pop()))
+        elif kind == "mod" and len(avail) >= 3:
+            gates.append(ModGate(2, rng.randrange(2), (avail.pop(), avail.pop()), avail.pop()))
+        else:
+            gates.append(OneQubitGate(rng.choice(matrices), avail.pop()))
+    return cir.tensor_layer(*gates)
+
+
+def test_amplitudes_match_reference_with_an_indeterminate():
+    # Q(a1)(b) keeps scalars unreduced, so only values are compared; the
+    # matrices need not be unitary there, so the layers are applied
+    # without making a Circuit, against the per-branch reference
+    ctx = sqrt_a1_context()
+    one, zero, b = ctx.one(), ctx.zero(), ctx.basis_element(1)
+    matrices = (((b, b), (b, -b)), ((zero, b), (one, zero)), ((one, zero), (b, b)))
+    rng = random.Random("graph-sqrt-a1")
+    compared = 0
+    for _ in range(20):
+        lines = rng.randint(3, 5)
+        layers = [
+            random_cnot_layer(rng, lines) if rng.random() < 0.25
+            else _sqrt_a1_layer(rng, lines, matrices)
+            for _ in range(rng.randint(2, 4))
+        ]
+        x = random_bits(rng, lines)
+        want, _ = reference_run(layers, x, ctx)
+        g = tg.tg_init(x, ctx)
+        for layer in layers:
+            g = tg.apply_layer(g, layer)
+        for z in range(1 << lines):
+            zb = cir.key_to_bits(z, lines)
+            amp = want.get(z, zero)
+            assert (tg.tg_amplitude_dp(g, zb) - amp).is_zero(), (x, zb)
+            assert (tg.tg_amplitude_paths(g, zb) - amp).is_zero(), (x, zb)
+            compared += not amp.is_zero()
+    assert compared > 50
+
+
+# -- malformed dumps ------------------------------------------------------------
+
+
+MALFORMED_DUMPS = {
+    "color entry [0]": lambda d: d["vedges"][0].update(colors=[[0]]),
+    "height '1'": lambda d: d["nodes"][1].update(height="1"),
+    "vedge to node 999": lambda d: d["vedges"][0].update(to=999),
+    "no nodes key": lambda d: d.pop("nodes"),
+    "amplitude with no coords": lambda d: d["vedges"][0].update(amp0={"coords": []}),
+    "vedge from 1.0": lambda d: d["vedges"][1].update({"from": 1.0}),
+    "hedge to a float id": lambda d: d["hedges"][0].update(to=float(d["hedges"][0]["to"])),
+    "source 999": lambda d: d.update(source=999),
+    "source True": lambda d: d.update(source=True),
+    "terminal 12345": lambda d: d.update(terminal=12345),
+    "source below height 0": lambda d: d.update(source=d["terminal"]),
+    "terminal above the top height": lambda d: d.update(terminal=d["source"]),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_DUMPS))
+def test_from_json_refuses_malformed_dump(c2, name):
+    c = Circuit(2, 0, (TensorLayer((cir.hadamard_gate(0),)), CNotLayer(((0, 1),))), c2)
+    data = json.loads(json.dumps(tg.tg_to_json(tg.tg_build(c, "00"))))
+    tg.tg_from_json(data, c2)  # the dump as written loads
+    MALFORMED_DUMPS[name](data)
+    with pytest.raises(tg.GraphError):
+        tg.tg_from_json(data, c2)
