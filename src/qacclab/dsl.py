@@ -4,18 +4,18 @@ Grammar (EBNF):
 
     circuit   = header layer* ;
     header    = "circuit" "n" "=" INT "aux" "=" INT ["context" "=" NAME] ;
-    layer     = "layer" "{" gate (";" gate)* "}"
-              | "cnotlayer" "{" pair (";" pair)* "}"
-              | "cnotstages" "{" stage ("|" stage)* "}" ;
-    stage     = pair (";" pair)* ;
+    layer     = "layer" "{" [gate (";" gate)*] "}"
+              | "cnotlayer" "{" stage "}"
+              | "cnotstages" "{" [stage ("|" stage)*] "}" ;
+    stage     = [pair (";" pair)*] ;
     pair      = INT "->" INT ;
     gate      = "H" "[" INT "]"
               | "U" matrix "[" INT "]"
               | "TOF" "[" INT* "->" INT "]"
               | "FAN" "[" INT* "<-" INT "]"
-              | "MOD" INT INT "[" INT+ "->" INT "]"
-              | "MQ" ["'"] INT "[" block ("," block)* "->" block "]"
-              | "FQ" ["'"] INT "[" block ("," block)* "<-" block "]"
+              | "MOD" INT INT "[" INT* "->" INT "]"
+              | "MQ" ["'"] INT "[" [block ("," block)*] "->" block "]"
+              | "FQ" ["'"] INT "[" [block ("," block)*] "<-" block "]"
               | "HQ" ["'"] INT "[" block "]"
               | "T"  ["'"] INT "[" block "->" block "]" ;
     block     = "(" INT+ ")" ;
@@ -23,6 +23,10 @@ Grammar (EBNF):
     scalar    = ["+"|"-"] term (("+"|"-") term)* ;
     term      = factor ("*" factor)* ;
     factor    = INT ["/" INT] | NAME ["^" INT] ;
+
+The gate rules are the table GATE_SYNTAX, which the parser and the printer
+both read.  `cnotstages { }` has no stages, so a staged layer whose only
+stage is empty has no spelling.
 
 "#" starts a comment running to the end of the line.  A prime after a
 block-gate keyword marks the inverse gate.  Scalar literals are exact:
@@ -37,8 +41,8 @@ their lines in order, and parse(serialize(c)) == c for canonical circuits.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import CONTEXT_DIM_CAP, AlgebraContext, ContextError, ExactScalar, get_context
 from .circuit import (
@@ -56,7 +60,26 @@ from .circuit import (
     ToffoliGate,
 )
 
-GATE_KEYWORDS = ("H", "U", "TOF", "FAN", "MOD", "MQ", "FQ", "HQ", "T")
+# keyword -> (gate class, fields the keyword fixes, parts after the keyword).
+# A part is punctuation, "'" (an optional prime that sets `inverse`), or a
+# (field, kind) pair; a "line" is one INT read as a one-line block.
+GATE_SYNTAX = {
+    "H": (FourierGate, {"q": 2}, ("[", ("block", "line"), "]")),
+    "U": (OneQubitGate, {}, (("matrix", "matrix"), "[", ("line", "int"), "]")),
+    "TOF": (ToffoliGate, {}, ("[", ("controls", "ints"), "->", ("target", "int"), "]")),
+    "FAN": (FanOutGate, {}, ("[", ("targets", "ints"), "<-", ("control", "int"), "]")),
+    "MOD": (ModGate, {}, (
+        ("q", "int"), ("r", "int"), "[", ("inputs", "ints"), "->", ("output", "int"), "]")),
+    "MQ": (AddModGate, {}, (
+        "'", ("q", "int"), "[", ("blocks", "blocks"), "->", ("result", "block"), "]")),
+    "FQ": (FanOutModGate, {}, (
+        "'", ("q", "int"), "[", ("blocks", "blocks"), "<-", ("control", "block"), "]")),
+    "HQ": (FourierGate, {}, ("'", ("q", "int"), "[", ("block", "block"), "]")),
+    "T": (AddBlockGate, {}, (
+        "'", ("q", "int"), "[", ("addend", "block"), "->", ("result", "block"), "]")),
+}
+GATE_KEYWORDS = tuple(GATE_SYNTAX)
+_LAYER_KEYWORDS = ("layer", "cnotlayer", "cnotstages")
 
 # NAME ^ INT multiplies INT times.  Every basis name z^j that scalar_to_text
 # prints has j below a context's dimension, so it still parses.
@@ -74,49 +97,46 @@ class ParseError(ValueError):
         super().__init__(full)
 
 
-@dataclass(frozen=True)
-class Token:
+def _error(text: str, pos: int, message: str, expected=()) -> ParseError:
+    """A ParseError at offset pos of text, with 1-based line and column."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - line_start + 1, expected)
+
+
+class Token(NamedTuple):
     kind: str  # INT | NAME | PUNCT | EOF
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the text
 
 
+# Blanks and comments, then one token; no token matched means the end of
+# the text or a character no token starts with.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<newline>\n)"
-    r"|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<punct>->|<-|[][}{)(;,=|'^*/+-])"
+    r"(?:[ \t\r\n]|#[^\n]*)*"
+    r"(?:(?P<INT>\d+)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<PUNCT>->|<-|[][}{)(;,=|'^*/+-]))?"
 )
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
+    tokens, pos = [], 0
+    while True:
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         pos = m.end()
-        if m.lastgroup == "newline":
-            line += 1
-            col = 1
-            continue
-        if m.lastgroup in ("ws", "comment"):
-            col += len(m.group())
-            continue
-        kind = {"int": "INT", "name": "NAME", "punct": "PUNCT"}[m.lastgroup]
-        tokens.append(Token(kind, m.group(), line, col))
-        col += len(m.group())
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+        kind = m.lastgroup
+        if kind is None:
+            if pos < len(text):
+                raise _error(text, pos, f"unexpected character {text[pos]!r}")
+            tokens.append(Token("EOF", "", pos))
+            return tokens
+        tokens.append(Token(kind, m.group(kind), m.start(kind)))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], context: AlgebraContext):
-        self.tokens = tokens
+    def __init__(self, text: str, context: AlgebraContext):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.ctx = context
 
@@ -128,20 +148,15 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message, expected=()):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
+    def error(self, message, expected=(), tok=None) -> ParseError:
+        """A ParseError at tok, by default at the next token."""
+        return _error(self.text, (self.peek() if tok is None else tok).pos, message, expected)
 
     def expect(self, kind, text=None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(
-                f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input",
-                tok.line,
-                tok.col,
-                expected=(want,),
-            )
+            found = f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input"
+            raise self.error(found, (text if text is not None else kind,))
         return self.next()
 
     def accept(self, kind, text=None) -> Token | None:
@@ -150,6 +165,15 @@ class _Parser:
             return self.next()
         return None
 
+    def items(self, item, sep, end) -> tuple:
+        """item (sep item)*, or no items when the next token is in end."""
+        if self.peek().text in end:
+            return ()
+        out = [item()]
+        while self.accept("PUNCT", sep):
+            out.append(item())
+        return tuple(out)
+
     # -- grammar ---------------------------------------------------------
 
     def parse_int(self) -> int:
@@ -157,43 +181,27 @@ class _Parser:
         try:
             return int(tok.text)
         except ValueError as exc:  # more digits than int() converts
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+            raise self.error(str(exc), tok=tok) from exc
 
     def parse_layers(self):
         layers = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
-                return layers
-            if tok.kind != "NAME":
-                self.fail(f"found {tok.text!r}", ("layer", "cnotlayer", "cnotstages"))
+        while self.peek().kind != "EOF":
+            tok = self.next()
+            if tok.text not in _LAYER_KEYWORDS:
+                raise self.error(f"found {tok.text!r}", _LAYER_KEYWORDS, tok)
+            self.expect("PUNCT", "{")
             if tok.text == "layer":
-                self.next()
-                layers.append(self.parse_tensor_layer())
+                layers.append(TensorLayer(self.items(self.parse_gate, ";", ("}",))))
             elif tok.text == "cnotlayer":
-                self.next()
-                self.expect("PUNCT", "{")
-                pairs = [self.parse_pair()]
-                while self.accept("PUNCT", ";"):
-                    pairs.append(self.parse_pair())
-                self.expect("PUNCT", "}")
-                layers.append(CNotLayer(tuple(pairs)))
-            elif tok.text == "cnotstages":
-                self.next()
-                self.expect("PUNCT", "{")
-                stages = [self.parse_stage()]
-                while self.accept("PUNCT", "|"):
-                    stages.append(self.parse_stage())
-                self.expect("PUNCT", "}")
-                layers.append(StagedCNotLayer(tuple(stages)))
+                layers.append(CNotLayer(self.parse_stage(("}",))))
             else:
-                self.fail(f"found {tok.text!r}", ("layer", "cnotlayer", "cnotstages"))
+                stages = self.items(lambda: self.parse_stage(("|", "}")), "|", ("}",))
+                layers.append(StagedCNotLayer(stages))
+            self.expect("PUNCT", "}")
+        return layers
 
-    def parse_stage(self):
-        pairs = [self.parse_pair()]
-        while self.accept("PUNCT", ";"):
-            pairs.append(self.parse_pair())
-        return tuple(pairs)
+    def parse_stage(self, end):
+        return self.items(self.parse_pair, ";", end)
 
     def parse_pair(self):
         ctrl = self.parse_int()
@@ -201,115 +209,44 @@ class _Parser:
         tgt = self.parse_int()
         return (ctrl, tgt)
 
-    def parse_tensor_layer(self) -> TensorLayer:
-        self.expect("PUNCT", "{")
-        gates = [self.parse_gate()]
-        while self.accept("PUNCT", ";"):
-            gates.append(self.parse_gate())
-        self.expect("PUNCT", "}")
-        return TensorLayer(tuple(gates))
-
     def parse_gate(self):
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.text not in GATE_KEYWORDS:
-            self.fail(f"found {tok.text!r}", GATE_KEYWORDS)
-        name = self.next().text
-        if name == "H":
-            self.expect("PUNCT", "[")
-            line = self.parse_int()
-            self.expect("PUNCT", "]")
-            return FourierGate(2, (line,))
-        if name == "U":
-            matrix = self.parse_matrix()
-            self.expect("PUNCT", "[")
-            line = self.parse_int()
-            self.expect("PUNCT", "]")
-            return OneQubitGate(matrix, line)
-        if name == "TOF":
-            self.expect("PUNCT", "[")
-            controls = self.parse_ints()
-            self.expect("PUNCT", "->")
-            target = self.parse_int()
-            self.expect("PUNCT", "]")
-            return ToffoliGate(tuple(controls), target)
-        if name == "FAN":
-            self.expect("PUNCT", "[")
-            targets = self.parse_ints()
-            self.expect("PUNCT", "<-")
-            control = self.parse_int()
-            self.expect("PUNCT", "]")
-            return FanOutGate(tuple(targets), control)
-        if name == "MOD":
-            q = self.parse_int()
-            r = self.parse_int()
-            self.expect("PUNCT", "[")
-            inputs = self.parse_ints()
-            self.expect("PUNCT", "->")
-            output = self.parse_int()
-            self.expect("PUNCT", "]")
-            return ModGate(q, r, tuple(inputs), output)
-        inverse = self.accept("PUNCT", "'") is not None
-        q = self.parse_int()
-        self.expect("PUNCT", "[")
-        if name == "MQ":
-            blocks = self.parse_blocks()
-            self.expect("PUNCT", "->")
-            result = self.parse_block()
-            self.expect("PUNCT", "]")
-            return AddModGate(q, blocks, result, inverse)
-        if name == "FQ":
-            blocks = self.parse_blocks()
-            self.expect("PUNCT", "<-")
-            control = self.parse_block()
-            self.expect("PUNCT", "]")
-            return FanOutModGate(q, blocks, control, inverse)
-        if name == "HQ":
-            block = self.parse_block()
-            self.expect("PUNCT", "]")
-            return FourierGate(q, block, inverse)
-        if name == "T":
-            addend = self.parse_block()
-            self.expect("PUNCT", "->")
-            result = self.parse_block()
-            self.expect("PUNCT", "]")
-            return AddBlockGate(q, addend, result, inverse)
-        raise AssertionError(name)
+        tok = self.next()
+        if tok.text not in GATE_SYNTAX:
+            raise self.error(f"found {tok.text!r}", GATE_KEYWORDS, tok)
+        cls, fixed, parts = GATE_SYNTAX[tok.text]
+        fields = dict(fixed)
+        for i, part in enumerate(parts):
+            if part == "'":
+                fields["inverse"] = self.accept("PUNCT", "'") is not None
+            elif isinstance(part, str):
+                self.expect("PUNCT", part)
+            else:
+                name, kind = part
+                fields[name] = _READ[kind](self, parts[i + 1])
+        return cls(**fields)
 
-    def parse_ints(self) -> list[int]:
+    def parse_ints(self) -> tuple[int, ...]:
         out = []
         while self.peek().kind == "INT":
             out.append(self.parse_int())
-        return out
-
-    def parse_blocks(self):
-        blocks = [self.parse_block()]
-        while self.accept("PUNCT", ","):
-            blocks.append(self.parse_block())
-        return tuple(blocks)
+        return tuple(out)
 
     def parse_block(self):
         self.expect("PUNCT", "(")
         lines = self.parse_ints()
         if not lines:
-            self.fail("empty block", ("INT",))
+            raise self.error("empty block", ("INT",))
         self.expect("PUNCT", ")")
-        return tuple(lines)
+        return lines
 
-    def parse_matrix(self):
+    def parse_two(self, item):
+        """Two items in brackets: the rows of a matrix, or the scalars of a row."""
         self.expect("PUNCT", "[")
-        row0 = self.parse_row()
+        first = item()
         self.expect("PUNCT", ",")
-        row1 = self.parse_row()
+        second = item()
         self.expect("PUNCT", "]")
-        return (row0, row1)
-
-    def parse_row(self):
-        self.expect("PUNCT", "[")
-        a = self.parse_scalar()
-        self.expect("PUNCT", ",")
-        b = self.parse_scalar()
-        self.expect("PUNCT", "]")
-        return (a, b)
+        return (first, second)
 
     def parse_scalar(self) -> ExactScalar:
         total = self.ctx.zero()
@@ -341,31 +278,40 @@ class _Parser:
             if self.accept("PUNCT", "/"):
                 den = self.parse_int()
                 if den == 0:
-                    self.fail("zero denominator")
+                    raise self.error("zero denominator")
                 try:
                     return self.ctx.scalar_from_rational(Fraction(num, den))
                 except ContextError as exc:
-                    raise ParseError(str(exc), tok.line, tok.col) from exc
+                    raise self.error(str(exc), tok=tok) from exc
             return self.ctx.from_int(num)
         if tok.kind == "NAME":
             name = self.next().text
             try:
                 base = self.ctx.symbol(name)
             except ContextError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from exc
+                raise self.error(str(exc), tok=tok) from exc
             if self.accept("PUNCT", "^"):
                 exp_tok = self.peek()
                 k = self.parse_int()
                 if k > EXPONENT_CAP:
-                    raise ParseError(
-                        f"exponent {k} is above the cap {EXPONENT_CAP}", exp_tok.line, exp_tok.col
-                    )
+                    raise self.error(f"exponent {k} is above the cap {EXPONENT_CAP}", tok=exp_tok)
                 out = self.ctx.one()
                 for _ in range(k):
                     out = out * base
                 return out
             return base
-        self.fail(f"found {tok.text!r}", ("INT", "NAME"))
+        raise self.error(f"found {tok.text!r}", ("INT", "NAME"))
+
+
+# How each kind of field reads; a list ends at the part that follows it.
+_READ = {
+    "int": lambda p, end: p.parse_int(),
+    "ints": lambda p, end: p.parse_ints(),
+    "line": lambda p, end: (p.parse_int(),),
+    "block": lambda p, end: p.parse_block(),
+    "blocks": lambda p, end: p.items(p.parse_block, ",", (end,)),
+    "matrix": lambda p, end: p.parse_two(lambda: p.parse_two(p.parse_scalar)),
+}
 
 
 def parse_circuit(text: str, context: AlgebraContext | None = None) -> Circuit:
@@ -375,8 +321,7 @@ def parse_circuit(text: str, context: AlgebraContext | None = None) -> Circuit:
     overrides both (used when loading a circuit against a context from a
     JSON file).
     """
-    tokens = tokenize(text)
-    parser = _Parser(tokens, context if context is not None else get_context("cyclotomic2"))
+    parser = _Parser(text, context if context is not None else get_context("cyclotomic2"))
     parser.expect("NAME", "circuit")
     parser.expect("NAME", "n")
     parser.expect("PUNCT", "=")
@@ -391,7 +336,7 @@ def parse_circuit(text: str, context: AlgebraContext | None = None) -> Circuit:
             try:
                 parser.ctx = get_context(name_tok.text)
             except ContextError as exc:
-                raise ParseError(str(exc), name_tok.line, name_tok.col) from exc
+                raise parser.error(str(exc), tok=name_tok) from exc
     layers = parser.parse_layers()
     return Circuit(n_inputs, n_aux, tuple(layers), parser.ctx)
 
@@ -418,42 +363,54 @@ def scalar_to_text(x: ExactScalar) -> str:
     return "".join(parts) if parts else "0"
 
 
+def _ints_text(ints) -> str:
+    return " ".join(map(str, ints))
+
+
 def _block_text(block) -> str:
-    return "(" + " ".join(str(l) for l in block) + ")"
+    return "(" + _ints_text(block) + ")"
+
+
+# How each kind of field prints.
+_SHOW = {
+    "int": str,
+    "ints": _ints_text,
+    "line": _ints_text,
+    "block": _block_text,
+    "blocks": lambda blocks: ",".join(map(_block_text, blocks)),
+    "matrix": lambda m: "[" + ",".join(
+        "[" + ",".join(map(scalar_to_text, row)) + "]" for row in m) + "]",
+}
+
+# The keyword each gate class prints under; a keyword that fixes fields is
+# a shorter spelling of another.
+_KEYWORD = {cls: kw for kw, (cls, fixed, _) in GATE_SYNTAX.items() if not fixed}
 
 
 def _gate_text(g) -> str:
-    if isinstance(g, FourierGate):
-        if g.q == 2 and not g.inverse:
-            return f"H [{g.block[0]}]"
-        return f"HQ{_prime(g)} {g.q} [{_block_text(g.block)}]"
-    if isinstance(g, OneQubitGate):
-        rows = ",".join(
-            "[" + ",".join(scalar_to_text(e) for e in row) + "]" for row in g.matrix
-        )
-        return f"U [{rows}] [{g.line}]"
-    if isinstance(g, ToffoliGate):
-        controls = " ".join(str(c) for c in g.controls)
-        return f"TOF [{controls}{' ' if controls else ''}-> {g.target}]"
-    if isinstance(g, FanOutGate):
-        targets = " ".join(str(t) for t in g.targets)
-        return f"FAN [{targets}{' ' if targets else ''}<- {g.control}]"
-    if isinstance(g, ModGate):
-        inputs = " ".join(str(i) for i in g.inputs)
-        return f"MOD {g.q} {g.r} [{inputs} -> {g.output}]"
-    if isinstance(g, AddModGate):
-        blocks = ",".join(_block_text(b) for b in g.blocks)
-        return f"MQ{_prime(g)} {g.q} [{blocks} -> {_block_text(g.result)}]"
-    if isinstance(g, FanOutModGate):
-        blocks = ",".join(_block_text(b) for b in g.blocks)
-        return f"FQ{_prime(g)} {g.q} [{blocks} <- {_block_text(g.control)}]"
-    if isinstance(g, AddBlockGate):
-        return f"T{_prime(g)} {g.q} [{_block_text(g.addend)} -> {_block_text(g.result)}]"
-    raise TypeError(f"unknown gate {type(g).__name__}")
+    """The keyword and the gate's parts, joined by one space, with no space
+    after "[" or before "]" and "'"; an empty list prints as nothing."""
+    keyword = _KEYWORD.get(type(g))
+    if keyword is None:
+        raise TypeError(f"unknown gate {type(g).__name__}")
+    if keyword == "HQ" and g.q == 2 and not g.inverse:
+        keyword = "H"
+    out = keyword
+    for part in GATE_SYNTAX[keyword][2]:
+        if part == "'":
+            word = "'" if g.inverse else ""
+        elif isinstance(part, str):
+            word = part
+        else:
+            word = _SHOW[part[1]](getattr(g, part[0]))
+        if word and not (out.endswith("[") or word in ("]", "'")):
+            out += " "
+        out += word
+    return out
 
 
-def _prime(g) -> str:
-    return "'" if g.inverse else ""
+def _stage_text(pairs) -> str:
+    return "; ".join(f"{a} -> {b}" for a, b in sorted(pairs, key=min))
 
 
 def serialize_circuit(c: Circuit) -> str:
@@ -468,16 +425,9 @@ def serialize_circuit(c: Circuit) -> str:
             gates = sorted(layer.gates, key=lambda g: min(g.lines()))
             lines.append("layer { " + "; ".join(_gate_text(g) for g in gates) + " }")
         elif isinstance(layer, CNotLayer):
-            pairs = sorted(layer.pairs, key=min)
-            lines.append(
-                "cnotlayer { " + "; ".join(f"{a} -> {b}" for a, b in pairs) + " }"
-            )
+            lines.append("cnotlayer { " + _stage_text(layer.pairs) + " }")
         elif isinstance(layer, StagedCNotLayer):
-            stages = [
-                "; ".join(f"{a} -> {b}" for a, b in sorted(stage, key=min))
-                for stage in layer.stages
-            ]
-            lines.append("cnotstages { " + " | ".join(stages) + " }")
+            lines.append("cnotstages { " + " | ".join(map(_stage_text, layer.stages)) + " }")
         else:
             raise TypeError(f"unknown layer {type(layer).__name__}")
     return "\n".join(lines) + "\n"

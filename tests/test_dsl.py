@@ -85,11 +85,17 @@ def test_block_gates_round_trip():
 
 
 def test_builders_round_trip():
+    """Every circuit a builder makes parses back, n = 0 included: there
+    block gates have no blocks and controlled-not layers no pairs."""
     for name, spec in tf.BUILDERS.items():
-        for q, n in itertools.product((2, 3, 4), (1, 2)):
-            r = 1 if spec.needs_r else 0
-            circuit = spec.build(n, q, r)
-            assert parse_circuit(serialize_circuit(circuit)) == circuit, name
+        for q, n in itertools.product((2, 3, 4, 5, 7), (0, 1, 2)):
+            for r in range(q) if spec.needs_r else (0,):
+                try:
+                    circuit = spec.build(n, q, r)
+                except (tf.BuilderArgumentError, ValidationError):
+                    continue
+                text = serialize_circuit(circuit)
+                assert parse_circuit(text) == circuit, (name, q, n, r, text)
 
 
 def test_serialized_gates_sorted_by_lowest_line():
@@ -177,6 +183,51 @@ def test_float_literals_rejected():
         parse_circuit("circuit n=1 aux=0\nlayer { U [[0.5,0],[0,1]] [0] }")
 
 
+def _int_error(digits: str) -> str:
+    try:
+        int(digits)
+    except ValueError as exc:  # the wording is the interpreter's
+        return str(exc)
+    raise AssertionError("int() converted an overlong literal")
+
+
+_N2 = "circuit n=2 aux=0\n"
+_C3 = "circuit n=4 aux=0 context=cyclotomic3\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_N2 + "layer { FLIP [0] }",
+         "2:9: found 'FLIP' (expected H, U, TOF, FAN, MOD, MQ, FQ, HQ, T)"),
+        (_N2 + "layr { H [0] }", "2:1: found 'layr' (expected layer, cnotlayer, cnotstages)"),
+        (_N2 + "layer { TOF [0 1] }", "2:17: found ']' (expected ->)"),
+        (_N2 + "layer { TOF [0 -> 1 }", "2:21: found '}' (expected ])"),
+        (_C3 + "layer { HQ 3 [()] }", "2:16: empty block (expected INT)"),
+        (_N2 + "layer { FAN [1 <- 0", "2:20: unexpected end of input (expected ])"),
+        (_N2 + "layer { TOF [-> " + "1" * 5000 + "] }", "2:17: " + _int_error("1" * 5000)),
+        ("circuit n=1 aux=0 context=cyclotomic5\nlayer { U [[1,0],[0,z^65]] [0] }",
+         "2:23: exponent 65 is above the cap 64"),
+        (_N2 + "layer { U [[w7,0],[0,1]] [0] }", "2:13: context has no symbol 'w7'"),
+        ("circuit n=1 aux=0 context=rational5\nlayer { U [[1/3,0],[0,1]] [0] }",
+         "2:13: denominator 3 does not divide a power of u=5"),
+        (_N2 + "layer { U [[1/0,0],[0,1]] [0] }", "2:16: zero denominator"),
+        (_N2 + "\tlayer {\tH [0]\t@ }", "2:16: unexpected character '@'"),
+        ("circuit n=1 aux=0\r\nlayer { H [0] }\r\n  $", "3:3: unexpected character '$'"),
+        ("circuit n=1 aux=0 context=bogus\n", "1:27: unknown context name 'bogus'"),
+        ("# comment\ncircuit n 1 aux=0\n", "2:11: found '1' (expected =)"),
+        (_C3 + "layer { MQ 3 [(0 1), -> (2 3)] }  # comma", "2:22: found '->' (expected ()"),
+        (_N2 + "cnotstages { 0 -> 1 | 1 0 }", "2:25: found '0' (expected ->)"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    """Each malformed text fails with this exact line:column, message and
+    expected list."""
+    with pytest.raises(ParseError) as info:
+        parse_circuit(text)
+    assert str(info.value) == message
+
+
 # -- round trip on seeded random canonical circuits ----------------------------
 
 
@@ -216,14 +267,14 @@ def _random_gate(rng, ctx, avail: list):
     if kind == "TOF":
         return ToffoliGate(take(rng.randint(0, min(2, len(avail) - 1))), avail.pop())
     if kind == "FAN":
-        return FanOutGate(take(rng.randint(1, min(2, len(avail) - 1))), avail.pop())
+        return FanOutGate(take(rng.randint(0, min(2, len(avail) - 1))), avail.pop())
     if kind == "MOD":
         return ModGate(q, rng.randrange(q), take(rng.randint(1, len(avail) - 1)), avail.pop())
     if kind == "HQ":
         return FourierGate(q, take(w), inverse=inverse)
     if kind == "T":
         return AddBlockGate(q, take(w), take(w), inverse=inverse)
-    count = rng.randint(1, len(avail) // w - 1)
+    count = rng.randint(0, len(avail) // w - 1)
     if kind == "MQ":
         return AddModGate(q, blocks(count), take(w), inverse=inverse)
     return FanOutModGate(q, blocks(count), take(w), inverse=inverse)
@@ -231,14 +282,15 @@ def _random_gate(rng, ctx, avail: list):
 
 def _random_pairs(rng, lines: int, staged: bool):
     """Disjoint pairs in random directions, sorted by lowest line; staged
-    pairs join neighbouring lines, so their spans do not overlap."""
+    pairs join neighbouring lines, so their spans do not overlap.  Only
+    unstaged pairs may be none: a lone empty stage has no spelling."""
     if staged:
         starts = range(rng.randrange(2), lines - 1, 2)
         pairs = [(a, a + 1) for a in starts if rng.random() < 0.7] or [(0, 1)]
         return tuple(p if rng.random() < 0.5 else p[::-1] for p in pairs)
     avail = list(range(lines))
     rng.shuffle(avail)
-    pairs = [(avail.pop(), avail.pop()) for _ in range(rng.randint(1, lines // 2))]
+    pairs = [(avail.pop(), avail.pop()) for _ in range(rng.randint(0, lines // 2))]
     return tuple(sorted(pairs, key=min))
 
 
@@ -250,20 +302,26 @@ def _random_canonical_circuit(rng, ctx) -> Circuit:
         if roll < 0.15:
             layers.append(CNotLayer(_random_pairs(rng, lines, staged=False)))
         elif roll < 0.3:
-            stages = tuple(_random_pairs(rng, lines, staged=True) for _ in range(rng.randint(1, 3)))
+            stages = tuple(_random_pairs(rng, lines, staged=True) for _ in range(rng.randint(0, 3)))
             layers.append(StagedCNotLayer(stages))
         else:
             avail = list(range(lines))
             rng.shuffle(avail)
-            gates = [g for _ in range(4) if (g := _random_gate(rng, ctx, avail)) is not None]
-            layers.append(cir.tensor_layer(*gates or [OneQubitGate(_random_unitary(rng, ctx), 0)]))
+            draws = (_random_gate(rng, ctx, avail) for _ in range(rng.randint(0, 4)))
+            gates = [g for g in draws if g is not None]
+            layers.append(cir.tensor_layer(*gates))
     n_aux = rng.randint(0, 2)
     return Circuit(lines - n_aux, n_aux, tuple(layers), ctx)
 
 
+# The list in each layer or gate that may be empty.
+_LISTS = {"TensorLayer": "gates", "CNotLayer": "pairs", "StagedCNotLayer": "stages",
+          "FanOutGate": "targets", "AddModGate": "blocks", "FanOutModGate": "blocks"}
+
+
 def test_round_trip_on_random_canonical_circuits():
     """parse(serialize(c)) == c for every gate kind, both inverse flags,
-    and controlled-not and staged layers."""
+    controlled-not and staged layers, and every list left empty."""
     rng = random.Random(7531)
     seen, texts = set(), ""
     for i in range(120):
@@ -274,6 +332,10 @@ def test_round_trip_on_random_canonical_circuits():
         texts += text
         for layer in c.layers:
             seen.add(type(layer).__name__)
+            for x in (layer, *getattr(layer, "gates", ())):
+                name = type(x).__name__
+                if name in _LISTS and not getattr(x, _LISTS[name]):
+                    seen.add((name, "empty"))
             for g in getattr(layer, "gates", ()):
                 seen.add((type(g).__name__, getattr(g, "inverse", None)))
     for name in ("AddModGate", "FanOutModGate", "FourierGate", "AddBlockGate"):
@@ -282,3 +344,4 @@ def test_round_trip_on_random_canonical_circuits():
     for name in ("OneQubitGate", "ToffoliGate", "FanOutGate", "ModGate"):
         assert (name, None) in seen
     assert {"TensorLayer", "CNotLayer", "StagedCNotLayer"} <= seen
+    assert {(name, "empty") for name in _LISTS} <= seen
