@@ -14,10 +14,14 @@ first, lists line 0 first.
 A Circuit is well formed by construction: making one runs validate and
 raises ValidationError with its diagnostics, so no engine validates again.
 
-Both engines share one work budget: BUDGET stored items, basis states in
-a state vector or nodes in a tensor graph.  A run that would go past it
-raises CapExceededError instead of growing further; so does a run of a
-circuit wider than BUDGET lines, before any key or graph is built.
+Every engine shares two budgets, and going past either raises
+CapExceededError.  The memory budget, BUDGET, bounds the items held at
+once: basis states in a state vector, nodes in a tensor graph, the lines
+of a circuit that runs (checked before any key or graph is built) and the
+gate lines of a built circuit.  The work budget, WORK, bounds the units
+one operation spends, charged to a Work meter where the work is done:
+key-gate applications in a state-vector run, path steps in a path sum and
+enumerated inputs in an equivalence check.
 """
 
 from __future__ import annotations
@@ -31,10 +35,25 @@ from .algebra import AlgebraContext, ContextError, ExactScalar
 
 
 BUDGET = 1 << 20
+WORK = 1 << 24
 
 
 class CapExceededError(RuntimeError):
-    """A run would go past a work budget."""
+    """A run would go past the memory budget or the work budget."""
+
+
+class Work:
+    """The work meter of one operation: `left` of its WORK units remain."""
+
+    __slots__ = ("left",)
+
+    def __init__(self):
+        self.left = WORK
+
+    def charge(self, units: int, what: str) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise CapExceededError(f"{what} exceeds the work budget of {WORK} units")
 
 
 class ValidationError(ValueError):
@@ -334,9 +353,9 @@ def _unitarity_diagnostics(g: OneQubitGate, idx: int, ctx) -> list[Diagnostic]:
 
 def check_width(c: Circuit) -> None:
     """A basis key holds one bit per line: a circuit wider than BUDGET
-    lines exceeds the work budget before any key or graph is built."""
+    lines exceeds the memory budget before any key or graph is built."""
     if c.width > BUDGET:
-        raise CapExceededError(f"{c.width} lines exceed the work budget {BUDGET}")
+        raise CapExceededError(f"{c.width} lines exceed the memory budget {BUDGET}")
 
 
 # -- basis-state helpers -----------------------------------------------------

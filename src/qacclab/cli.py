@@ -1,7 +1,7 @@
 """Command-line entry points for reproducible runs.
 
 Exit codes: 0 success/accept/equivalent, 1 reject/counterexample/invalid
-outcome, 2 usage or input error, 3 an internal cap was exceeded.
+outcome, 2 usage or input error, 3 a memory or work budget was exceeded.
 Reports are byte-deterministic; --json switches to machine-readable form.
 """
 
@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import circuit as cir, dsl, statevec, tensorgraph, transforms
-from .algebra import ContextError, load_context
+from .algebra import ContextError, get_context, load_context
 from .circuit import CapExceededError, ValidationError, circuit_stats
 from .statevec import AcceptanceError
 
@@ -85,8 +85,6 @@ def _builder_args(args):
         raise UsageError(f"unknown builder {name!r} (known: {known})")
     if args.n < 0:
         raise UsageError(f"--n {args.n} must be nonnegative")
-    if args.n > cir.BUDGET:  # every builder's circuit has at least n lines
-        raise CapExceededError(f"--n {args.n} lines exceed the work budget {cir.BUDGET}")
     if args.q < 2:
         raise UsageError(f"--q {args.q} must be at least 2")
     if not 0 <= args.r < args.q:
@@ -94,6 +92,10 @@ def _builder_args(args):
     spec = transforms.BUILDERS[name]
     if args.r and not spec.needs_r:
         raise UsageError(f"--r {args.r} given, but builder {name!r} takes no r")
+    get_context(f"cyclotomic{args.q}")  # an unsupported q exits 2, whatever the size
+    size = spec.size(args.n, args.q, args.r)
+    if size > cir.BUDGET:
+        raise CapExceededError(f"{size} gate lines exceed the memory budget {cir.BUDGET}")
     return spec
 
 

@@ -152,11 +152,15 @@ class _Parser:
         """A ParseError at tok, by default at the next token."""
         return _error(self.text, (self.peek() if tok is None else tok).pos, message, expected)
 
+    def unexpected(self, tok, expected) -> ParseError:
+        """The error for a token that is none of `expected`."""
+        found = f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input"
+        return self.error(found, expected, tok)
+
     def expect(self, kind, text=None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            found = f"found {tok.text!r}" if tok.kind != "EOF" else "unexpected end of input"
-            raise self.error(found, (text if text is not None else kind,))
+            raise self.unexpected(tok, (text if text is not None else kind,))
         return self.next()
 
     def accept(self, kind, text=None) -> Token | None:
@@ -188,7 +192,7 @@ class _Parser:
         while self.peek().kind != "EOF":
             tok = self.next()
             if tok.text not in _LAYER_KEYWORDS:
-                raise self.error(f"found {tok.text!r}", _LAYER_KEYWORDS, tok)
+                raise self.unexpected(tok, _LAYER_KEYWORDS)
             self.expect("PUNCT", "{")
             if tok.text == "layer":
                 layers.append(TensorLayer(self.items(self.parse_gate, ";", ("}",))))
@@ -212,7 +216,7 @@ class _Parser:
     def parse_gate(self):
         tok = self.next()
         if tok.text not in GATE_SYNTAX:
-            raise self.error(f"found {tok.text!r}", GATE_KEYWORDS, tok)
+            raise self.unexpected(tok, GATE_KEYWORDS)
         cls, fixed, parts = GATE_SYNTAX[tok.text]
         fields = dict(fixed)
         for i, part in enumerate(parts):
@@ -300,7 +304,7 @@ class _Parser:
                     out = out * base
                 return out
             return base
-        raise self.error(f"found {tok.text!r}", ("INT", "NAME"))
+        raise self.unexpected(tok, ("INT", "NAME"))
 
 
 # How each kind of field reads; a list ends at the part that follows it.

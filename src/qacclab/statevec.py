@@ -11,11 +11,16 @@ no scalar arithmetic at all; only one-qubit and Fourier gates touch the
 algebra.  Each of their entries s is compiled once into a multiplier
 (scalars.multiplier), so a branching step adds every product into its
 output key's slot as integer numerators over one power of u and builds one
-scalar per nonzero slot, not one per product or partial sum.  A run's
-width is at most circuit.BUDGET lines, and before a one-qubit or Fourier
-step runs, support x 2^(lines of the gate) must be at most circuit.BUDGET,
-or it raises CapExceededError.  Permutation steps map keys one-to-one, so
-they never grow the support.
+scalar per nonzero slot, not one per product or partial sum.
+
+Both budgets raise CapExceededError.  The memory budget: a run's width is
+at most circuit.BUDGET lines, and before a one-qubit or Fourier step runs,
+support x 2^(lines of the gate) must be at most circuit.BUDGET.
+Permutation steps map keys one-to-one, so they never grow the support.
+The work budget: each step charges the run's Work meter, before it runs,
+its support times its cost in key-gate applications: the number of key
+maps a fused permutation run fuses (one per permutation gate or
+controlled-not stage), or a branching step's fan.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .circuit import (
     Layer,
     StagedCNotLayer,
     TensorLayer,
+    Work,
     check_width,
     cnot_action,
     gate_columns,
@@ -81,14 +87,21 @@ def basis_state(bits: str, ctx) -> StateVector:
 
 @dataclass(frozen=True)
 class Program:
-    """A circuit compiled for repeated runs: each step maps a sparse state
-    (basis key -> amplitude) to the next."""
+    """A circuit compiled for repeated runs: each (step, cost) pair maps a
+    sparse state (basis key -> amplitude) to the next, at cost key-gate
+    applications per basis state."""
 
     steps: tuple
 
-    def apply(self, entries: dict) -> dict:
-        for step in self.steps:
+    def apply(self, entries: dict, work: Work) -> dict:
+        left = work.left
+        for step, cost in self.steps:
+            left -= len(entries) * cost
+            if left < 0:
+                work.left = left
+                work.charge(0, "a state-vector run")  # raises: the meter is spent
             entries = step(entries)
+        work.left = left
         return entries
 
 
@@ -121,7 +134,7 @@ def _branch(mask: int, table: dict, fan: int, ctx):
     def step(entries):
         if len(entries) * fan > cir.BUDGET:
             raise CapExceededError(
-                f"{len(entries)} basis states x {fan} branches exceed the work budget "
+                f"{len(entries)} basis states x {fan} branches exceed the memory budget "
                 f"{cir.BUDGET}"
             )
         slots: dict = {}
@@ -153,8 +166,9 @@ def _branch(mask: int, table: dict, fan: int, ctx):
 
 def _compile_steps(layers, width: int, ctx) -> tuple:
     """One step per one-qubit or Fourier gate, one fused key map per maximal
-    run of permutation gates and controlled-not layers.  Gates in a tensor
-    layer commute, so they are applied in sequence."""
+    run of permutation gates and controlled-not layers, each paired with its
+    cost per basis state.  Gates in a tensor layer commute, so they are
+    applied in sequence."""
     steps: list = []
     maps: list = []
     built: dict = {}  # scalar form -> its multiplier, shared by the program's gates
@@ -167,7 +181,7 @@ def _compile_steps(layers, width: int, ctx) -> tuple:
 
     def close_run():
         if maps:
-            steps.append(_permute(_fuse(maps)))
+            steps.append((_permute(_fuse(maps)), len(maps)))
             maps.clear()
 
     for layer in layers:
@@ -183,7 +197,8 @@ def _compile_steps(layers, width: int, ctx) -> tuple:
                         b: tuple((bits, multiplier_of(s)) for bits, s in col)
                         for b, col in columns.items()
                     }
-                    steps.append(_branch(mask, table, 1 << len(gate.lines()), ctx))
+                    fan = 1 << len(gate.lines())
+                    steps.append((_branch(mask, table, fan, ctx), fan))
         elif isinstance(layer, CNotLayer):
             maps.append(cnot_action(layer.pairs, width))
         elif isinstance(layer, StagedCNotLayer):
@@ -202,7 +217,7 @@ def compile_circuit(c: Circuit) -> Program:
 def apply_layer(state: StateVector, layer: Layer) -> StateVector:
     """Exact action of one layer, compiled as a one-layer circuit."""
     program = compile_circuit(Circuit(state.width, 0, (layer,), state.context))
-    return StateVector(program.apply(state.entries), state.width, state.context)
+    return StateVector(program.apply(state.entries, Work()), state.width, state.context)
 
 
 def run(c: Circuit, input_bits: str) -> StateVector:
@@ -210,7 +225,7 @@ def run(c: Circuit, input_bits: str) -> StateVector:
     check_width(c)
     key = parse_bits(input_bits, c.n_inputs) << c.n_aux
     program = compile_circuit(c)
-    return StateVector(program.apply({key: c.context.one()}), c.width, c.context)
+    return StateVector(program.apply({key: c.context.one()}, Work()), c.width, c.context)
 
 
 def amplitude(c: Circuit, input_bits: str, target_bits: str) -> ExactScalar:

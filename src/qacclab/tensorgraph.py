@@ -50,8 +50,10 @@ its input graph once and returns the copy.  The private rules behind it
 a layer costs one copy, not one per gate.  The add_* methods change the
 graph they are called on; they are for construction and loaders.
 
-A graph holds at most circuit.BUDGET nodes: add_node, through which every
-node passes, raises CapExceededError before the count would go past it.
+A graph holds at most circuit.BUDGET nodes, the memory budget: add_node,
+through which every node passes, raises CapExceededError before the count
+would go past it.  A path sum charges the work budget one scalar product
+per vertical edge of each path, before it walks.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from .circuit import (
     parse_bits,
 )
 
-PATH_CAP_DEFAULT = 10**6
+PATH_CAP_DEFAULT = 10**6  # read by bench/worker.py alone, to choose the graphs it path-sums
 
 
 class GraphError(RuntimeError):
@@ -228,7 +230,7 @@ class TensorGraph:
     def add_node(self, height: int, node_id: int | None = None) -> int:
         if len(self.nodes) >= cir.BUDGET:
             raise CapExceededError(
-                f"tensor graph would exceed the work budget of {cir.BUDGET} nodes"
+                f"tensor graph would exceed the memory budget of {cir.BUDGET} nodes"
             )
         nid = self._next_node if node_id is None else node_id
         if nid in self.nodes:
@@ -556,11 +558,10 @@ def tg_path_count(g: TensorGraph) -> int:
 def tg_amplitude_paths(g: TensorGraph, target_bits: str) -> ExactScalar:
     """Sum over explicit source-terminal paths; color-annihilated paths drop.
 
-    Refused with CapExceededError past PATH_CAP_DEFAULT paths."""
+    Charges a Work meter one unit per path and height up front."""
     parse_bits(target_bits, g.height)
     n_paths = tg_path_count(g)
-    if n_paths > PATH_CAP_DEFAULT:
-        raise CapExceededError(f"{n_paths} paths exceed the cap {PATH_CAP_DEFAULT}")
+    cir.Work().charge(n_paths * g.height, f"summing {n_paths} paths of height {g.height}")
     ctx = g.ctx
     total = ctx.zero()
     stack = [(g.source, UNIT_PRODUCT, ctx.one())]

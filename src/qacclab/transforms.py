@@ -17,7 +17,6 @@ from . import circuit as cir
 from .circuit import (
     AddBlockGate,
     AddModGate,
-    CapExceededError,
     Circuit,
     CNotLayer,
     FanOutGate,
@@ -32,8 +31,6 @@ from .circuit import (
 )
 from . import statevec
 from .statevec import run  # noqa: F401  (run stays importable from here)
-
-EQUIVALENCE_MAIN_CAP = 12
 
 Target = Union[Gate, Circuit, Callable[[int], int]]
 
@@ -72,9 +69,9 @@ class EquivalenceReport:
         return data
 
 
-def _target_map(target: Target, main: int, ctx) -> Callable[[int], dict]:
+def _target_map(target: Target, main: int, ctx, work: cir.Work) -> Callable[[int], dict]:
     """Function from a basis key x to target|x> as {basis key: ExactScalar},
-    with the target compiled once."""
+    with the target compiled once; a circuit target's runs charge work."""
     one = ctx.one()
     if isinstance(target, Circuit):
         if target.width != main:
@@ -82,7 +79,7 @@ def _target_map(target: Target, main: int, ctx) -> Callable[[int], dict]:
         if target.n_aux:
             raise ValueError("target circuit must have no auxiliary lines")
         program = statevec.compile_circuit(target)
-        return lambda x: program.apply({x: one})
+        return lambda x: program.apply({x: one}, work)
     if callable(target) and not isinstance(target, Gate):
         return lambda x: {target(x): one}
     perm = cir.permutation_action(target, main)
@@ -90,6 +87,13 @@ def _target_map(target: Target, main: int, ctx) -> Callable[[int], dict]:
         return lambda x: {perm(x): one}
     kernel = cir.gate_kernel(target, main, ctx)
     return lambda x: dict(kernel(x))
+
+
+def _charge_inputs(work: cir.Work, lines: int, bound: str = "") -> None:
+    """Charge one unit per input on `lines` lines; 2^lines is capped just
+    past the budget, so that a huge line count builds no huge int."""
+    units = 1 << min(lines, cir.WORK.bit_length())
+    work.charge(units, f"comparing {bound}2^{lines} inputs")
 
 
 def equivalence_check(
@@ -108,12 +112,15 @@ def equivalence_check(
     the digit encoding).  The candidate, and a circuit or gate target, are
     compiled once per check, not once per input; a circuit was validated
     when it was made.
+
+    The check has one Work meter: enumerating every input charges 2^main
+    units up front, and the candidate's and a circuit target's runs charge
+    their steps.
     """
     main = main_lines if main_lines is not None else candidate.n_inputs
-    if main > EQUIVALENCE_MAIN_CAP:
-        raise CapExceededError(
-            f"{main} compared lines exceed the equivalence cap {EQUIVALENCE_MAIN_CAP}"
-        )
+    work = cir.Work()
+    if inputs is None:
+        _charge_inputs(work, main)
     ctx = candidate.context
     aux = candidate.width - main
     pad = candidate.n_inputs - main
@@ -122,11 +129,11 @@ def equivalence_check(
     aux_mask = (1 << aux) - 1
     zeros = "0" * aux
     program = statevec.compile_circuit(candidate)
-    target_of = _target_map(target, main, ctx)
+    target_of = _target_map(target, main, ctx, work)
     one = ctx.one()
 
     for x in range(1 << main) if inputs is None else inputs:
-        entries = program.apply({x << aux: one})
+        entries = program.apply({x << aux: one}, work)
         for key in entries:
             if key & aux_mask:  # report the smallest aux-dirty output, not the first
                 dirty = min(k for k in entries if k & aux_mask)
@@ -412,13 +419,30 @@ def qudigit_inputs(n_blocks: int, q: int):
 
 @dataclass(frozen=True)
 class BuilderSpec:
-    """A builder and its target; the candidate's input lines are the
-    compared lines."""
+    """A builder, its target, and size(n, q, r), the built circuit's gate
+    lines (a gate counts its lines, a controlled-not pair counts 2), worked
+    out without building it; the candidate's input lines are the compared
+    lines."""
 
     needs_r: bool
     build: Callable
     target: Callable
+    size: Callable
     inputs: Callable | None = None  # optional restriction to encoded inputs
+
+
+def _detector_size(n: int, q: int) -> int:
+    """Gate lines of one residue detector: a MOD gate on the fan-out copies
+    of n digits, between two fan-out layers."""
+    return n * (3 * 2 ** block_width(q) - 5) + 1
+
+
+def _mq_from_modq_size(n: int, q: int) -> int:
+    """q detectors, per sum bit k two negations of its s_k sources, their
+    Toffoli and one X, all twice, around the block-add transform."""
+    w = block_width(q)
+    bits = sum(3 * sum(1 for r in range(q) if (r >> k) & 1) + 2 for k in range(w))
+    return 2 * (q * _detector_size(n, q) + bits) + 2 * w
 
 
 BUILDERS = {
@@ -426,26 +450,31 @@ BUILDERS = {
         False,
         lambda n, q, r=0: build_mq_via_conjugation(n, q),
         lambda n, q, r=0: mq_target(n, q),
+        lambda n, q, r=0: 3 * (n + 1) * block_width(q),
     ),
     "modqr_from_modq": BuilderSpec(
         True,
         lambda n, q, r=0: build_modqr_from_modq(n, q, r),
         lambda n, q, r=0: ModGate(q, r, tuple(range(n)), n),
+        lambda n, q, r=0: n + 1 + 3 * ((q - r) % q),
     ),
     "modq_from_mq": BuilderSpec(
         False,
         lambda n, q, r=0: build_modq_from_mq(n, q),
         lambda n, q, r=0: ModGate(q, 0, tuple(range(n)), n),
+        lambda n, q, r=0: 2 * (n + 1) * block_width(q) + 3 * block_width(q) + 1,
     ),
     "modhat": BuilderSpec(
         True,
         lambda n, q, r=0: build_modhat(n, q, r),
         lambda n, q, r=0: modhat_target(n, q, r),
+        lambda n, q, r=0: _detector_size(n, q),
     ),
     "mq_from_modq": BuilderSpec(
         False,
         lambda n, q, r=0: build_mq_from_modq(n, q),
         lambda n, q, r=0: mq_target(n, q),
+        lambda n, q, r=0: _mq_from_modq_size(n, q),
         # the residue detectors read raw block values, so the simulation is
         # promised on the digit encoding's support only
         inputs=lambda n, q: qudigit_inputs(n + 1, q),
@@ -454,6 +483,7 @@ BUILDERS = {
         False,
         lambda n, q, r=0: build_f_from_fq(n, q),
         lambda n, q, r=0: FanOutGate(tuple(range(n)), n),
+        lambda n, q, r=0: 2 * (n + 1) * block_width(q) + 2 * n,
     ),
 }
 
@@ -461,13 +491,11 @@ BUILDERS = {
 def check_builder(name: str, n: int, q: int, r: int = 0) -> EquivalenceReport:
     """Equivalence-check a builder's candidate against its target.
 
-    Every candidate has at least n + 1 input lines, all compared, so a
-    check past EQUIVALENCE_MAIN_CAP is refused before anything is built.
+    Every candidate has at least n + 1 input lines, all compared, and each
+    input costs at least one unit, so a check with 2^(n + 1) > WORK is
+    refused before anything is built.
     """
-    if n + 1 > EQUIVALENCE_MAIN_CAP:
-        raise CapExceededError(
-            f"at least {n + 1} compared lines exceed the equivalence cap {EQUIVALENCE_MAIN_CAP}"
-        )
+    _charge_inputs(cir.Work(), n + 1, "at least ")
     spec = BUILDERS[name]
     candidate = spec.build(n, q, r)
     inputs = spec.inputs(n, q) if spec.inputs is not None else None

@@ -54,7 +54,8 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         (["check", "--builder", "modq_from_mq", "--n", "3", "--q", "3"], 0),
         (["check", "--builder", "modqr_from_modq", "--n", "2", "--q", "3", "--r", "2"], 0),
         (["check", "--builder", "modhat", "--n", "3", "--q", "5"], 0),
-        (["check", "--builder", "modqr_from_modq", "--n", "12", "--q", "2"], 3),
+        (["check", "--builder", "modqr_from_modq", "--n", "12", "--q", "2"], 0),
+        (["check", "--builder", "modqr_from_modq", "--n", "24", "--q", "2"], 3),
         (["check", "--builder", "modhat", "--n", "2", "--q", "5", "--r", "7"], 2),
         (["check", "--builder", "modhat", "--n", "-1", "--q", "3"], 2),
         (["build", "--builder", "modqr_from_modq", "--n", "2", "--q", "3", "--r", "-1"], 2),
@@ -168,26 +169,29 @@ def test_circuit_wider_than_the_budget_exits_3(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
     huge = str(10**12)
     code, out, err = run_cli(capsys, "build", "--builder", "modhat", "--n", huge, "--q", "3")
-    assert code == 3 and out == "" and "work budget" in err
+    assert code == 3 and out == "" and "memory budget" in err
 
 
 def test_oversized_check_exits_3_before_building(capsys, monkeypatch):
-    # every candidate has at least n + 1 compared lines, so n = 12 is past
-    # the cap of 12 whatever the builder; the builder must not run
+    # every candidate has at least n + 1 compared lines and each input
+    # costs a unit, so 2^25 inputs at n = 24 are past the work budget
+    # whatever the builder; the builder must not run
     from qacclab import transforms
 
     def refuse(*_args):
-        raise AssertionError("builder called for a check past the cap")
+        raise AssertionError("builder called for a check past the work budget")
 
     spec = transforms.BUILDERS["modq_from_mq"]
     monkeypatch.setitem(
-        transforms.BUILDERS, "modq_from_mq", transforms.BuilderSpec(False, refuse, spec.target)
+        transforms.BUILDERS,
+        "modq_from_mq",
+        transforms.BuilderSpec(False, refuse, spec.target, spec.size),
     )
-    for n in ("12", "100000"):
+    for n in ("24", "100000"):
         code, out, err = run_cli(capsys, "check", "--builder", "modq_from_mq", "--n", n, "--q", "3")
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "equivalence cap 12" in err
+        assert "work budget" in err
 
 
 def test_graph_json_makes_no_indented_dump(capsys, monkeypatch, bell_file):
@@ -214,6 +218,42 @@ def test_work_budget_exits_3_with_one_line(capsys, monkeypatch, bell_file):
     code, out, err = run_cli(capsys, "metrics", "--circuit", bell_file, "--input", "00")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_work_budget_exits_3_with_one_error_line(capsys, monkeypatch, bell_file):
+    from qacclab import circuit as cir
+
+    monkeypatch.setattr(cir, "WORK", 3)
+    for argv in (
+        ("simulate", "--circuit", bell_file, "--input", "00"),
+        ("check", "--builder", "modq_from_mq", "--n", "1", "--q", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "work budget of 3 units" in err, argv
+
+
+def test_wide_builds_are_refused_by_their_size(capsys, monkeypatch):
+    # 13,760,248 gate lines: refused before the builder runs
+    from qacclab import transforms
+
+    def refuse(*_args):
+        raise AssertionError("builder called for a build past the memory budget")
+
+    spec = transforms.BUILDERS["mq_from_modq"]
+    monkeypatch.setitem(
+        transforms.BUILDERS,
+        "mq_from_modq",
+        transforms.BuilderSpec(False, refuse, spec.target, spec.size, spec.inputs),
+    )
+    argv = ("build", "--builder", "mq_from_modq", "--n", "10000", "--q")
+    code, out, err = run_cli(capsys, *argv, "16")
+    assert code == 3 and out == ""
+    assert err == "error: 13760248 gate lines exceed the memory budget 1048576\n"
+    # an unsupported q is an input error, whatever the size
+    code, out, err = run_cli(capsys, *argv, "1000003")
+    assert code == 2 and out == "" and err.count("\n") == 1
 
 
 def test_accept_n_output(capsys, hadamard_file):

@@ -205,6 +205,10 @@ _C3 = "circuit n=4 aux=0 context=cyclotomic3\n"
         (_N2 + "layer { TOF [0 -> 1 }", "2:21: found '}' (expected ])"),
         (_C3 + "layer { HQ 3 [()] }", "2:16: empty block (expected INT)"),
         (_N2 + "layer { FAN [1 <- 0", "2:20: unexpected end of input (expected ])"),
+        (_N2 + "layer { H [0];",
+         "2:15: unexpected end of input (expected H, U, TOF, FAN, MOD, MQ, FQ, HQ, T)"),
+        ("circuit n=1 aux=0\nlayer { U [[1, 0], [0, ",
+         "2:24: unexpected end of input (expected INT, NAME)"),
         (_N2 + "layer { TOF [-> " + "1" * 5000 + "] }", "2:17: " + _int_error("1" * 5000)),
         ("circuit n=1 aux=0 context=cyclotomic5\nlayer { U [[1,0],[0,z^65]] [0] }",
          "2:23: exponent 65 is above the cap 64"),

@@ -141,6 +141,24 @@ def test_work_budget_enforced(c2, monkeypatch):
         sv.run(three, "000")
 
 
+def test_run_charges_support_times_cost_per_step(c2, monkeypatch):
+    # three H steps from one state cost 1*2 + 2*2 + 4*2; a fused run of
+    # three X gates then costs 8 states x 3 gates
+    hs = TensorLayer(tuple(cir.hadamard_gate(l) for l in range(3)))
+    xs = TensorLayer(tuple(cir.x_gate(l) for l in range(3)))
+    c = Circuit(3, 0, (hs, xs), c2)
+    monkeypatch.setattr(cir, "WORK", 14 + 24)
+    assert len(sv.run(c, "000").entries) == 8
+    monkeypatch.setattr(cir, "WORK", 14 + 23)
+    with pytest.raises(
+        sv.CapExceededError, match="^a state-vector run exceeds the work budget of 37 units$"
+    ):
+        sv.run(c, "000")
+    monkeypatch.setattr(cir, "WORK", 13)
+    with pytest.raises(sv.CapExceededError, match="work budget"):
+        sv.apply_layer(sv.basis_state("000", c2), hs)
+
+
 def test_numeric_agreement_with_double_simulator(c2):
     rng = random.Random(2024)
     for _ in range(10):
@@ -308,7 +326,8 @@ def test_branching_steps_match_per_branch_fold(name):
         want, cancelled = reference_run(layers, x, ctx)
         cancellations += cancelled
         program = sv.Program(sv._compile_steps(layers, lines, ctx))
-        got = sv.StateVector(program.apply({cir.parse_bits(x, lines): ctx.one()}), lines, ctx)
+        start = {cir.parse_bits(x, lines): ctx.one()}
+        got = sv.StateVector(program.apply(start, cir.Work()), lines, ctx)
         assert got.entries == want
         assert {k: a.key() for k, a in got.entries.items()} == {k: a.key() for k, a in want.items()}
         assert json.dumps(got.to_json()) == json.dumps(sv.StateVector(want, lines, ctx).to_json())

@@ -301,13 +301,19 @@ def test_path_cap(c2, monkeypatch):
     for _ in range(3):
         g = one_gate(g, ToffoliGate((0,), 1))
     assert tg.tg_path_count(g) == 8
-    monkeypatch.setattr(tg, "PATH_CAP_DEFAULT", 7)
-    with pytest.raises(cir.CapExceededError, match="8 paths exceed the cap 7"):
+    # one unit per path and height: 8 paths of height 2 cost 16
+    monkeypatch.setattr(cir, "WORK", 16)
+    assert (tg.tg_amplitude_paths(g, "00") - tg.tg_amplitude_dp(g, "00")).is_zero()
+    monkeypatch.setattr(cir, "WORK", 15)
+    with pytest.raises(
+        cir.CapExceededError,
+        match="^summing 8 paths of height 2 exceeds the work budget of 15 units$",
+    ):
         tg.tg_amplitude_paths(g, "00")
 
 
 def test_path_count_runs_once_per_graph_structure(c2, monkeypatch):
-    # the count tg_amplitude_paths checks its cap against is kept on the
+    # the count tg_amplitude_paths charges its work from is kept on the
     # graph: several targets cost one counting pass, and a structure
     # change costs one more
     passes = []

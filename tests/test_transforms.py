@@ -197,11 +197,77 @@ def test_expand_addmod_preserves_other_gates():
     assert report.equivalent
 
 
-def test_main_cap_enforced():
+def test_main_cap_enforced(monkeypatch):
+    # enumerating every input is charged up front, one unit per input; an
+    # empty circuit's runs cost nothing more
     ctx = get_context("cyclotomic2")
     big = Circuit(13, 0, (), ctx)
-    with pytest.raises(sv.CapExceededError):
-        tf.equivalence_check(cir.x_gate(0), big, 13)
+    monkeypatch.setattr(cir, "WORK", 1 << 13)
+    assert tf.equivalence_check(big, big, 13).equivalent
+    monkeypatch.setattr(cir, "WORK", (1 << 13) - 1)
+    with pytest.raises(
+        sv.CapExceededError, match=r"^comparing 2\^13 inputs exceeds the work budget of 8191 units$"
+    ):
+        tf.equivalence_check(big, big, 13)
+
+
+@pytest.mark.parametrize(
+    "name, n, q", [("mq_from_modq", 6, 3), ("mq_from_modq", 7, 3), ("modq_from_mq", 12, 3),
+                   ("f_from_fq", 12, 3), ("modhat", 6, 3)]
+)
+def test_checks_past_twelve_compared_lines_pass(name, n, q):
+    # 13 to 16 compared lines, each a fraction of a second of work
+    report = tf.check_builder(name, n, q)
+    assert report.equivalent and report.aux_restored and report.lines_compared > 12
+
+
+def test_identity_check_on_40_lines_is_refused_before_any_input_runs(monkeypatch):
+    ctx = get_context("cyclotomic2")
+    wide = Circuit(40, 0, (), ctx)
+    monkeypatch.setattr(sv.Program, "apply", None)  # no input may run
+    with pytest.raises(sv.CapExceededError, match=r"^comparing 2\^40 inputs exceeds the work"):
+        tf.equivalence_check(wide, wide)
+
+
+def test_check_charges_every_run_of_candidate_and_target(monkeypatch):
+    # one H on one line: 2 inputs up front, then per input 2 key-gate
+    # applications in the candidate and 2 in the circuit target
+    ctx = get_context("cyclotomic2")
+    h = Circuit(1, 0, (TensorLayer((cir.hadamard_gate(0),)),), ctx)
+    monkeypatch.setattr(cir, "WORK", 2 + 2 * (2 + 2))
+    assert tf.equivalence_check(h, h).equivalent
+    monkeypatch.setattr(cir, "WORK", 2 + 2 * (2 + 2) - 1)
+    with pytest.raises(sv.CapExceededError, match="^a state-vector run exceeds the work budget"):
+        tf.equivalence_check(h, h)
+
+
+def _gate_lines(c: Circuit) -> int:
+    total = 0
+    for layer in c.layers:
+        if isinstance(layer, TensorLayer):
+            total += sum(len(g.lines()) for g in layer.gates)
+        elif isinstance(layer, cir.CNotLayer):
+            total += 2 * len(layer.pairs)
+        else:
+            total += sum(2 * len(stage) for stage in layer.stages)
+    return total
+
+
+def test_builder_size_counts_the_built_gate_lines():
+    built = 0
+    for name, spec in tf.BUILDERS.items():
+        for q in (2, 3, 4, 5, 6, 7, 8, 16):
+            for n in range(6):
+                for r in range(q) if spec.needs_r else (0,):
+                    try:
+                        c = spec.build(n, q, r)
+                    except (tf.BuilderArgumentError, cir.ValidationError):
+                        continue  # outside the construction's domain
+                    assert spec.size(n, q, r) == _gate_lines(c), (name, n, q, r)
+                    built += 1
+    assert built > 700
+    assert tf.BUILDERS["mq_from_modq"].size(10000, 16, 0) == 13_760_248
+    assert tf.BUILDERS["mq_via_conjugation"].size(100000, 16, 0) == 1_200_012
 
 
 def test_builder_outputs_restore_aux_structurally():
