@@ -2,15 +2,18 @@
 
 Each builder returns a circuit over main lines 0..m-1 followed by
 auxiliary lines that start at 0 and are restored to 0 on every basis
-input.  equivalence_check compares the candidate against its target
-amplitude-by-amplitude over all basis inputs, with the auxiliary setting
-fixed to all zeros, and verifies the restoration property.
+input.  Every builder is a conjugation U·V·U⁻¹: its mirrored half, the
+uncomputation that restores the auxiliary lines included, comes from
+conjugate, not written out by hand.  equivalence_check compares the
+candidate against its target amplitude-by-amplitude over all basis
+inputs, with the auxiliary setting fixed to all zeros, and verifies the
+restoration property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .algebra import get_context
 from . import circuit as cir
@@ -179,6 +182,19 @@ def _blocks(first_line: int, count: int, w: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def conjugate(outer: Iterable[cir.Layer], inner: Iterable[cir.Layer]) -> tuple[cir.Layer, ...]:
+    """U·V·U⁻¹ as layers: `outer`, then `inner`, then the inverse of each
+    `outer` layer in reverse order."""
+    outer = tuple(outer)
+    return outer + tuple(inner) + tuple(cir.inverse_layer(l) for l in reversed(outer))
+
+
+def _nor(sources: tuple[int, ...], target: int) -> tuple:
+    """Flip `target` iff every source line is 0: negations around a Toffoli."""
+    negate = cir.tensor_layer(*(x_gate(l) for l in sources))
+    return conjugate((negate,), (cir.tensor_layer(ToffoliGate(sources, target)),))
+
+
 def build_mq_via_conjugation(n: int, q: int) -> Circuit:
     """Modular addition as Fourier, inverse q-ary fan-out, inverse Fourier:
     the one modular-add gate of mq_target, lowered by expand_addmod."""
@@ -196,24 +212,20 @@ def mq_target(n: int, q: int) -> AddModGate:
 
 
 def build_modqr_from_modq(n: int, q: int, r: int) -> Circuit:
-    """MOD_{q,r} from a MOD_q gate with (q-r) mod q extra inputs held at 1."""
-    if not 0 <= r < q:
-        raise BuilderArgumentError("need 0 <= r < q")
+    """MOD_{q,r}: X flips on (q-r) mod q extra inputs around a MOD_q gate."""
+    if not 0 <= r < q or (n < 1 and r == 0):
+        raise BuilderArgumentError("need 0 <= r < q, and n >= 1 when r = 0")
     ctx = get_context(f"cyclotomic{q}")
     extra = (q - r) % q
     aux = tuple(range(n + 1, n + 1 + extra))
-    layers = []
-    if extra:
-        layers.append(cir.tensor_layer(*(x_gate(l) for l in aux)))
-    layers.append(cir.tensor_layer(ModGate(q, 0, tuple(range(n)) + aux, n)))
-    if extra:
-        layers.append(cir.tensor_layer(*(x_gate(l) for l in aux)))
-    return Circuit(n + 1, extra, tuple(layers), ctx)
+    flips = (cir.tensor_layer(*(x_gate(l) for l in aux)),) if extra else ()
+    mod = cir.tensor_layer(ModGate(q, 0, tuple(range(n)) + aux, n))
+    return Circuit(n + 1, extra, conjugate(flips, (mod,)), ctx)
 
 
 def build_modq_from_mq(n: int, q: int) -> Circuit:
-    """|x, b> -> |x, b xor Mod_q(x)>: add the bits mod q with a modular-add
-    gate, detect a zero sum with an all-negated Toffoli, then uncompute."""
+    """|x, b> -> |x, b xor Mod_q(x)>: a modular-add gate sums the bits mod q
+    into a zeroed block, around a NOR of that block onto b."""
     ctx = get_context(f"cyclotomic{q}")
     w = block_width(q)
     b_line = n
@@ -225,24 +237,16 @@ def build_modq_from_mq(n: int, q: int) -> Circuit:
         pad = tuple(range(pad_start + i * (w - 1), pad_start + (i + 1) * (w - 1)))
         pads.extend(pad)
         digit_blocks.append(pad + (i,))  # bit value sits in the low position
-    add = AddModGate(q, tuple(digit_blocks), s_block)
-    negate_s = cir.tensor_layer(*(x_gate(l) for l in s_block))
-    layers = (
-        cir.tensor_layer(add),
-        negate_s,
-        cir.tensor_layer(ToffoliGate(s_block, b_line)),
-        negate_s,
-        cir.tensor_layer(cir.inverse_gate(add)),
-    )
-    return Circuit(n + 1, w + len(pads), layers, ctx)
+    add = cir.tensor_layer(AddModGate(q, tuple(digit_blocks), s_block))
+    return Circuit(n + 1, w + len(pads), conjugate((add,), _nor(s_block, b_line)), ctx)
 
 
 def _fan_copy_layout(n: int, q: int, first_aux: int):
     """Fan-out copies so bit k of each digit is counted 2^k times.
 
-    Returns (fan gates, mod input lines, next free line).  Digit blocks are
-    assumed at lines [i*w, (i+1)*w); bit k of digit i lives on line
-    i*w + (w-1-k).
+    Returns (fan-out layers, mod input lines, next free line).  Digit
+    blocks are assumed at lines [i*w, (i+1)*w); bit k of digit i lives on
+    line i*w + (w-1-k).
     """
     w = block_width(q)
     fans = []
@@ -258,24 +262,25 @@ def _fan_copy_layout(n: int, q: int, first_aux: int):
                 cursor += extra
                 fans.append(FanOutGate(copies, line))
                 mod_inputs.extend(copies)
-    return fans, tuple(mod_inputs), cursor
+    return ((cir.tensor_layer(*fans),) if fans else ()), tuple(mod_inputs), cursor
+
+
+def _detector(fan_layers: tuple, q: int, r: int, mod_inputs: tuple, target: int) -> tuple:
+    """Residue detector: flip `target` iff the digit sum is r mod q, by the
+    fan-outs of _fan_copy_layout around one MOD gate."""
+    return conjugate(fan_layers, (cir.tensor_layer(ModGate(q, r, mod_inputs, target)),))
 
 
 def build_modhat(n: int, q: int, r: int) -> Circuit:
     """Digit-sum residue detector: constant fan-out feeding one MOD gate."""
-    if not 0 <= r < q:
-        raise BuilderArgumentError("need 0 <= r < q")
+    if n < 1 or not 0 <= r < q:
+        raise BuilderArgumentError("need n >= 1 and 0 <= r < q")
     ctx = get_context(f"cyclotomic{q}")
     w = block_width(q)
     b_line = n * w
-    fans, mod_inputs, cursor = _fan_copy_layout(n, q, n * w + 1)
-    layers = []
-    if fans:
-        layers.append(cir.tensor_layer(*fans))
-    layers.append(cir.tensor_layer(ModGate(q, r, mod_inputs, b_line)))
-    if fans:
-        layers.append(cir.tensor_layer(*fans))
-    return Circuit(n * w + 1, cursor - (n * w + 1), tuple(layers), ctx)
+    fan_layers, mod_inputs, cursor = _fan_copy_layout(n, q, n * w + 1)
+    layers = _detector(fan_layers, q, r, mod_inputs, b_line)
+    return Circuit(n * w + 1, cursor - (n * w + 1), layers, ctx)
 
 
 def modhat_target(n: int, q: int, r: int) -> Callable[[int], int]:
@@ -301,16 +306,18 @@ def build_mq_from_modq(n: int, q: int) -> Circuit:
 
     The residue detectors run in series for each r, each writing one
     indicator bit; the bits of the digit sum are assembled from the
-    indicators with De-Morgan ORs (each OR is negations around a Toffoli
-    onto a fresh target); the block-add transform folds the sum into the
-    result digit; the whole detector pipeline is then reversed to clear
-    every auxiliary line.
+    indicators with De-Morgan ORs (each OR is a NOR onto a fresh target,
+    then an X); this forward pipeline is conjugated around the block-add
+    transform that folds the sum into the result digit, so its mirror
+    clears every auxiliary line.
     """
+    if n < 1:
+        raise BuilderArgumentError("need n >= 1")
     ctx = get_context(f"cyclotomic{q}")
     w = block_width(q)
     main = (n + 1) * w
     b_block = tuple(range(n * w, (n + 1) * w))
-    fans, mod_inputs, cursor = _fan_copy_layout(n, q, main)
+    fan_layers, mod_inputs, cursor = _fan_copy_layout(n, q, main)
     m_lines = tuple(range(cursor, cursor + q))
     cursor += q
     s_block = tuple(range(cursor, cursor + w))
@@ -318,28 +325,19 @@ def build_mq_from_modq(n: int, q: int) -> Circuit:
 
     forward: list[TensorLayer] = []
     for r in range(q):
-        if fans:
-            forward.append(cir.tensor_layer(*fans))
-        forward.append(cir.tensor_layer(ModGate(q, r, mod_inputs, m_lines[r])))
-        if fans:
-            forward.append(cir.tensor_layer(*fans))
+        forward += _detector(fan_layers, q, r, mod_inputs, m_lines[r])
     for k in range(w):
         sources = tuple(m_lines[r] for r in range(q) if (r >> k) & 1)
         target = s_block[w - 1 - k]
-        negate = cir.tensor_layer(*(x_gate(l) for l in sources))
-        forward.append(negate)
-        forward.append(cir.tensor_layer(ToffoliGate(sources, target)))
-        forward.append(negate)
+        forward += _nor(sources, target)
         forward.append(cir.tensor_layer(x_gate(target)))
 
     t_layer = cir.tensor_layer(AddBlockGate(q, s_block, b_block))
-    backward = [cir.inverse_layer(layer) for layer in reversed(forward)]
-    layers = tuple(forward) + (t_layer,) + tuple(backward)
-    return Circuit(main, cursor - main, layers, ctx)
+    return Circuit(main, cursor - main, conjugate(forward, (t_layer,)), ctx)
 
 
 def build_f_from_fq(n: int, q: int) -> Circuit:
-    """Bit fan-out from one q-ary fan-out, controlled-nots, and its inverse.
+    """Bit fan-out: one q-ary fan-out around a controlled-not layer.
 
     The bit to copy is placed as the low bit of the fan-out's control
     block; the q-ary fan-out writes it into n zeroed blocks, a
@@ -354,36 +352,30 @@ def build_f_from_fq(n: int, q: int) -> Circuit:
     blocks = _blocks(n + 1, n, w)
     pad = tuple(range(n + 1 + n * w, n + 1 + n * w + (w - 1)))
     control_block = pad + (x_line,)
-    fq = FanOutModGate(q, blocks, control_block)
+    fq = cir.tensor_layer(FanOutModGate(q, blocks, control_block))
     pairs = tuple((blocks[i][-1], i) for i in range(n))
-    layers = (
-        cir.tensor_layer(fq),
-        CNotLayer(pairs),
-        cir.tensor_layer(cir.inverse_gate(fq)),
-    )
-    return Circuit(n + 1, n * w + (w - 1), layers, ctx)
+    return Circuit(n + 1, n * w + (w - 1), conjugate((fq,), (CNotLayer(pairs),)), ctx)
 
 
 def expand_addmod(c: Circuit) -> Circuit:
-    """Replace every modular-add gate by its Fourier-conjugated fan-out form."""
+    """Replace every modular-add gate by its Fourier-conjugated fan-out
+    form; the layer's other gates join the first Fourier layer."""
     layers: list = []
     for layer in c.layers:
-        if not isinstance(layer, TensorLayer) or not any(
-            isinstance(g, AddModGate) for g in layer.gates
-        ):
+        gates = layer.gates if isinstance(layer, TensorLayer) else ()
+        adds = [g for g in gates if isinstance(g, AddModGate)]
+        if not adds:
             layers.append(layer)
             continue
-        adds = [g for g in layer.gates if isinstance(g, AddModGate)]
-        rest = tuple(g for g in layer.gates if not isinstance(g, AddModGate))
-        fourier, middle, fourier_inv = [], [], []
-        for g in adds:
-            all_blocks = g.blocks + (g.result,)
-            fourier.extend(FourierGate(g.q, b) for b in all_blocks)
-            middle.append(FanOutModGate(g.q, g.blocks, g.result, inverse=not g.inverse))
-            fourier_inv.extend(FourierGate(g.q, b, inverse=True) for b in all_blocks)
-        layers.append(cir.tensor_layer(*(tuple(fourier) + rest)))
-        layers.append(cir.tensor_layer(*middle))
-        layers.append(cir.tensor_layer(*fourier_inv))
+        rest = tuple(g for g in gates if not isinstance(g, AddModGate))
+        fourier = cir.tensor_layer(
+            *(FourierGate(g.q, b) for g in adds for b in g.blocks + (g.result,))
+        )
+        fan = cir.tensor_layer(
+            *(FanOutModGate(g.q, g.blocks, g.result, inverse=not g.inverse) for g in adds)
+        )
+        first, *others = conjugate((fourier,), (fan,))
+        layers += [cir.tensor_layer(*first.gates, *rest), *others]
     return Circuit(c.n_inputs, c.n_aux, tuple(layers), c.context)
 
 

@@ -74,6 +74,14 @@ def test_exit_code_matrix(capsys, hadamard_file, bell_file, tmp_path):
         (["simulate", "--circuit", hadamard_file, "--input", "0", "--bogus"], 2),
         (["check", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"], 2),
         (["build", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"], 2),
+        (["build", "--builder", "modhat", "--n", "0", "--q", "3", "--r", "1"], 2),
+        (["check", "--builder", "modhat", "--n", "0", "--q", "2"], 2),
+        (["build", "--builder", "mq_from_modq", "--n", "0", "--q", "3"], 2),
+        (["check", "--builder", "mq_from_modq", "--n", "0", "--q", "2"], 2),
+        (["build", "--builder", "modqr_from_modq", "--n", "0", "--q", "2"], 2),
+        (["check", "--builder", "modqr_from_modq", "--n", "0", "--q", "3"], 2),
+        (["build", "--builder", "modqr_from_modq", "--n", "0", "--q", "2", "--r", "1"], 0),
+        (["check", "--builder", "modqr_from_modq", "--n", "0", "--q", "3", "--r", "1"], 0),
         (["simulate", "--circuit", hadamard_file, "--input", "0",
           "--context-file", not_json.as_posix()], 2),
         (["simulate", "--circuit", hadamard_file, "--input", "0",
@@ -109,6 +117,12 @@ def test_fourier_outside_context_exits_2_with_one_line(capsys, tmp_path):
         ["build", "--builder", "mq_via_conjugation", "--n", "0", "--q", "3"],
         ["check", "--builder", "modq_from_mq", "--n", "2", "--q", "3", "--r", "2"],
         ["build", "--builder", "mq_from_modq", "--n", "1", "--q", "3", "--r", "1"],
+        ["build", "--builder", "modhat", "--n", "0", "--q", "3", "--r", "1"],
+        ["check", "--builder", "modhat", "--n", "0", "--q", "2"],
+        ["build", "--builder", "mq_from_modq", "--n", "0", "--q", "3"],
+        ["check", "--builder", "mq_from_modq", "--n", "0", "--q", "2"],
+        ["build", "--builder", "modqr_from_modq", "--n", "0", "--q", "2"],
+        ["check", "--builder", "modqr_from_modq", "--n", "0", "--q", "3"],
     ],
 )
 def test_builder_argument_errors_are_one_line(capsys, argv):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -6,6 +7,7 @@ from qacclab import circuit as cir
 from qacclab import statevec as sv
 from qacclab import transforms as tf
 from qacclab.algebra import get_context
+from qacclab.dsl import serialize_circuit
 from qacclab.circuit import (
     AddModGate,
     Circuit,
@@ -261,7 +263,7 @@ def test_builder_size_counts_the_built_gate_lines():
                 for r in range(q) if spec.needs_r else (0,):
                     try:
                         c = spec.build(n, q, r)
-                    except (tf.BuilderArgumentError, cir.ValidationError):
+                    except tf.BuilderArgumentError:
                         continue  # outside the construction's domain
                     assert spec.size(n, q, r) == _gate_lines(c), (name, n, q, r)
                     built += 1
@@ -293,3 +295,52 @@ def test_conjugation_non_qudigit_states_fixed():
             assert (amp - circuit.context.one()).is_zero()
         else:  # non-qudigit result block: digits still fixed, b fixed
             assert state.support() == [int(bits, 2)]
+
+
+# -- every builder is a conjugation -------------------------------------------
+
+# Digest of "name n q r" and serialize_circuit of every build on the grid
+# below: the gates, their order and their lines must not drift when the
+# builders are reworked.
+BUILD_BYTES_SHA256 = "e5479b4953223a56a926c2dd64b3c129933654549950043691fb867893a16d5e"
+
+# builders whose centre is self-inverse, so the whole circuit is too
+SELF_INVERSE = {"modqr_from_modq", "modhat", "modq_from_mq", "f_from_fq"}
+
+
+def _build_grid():
+    for name in sorted(tf.BUILDERS):
+        spec = tf.BUILDERS[name]
+        for q in (2, 3, 4, 5, 7):
+            for n in (1, 2, 3):
+                for r in range(q) if spec.needs_r else (0,):
+                    yield name, n, q, r, spec.build(n, q, r)
+
+
+def test_built_bytes_are_pinned():
+    digest = hashlib.sha256()
+    builds = 0
+    for name, n, q, r, c in _build_grid():
+        digest.update((f"{name} {n} {q} {r}\n" + serialize_circuit(c)).encode())
+        builds += 1
+    assert builds == 186
+    assert digest.hexdigest() == BUILD_BYTES_SHA256
+
+
+def test_every_builder_is_a_conjugation():
+    # the layers mirror under inversion around the centre; where the centre
+    # is self-inverse the circuit equals its own inverse
+    for name, n, q, r, c in _build_grid():
+        layers = c.layers
+        for i in range(len(layers) // 2):
+            assert layers[-1 - i] == cir.inverse_layer(layers[i]), (name, n, q, r, i)
+        assert (cir.inverse_circuit(c) == c) == (name in SELF_INVERSE), (name, n, q, r)
+
+
+def test_conjugate_mirrors_the_outer_layers():
+    f, g = TensorLayer((cir.hadamard_gate(0),)), TensorLayer((cir.FourierGate(3, (1, 2)),))
+    middle = TensorLayer((ToffoliGate((0,), 3),))
+    assert tf.conjugate((f, g), (middle,)) == (
+        f, g, middle, cir.inverse_layer(g), cir.inverse_layer(f)
+    )
+    assert tf.conjugate((), (middle,)) == (middle,)
