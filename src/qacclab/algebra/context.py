@@ -16,9 +16,10 @@ Shipped contexts:
   gate.  The basis is the power basis 1, z, ..., z^(phi(q)-1) of the q-th
   root of unity z, reduced by the q-th cyclotomic polynomial, with the
   extra element s = 1/sqrt(q) adjoined only when sqrt(q) is not already in
-  Q(z).  For square q the root is an integer; for q = 0, 1 mod 4 it is
-  recovered from the quadratic Gauss sum and verified by exact squaring.
-  The common denominator is u = q.
+  Q(z).  Otherwise (q = 0, 1 mod 4) sqrt(q) is computed in the context's
+  own arithmetic from the quadratic Gauss sum sum_a z^(a^2), and
+  z^q = 1 and s*s*q = 1 are checked exactly, as for every context file
+  that declares a ``fourier_q``.  The common denominator is u = q.
 
 * ``rational(u)``: plain rational amplitudes a/u^r (d = 1), as required by
   bounded-error acceptance.
@@ -346,51 +347,6 @@ def _poly_mod(coeffs: list[int], phi: list[int]) -> list[int]:
     return rem
 
 
-def _poly_mul_mod(a: list[int], b: list[int], phi: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_mod(out, phi)
-
-
-def _sqrt_in_cyclotomic(q: int, phi: list[int]) -> list[int] | None:
-    """Power-basis coefficients of sqrt(q) in Q(zeta_q), or None if absent.
-
-    Square q: the integer root.  q = 1 mod 4: the quadratic Gauss sum
-    G = sum zeta^(a^2) equals sqrt(q).  q = 0 mod 4: G = (1+i) sqrt(q) and
-    i = zeta^(q/4), so sqrt(q) = G (1-i)/2.  q = 2, 3 mod 4 (non-square):
-    sqrt(q) is not in the field.  Every candidate is verified by squaring.
-    """
-    deg = len(phi) - 1
-    isq = math.isqrt(q)
-    if isq * isq == q:
-        return [isq] + [0] * (deg - 1)
-    gauss = [0] * q
-    for a in range(q):
-        gauss[a * a % q] += 1
-    gauss = _poly_mod(gauss, phi)
-    if q % 4 == 1:
-        cand = gauss
-    elif q % 4 == 0:
-        i_pow = [0] * (q // 4) + [1]
-        i_vec = _poly_mod(i_pow, phi)
-        one_minus_i = [1 - c if k == 0 else -c for k, c in enumerate(i_vec)]
-        prod = _poly_mul_mod(gauss, one_minus_i, phi)
-        if any(c % 2 for c in prod):
-            raise AssertionError("Gauss-sum construction produced odd coefficients")
-        cand = [c // 2 for c in prod]
-    else:
-        return None
-    square = _poly_mul_mod(cand, cand, phi)
-    expected = [q] + [0] * (deg - 1)
-    if square != expected:
-        raise AssertionError(f"Gauss-sum candidate for sqrt({q}) failed verification")
-    return cand
-
-
 def _totient(q: int, bound: int) -> int | None:
     """Euler's phi(q) if it is at most `bound`, else None.  phi(q) >=
     sqrt(q/2), so a q above 2 bound^2 is refused before any counting."""
@@ -401,19 +357,20 @@ def _totient(q: int, bound: int) -> int | None:
 
 
 def _cyclotomic_parts(q: int):
-    """(deg, red, root): the degree phi(q) of Q(zeta_q), zeta^e in its power
-    basis for e = 0..q-1, and sqrt(q) there (None when it is absent)."""
+    """(deg, red): the degree phi(q) of Q(zeta_q) and zeta^e in its power
+    basis for e = 0..q-1."""
     phi = cyclotomic_polynomial(q)
-    red = [_poly_mod([0] * e + [1], phi) for e in range(q)]
-    return len(phi) - 1, red, _sqrt_in_cyclotomic(q, phi)
+    return len(phi) - 1, [_poly_mod([0] * e + [1], phi) for e in range(q)]
 
 
-def _coords(vec: list[int], dim: int, offset: int = 0, r: int = 0) -> list[FScalar]:
+def _coords(
+    vec: list[int], dim: int, offset: int = 0, r: int = 0, arity: int = 0
+) -> list[FScalar]:
     """Integer coordinates over u^r, placed from basis index `offset` on."""
     coords = [FScalar({}, 0)] * dim
     for j, c in enumerate(vec):
         if c:
-            coords[offset + j] = FScalar(polys.const(0, c), r)
+            coords[offset + j] = FScalar(polys.const(arity, c), r)
     return coords
 
 
@@ -425,8 +382,8 @@ def cyclotomic_context(q: int) -> AlgebraContext:
         raise ContextError("q must be at least 2")
     if _totient(q, CONTEXT_DIM_CAP // (2 if q % 4 in (2, 3) else 1)) is None:
         raise ContextError(f"cyclotomic{q} would have dimension above the cap {CONTEXT_DIM_CAP}")
-    deg, red, root = _cyclotomic_parts(q)
-    extended = root is None
+    deg, red = _cyclotomic_parts(q)
+    extended = q % 4 in (2, 3)
     d = 2 * deg if extended else deg
     heads = ["1" if j == 0 else "z" if j == 1 else f"z^{j}" for j in range(deg)]
     basis = heads + (["s"] + [f"{h}*s" for h in heads[1:]] if extended else [])
@@ -464,25 +421,40 @@ def cyclotomic_context(q: int) -> AlgebraContext:
         fourier_q=q,
         name=f"cyclotomic{q}",
     )
-    _attach_fourier_constants(ctx, q)
+    _attach_fourier_constants(ctx, q, (deg, red))
     return ctx
 
 
-def _attach_fourier_constants(ctx, q):
-    """Bind z (= w) and s constants plus the zeta power list used by gates.
-    A q whose phi(q) exceeds the context's dimension raises ContextError
-    before any cyclotomic polynomial is built."""
-    if not isinstance(q, int) or q < 1:
+def _attach_fourier_constants(ctx, q, parts=None):
+    """Bind z (= w), s and the zeta power list used by gates, computed in
+    the context's own arithmetic from (deg, red) = `parts`, or else
+    `_cyclotomic_parts(q)`.  s is basis element phi(q) for q = 2, 3 mod 4;
+    otherwise sqrt(q) is the Gauss sum G = sum zeta^(a^2), or G (1 - i)/2
+    with i = zeta^(q/4) when 4 | q.  Raises ContextError, before Phi_q is
+    built, when phi(q), doubled for q = 2, 3 mod 4, exceeds the dimension,
+    and unless zeta^q = 1 and s*s*q = 1 hold exactly."""
+    if type(q) is not int or q < 1:  # a JSON true is no q
         raise ContextError(f"fourier_q={q!r} must be a positive integer")
-    if _totient(q, ctx.dim) is None:
+    if _totient(q, ctx.dim // (2 if q % 4 in (2, 3) else 1)) is None:
         raise ContextError(f"fourier_q={q}: phi(q) exceeds the context dimension {ctx.dim}")
-    deg, red, root = _cyclotomic_parts(q)
-    ctx._zeta_pows = [ExactScalar(ctx, _coords(z, ctx.dim)) for z in red]
-    if root is None:
+    deg, red = parts or _cyclotomic_parts(q)
+    zeta = [ExactScalar(ctx, _coords(z, ctx.dim, arity=ctx.arity)) for z in red]
+    if q % 4 in (2, 3):
         s = ctx.basis_element(deg)
     else:
-        s = ExactScalar(ctx, _coords(root, ctx.dim, r=1))
-    z = ctx._zeta_pows[1 % q]
+        root = sum((zeta[a * a % q] for a in range(q)), ctx.zero())
+        if q % 4 == 0:
+            root = root * (ctx.one() - zeta[q // 4]) * ctx.scalar_from_rational(Fraction(1, 2))
+        s = root * ctx.scalar_from_rational(Fraction(1, q))
+    z = zeta[1 % q]
+    if any(zeta[e] * z != zeta[(e + 1) % q] for e in range(q)):
+        raise ContextError(
+            f"fourier_q={q}: zeta^0..zeta^{q - 1} are not the powers of a zeta "
+            "with zeta^q = 1 in this context"
+        )
+    if s * s * ctx.from_int(q) != ctx.one():
+        raise ContextError(f"fourier_q={q}: s*s*q = 1 fails in this context")
+    ctx._zeta_pows = zeta
     ctx.constants.update({"z": z, "w": z, "s": s})
 
 

@@ -17,8 +17,9 @@ raises ValidationError with its diagnostics, so no engine validates again.
 Every engine shares two budgets, and going past either raises
 CapExceededError.  The memory budget, BUDGET, bounds the items held at
 once: basis states in a state vector, nodes in a tensor graph, the lines
-of a circuit that runs (checked before any key or graph is built) and the
-gate lines of a built circuit.  The work budget, WORK, bounds the units
+of a circuit that runs (checked before any key or graph is built), the
+entries of a gate kernel's per-value tables (checked before any is
+built) and the gate lines of a built circuit.  The work budget, WORK, bounds the units
 one operation spends, charged to a Work meter where the work is done:
 key-gate applications in a state-vector run, path steps in a path sum and
 enumerated inputs in an equivalence check.
@@ -402,7 +403,14 @@ def parse_bits(bits: str, width: int) -> int:
 
 
 def block_codes(block: tuple[int, ...], width: int) -> list[int]:
-    """Entry v holds the key bits that spell value v in the block."""
+    """Entry v holds the key bits that spell value v in the block.  A
+    block with more than BUDGET values exceeds the memory budget before
+    any entry is built."""
+    if 1 << len(block) > BUDGET:
+        raise CapExceededError(
+            f"a table of the 2^{len(block)} values of {len(block)} lines "
+            f"exceeds the memory budget {BUDGET}"
+        )
     codes = [0]
     for l in reversed(block):
         m = line_mask(l, width)
@@ -419,7 +427,12 @@ def _digit_reader(block, width: int, q: int, sign: int):
 
 def _digit_adder(block, width: int, q: int):
     """(block mask, table: block bits -> the bits after adding d, at index
-    d for d in 0..q-1), where a non-qudigit value is left unchanged."""
+    d for d in 0..q-1), where a non-qudigit value is left unchanged.  Its
+    q codes per value must fit in the memory budget."""
+    if q << len(block) > BUDGET:
+        raise CapExceededError(
+            f"a modular-add table of {q} x 2^{len(block)} codes exceeds the memory budget {BUDGET}"
+        )
     codes = block_codes(block, width)
     return codes[-1], {
         c: tuple(codes[(v + d) % q] for d in range(q)) if v < q else (c,) * q

@@ -51,9 +51,8 @@ def cmd_simulate(args) -> int:
     if args.json:
         print(json.dumps(state.to_json(), sort_keys=True, separators=(",", ":")))
     else:
-        for entry in state.to_json():
-            amp = state.amplitude_of(entry["basis"])
-            print(f"|{entry['basis']}>  {_scalar_human(amp)}")
+        for key in sorted(state.entries):
+            print(f"|{cir.key_to_bits(key, state.width)}>  {_scalar_human(state.entries[key])}")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Shared test helpers: an independent double-precision simulator, a
 per-branch exact reference for the simulator's branching steps, dense gate
 matrices, a Fraction reference for scalar arithmetic, a context with one
-indeterminate and a seeded random-circuit generator.
+indeterminate, two-element context files and a seeded random-circuit
+generator.
 
 The numeric simulator is deliberately written from scratch (own bit
 conventions, cmath roots of unity) so it can serve as a cross-check
@@ -268,6 +269,22 @@ def sqrt_a1_context():
         {"a1": [2.0, 0.0], "b": [2**-0.5, 0.0]},
         conjugation=[[one, zero], [zero, one]],
     )
+
+
+def two_element_context_json(square: int, u: int, fourier_q: int) -> dict:
+    """A context file with basis 1, b where b*b = square (b is numerically
+    sqrt(square)), denominator u, and Fourier constants asked for q =
+    fourier_q."""
+    one, zero = {"num": [[1, []]], "r": 0}, {"num": [], "r": 0}
+    b_squared = {"num": [[square, []]], "r": 0}
+    return {
+        "indeterminates": [],
+        "basis": ["1", "b"],
+        "mult_table": [[[one, zero], [zero, one]], [[zero, one], [b_squared, zero]]],
+        "u": [[u, []]],
+        "numeric": {"b": [math.sqrt(square), 0.0]},
+        "fourier_q": fourier_q,
+    }
 
 
 # -- seeded circuit generator ----------------------------------------------------

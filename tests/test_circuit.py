@@ -4,7 +4,7 @@ from support import gate_matrix
 
 from qacclab import circuit as cir
 from qacclab import dsl, statevec
-from qacclab.algebra import get_context
+from qacclab.algebra import AlgebraContext, FScalar, get_context, polys
 from qacclab.circuit import (
     AddBlockGate,
     AddModGate,
@@ -79,6 +79,19 @@ def test_fourier_q_outside_context_diagnostic(c3):
 def test_nonunitary_matrix_rejected(c2):
     g = cir.one_qubit(c2, [[1, 0], [0, 2]], 0)
     assert any("unitary" in d for d in _diagnostics(1, 0, (TensorLayer((g,)),), c2))
+
+
+def test_unitarity_without_conjugation_is_checked_numerically():
+    # a context without a conjugation has no exact U U^dagger, so a U gate
+    # is checked on its numeric values, to 1e-9
+    one = FScalar(polys.const(0, 1), 0)
+    ctx = AlgebraContext([], ["1"], [[(one,)]], polys.const(0, 1), {})
+    assert ctx.conjugation is None
+    bad = cir.one_qubit(ctx, [[1, 0], [0, 2]], 0)
+    want = ["layer 0: one-qubit matrix is not unitary (numeric)"]
+    assert _diagnostics(1, 0, (TensorLayer((bad,)),), ctx) == want
+    swap = cir.one_qubit(ctx, [[0, 1], [1, 0]], 0)
+    assert validate(Circuit(1, 0, (TensorLayer((swap,)),), ctx)) == []
 
 
 def test_gate_matrix_cnot(c2):

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from support import two_element_context_json
 
+from qacclab.algebra import get_context, save_context
 from qacclab.cli import main
 
 
@@ -186,6 +188,26 @@ def test_circuit_wider_than_the_budget_exits_3(capsys, tmp_path):
     assert code == 3 and out == "" and "memory budget" in err
 
 
+def test_gate_tables_past_the_memory_budget_exit_3(capsys, tmp_path):
+    # a table of 2^26 values for the graph's dense lowering, and q x 2^17
+    # codes for a modular add at q = 70000, are refused before building
+    mod = tmp_path / "mod.qc"
+    mod.write_text(f"circuit n=26 aux=0\nlayer {{ MOD 3 0 [{' '.join(map(str, range(25)))} -> 25] }}\n")
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(mod), "--input", "0" * 26)
+    assert code == 0 and out.startswith("|" + "0" * 25 + "1>")
+    add = tmp_path / "add.qc"
+    blocks = " ".join(map(str, range(17))), " ".join(map(str, range(17, 34)))
+    add.write_text("circuit n=34 aux=0\nlayer {{ MQ 70000 [({}) -> ({})] }}\n".format(*blocks))
+    for cmd, path, width in (("metrics", mod, 26), ("simulate", add, 34)):
+        code, out, err = run_cli(capsys, cmd, "--circuit", str(path), "--input", "0" * width)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "memory budget" in err
+    small = tmp_path / "small.qc"
+    small.write_text("circuit n=6 aux=0\nlayer { MQ 7 [(0 1 2) -> (3 4 5)] }\n")
+    code, out, _ = run_cli(capsys, "simulate", "--circuit", str(small), "--input", "101011")
+    assert code == 0 and out.startswith("|101001>  1 ")
+
+
 def test_oversized_check_exits_3_before_building(capsys, monkeypatch):
     # every candidate has at least n + 1 compared lines and each input
     # costs a unit, so 2^25 inputs at n = 24 are past the work budget
@@ -326,8 +348,6 @@ def test_json_outputs_deterministic(capsys, bell_file):
 
 
 def test_context_file_override(capsys, tmp_path, hadamard_file):
-    from qacclab.algebra import get_context, save_context
-
     path = tmp_path / "ctx.json"
     save_context(get_context("cyclotomic2"), path)
     code, out, _ = run_cli(
@@ -335,3 +355,26 @@ def test_context_file_override(capsys, tmp_path, hadamard_file):
         "--context-file", str(path),
     )
     assert code == 0 and "0.707106781" in out
+
+
+def test_context_file_fourier_constants_in_its_own_arithmetic(capsys, tmp_path):
+    # cyclotomic5 with u = 10 gives cyclotomic5's amplitudes; a file whose
+    # zeta = b has b*b = 2 is refused when it is read
+    hq5 = tmp_path / "hq5.qc"
+    hq5.write_text("circuit n=3 aux=0 context=cyclotomic5\nlayer { HQ 5 [(0 1 2)] }\n")
+    u10 = tmp_path / "u10.json"
+    u10.write_text(json.dumps({**get_context("cyclotomic5").to_json(), "u": [[10, []]]}))
+    _, want, _ = run_cli(capsys, "simulate", "--circuit", str(hq5), "--input", "000")
+    code, out, err = run_cli(
+        capsys, "simulate", "--circuit", str(hq5), "--input", "000", "--context-file", str(u10)
+    )
+    assert code == 0 and out == want and err == "" and out.count("0.447213595") == 5
+    hq4 = tmp_path / "hq4.qc"
+    hq4.write_text("circuit n=2 aux=0 context=cyclotomic4\nlayer { HQ 4 [(0 1)] }\n")
+    bb2 = tmp_path / "bb2.json"
+    bb2.write_text(json.dumps(two_element_context_json(2, 2, 4)))
+    code, out, err = run_cli(
+        capsys, "simulate", "--circuit", str(hq4), "--input", "01", "--context-file", str(bb2)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: fourier_q=4: ") and err.count("\n") == 1

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import time
 
 import pytest
+from support import two_element_context_json
 
 from qacclab.algebra import (
     CONTEXT_DIM_CAP,
@@ -167,15 +169,80 @@ def test_context_file_fourier_q_beyond_its_dimension(tmp_path):
     path = tmp_path / "ctx.json"
     data = rational_context(10).to_json()
     t0 = time.perf_counter()
-    for q in (3, 12000, 10**12):
+    # q = 2 and 3 also need the basis element s = 1/sqrt(q) after phi(q)
+    for q in (2, 3, 12000, 10**12):
         path.write_text(json.dumps({**data, "fourier_q": q}))
         with pytest.raises(ContextError, match=f"fourier_q={q}: phi"):
             load_context(path)
-    for q in ("3", 0, -5, 2.5):
+    for q in ("3", 0, -5, 2.5, True):
         path.write_text(json.dumps({**data, "fourier_q": q}))
         with pytest.raises(ContextError, match="positive integer"):
             load_context(path)
     assert time.perf_counter() - t0 < 1
+
+
+def test_fourier_constants_are_pinned():
+    # cyclotomic2..20 and their exact zeta powers and s, as they were when
+    # sqrt(q) was found by squaring dense polynomials modulo Phi_q
+    h = hashlib.sha256()
+    for q in range(2, 21):
+        ctx = cyclotomic_context(q)
+        zeta, s = ctx.fourier_scalars(q)
+        h.update(f"{q}\n".encode())
+        h.update((json.dumps(ctx.to_json(), sort_keys=True) + "\n").encode())
+        scalars = [s.to_json()] + [z.to_json() for z in zeta]
+        h.update((json.dumps(scalars, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == "5b164c63c1f61cb7892eb8aefa00b629d1bd5df1d3fb92921974144023f2d47f"
+
+
+def test_context_file_fourier_constants_do_not_assume_u_is_q(tmp_path):
+    # no table entry of cyclotomic5 lies over u, so any u loads; with u = 10
+    # s is still 1/sqrt(5), computed in the file's own arithmetic
+    data = get_context("cyclotomic5").to_json()
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps({**data, "u": [[10, []]]}))
+    ctx = load_context(path)
+    zeta, s = ctx.fourier_scalars(5)
+    assert s * s * ctx.from_int(5) == ctx.one()
+    assert abs(s.numeric() - 5**-0.5) < 1e-12
+    assert [z.numeric() for z in zeta] == pytest.approx(
+        [z.numeric() for z in get_context("cyclotomic5").fourier_scalars(5)[0]]
+    )
+
+
+@pytest.mark.parametrize(
+    "square,u,q,match",
+    [
+        (2, 2, 4, "fourier_q=4: zeta"),  # zeta = b has zeta^2 = 2, not -1
+        (1, 1, 2, "fourier_q=2: s\\*s\\*q"),  # s = b has s*s*2 = 2
+    ],
+)
+def test_context_file_with_false_fourier_constants_is_refused(tmp_path, square, u, q, match):
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(two_element_context_json(square, u, q)))
+    with pytest.raises(ContextError, match=match):
+        load_context(path)
+
+
+def test_fourier_constants_with_indeterminates_live_in_their_ring():
+    # cyclotomic2's table over one indeterminate x, u still 2: zeta^1 is
+    # -1 as a polynomial in x, not a constant of another arity
+    data = get_context("cyclotomic2").to_json()
+
+    def lift(entry):
+        return {**entry, "num": [[c, [0]] for c, _ in entry["num"]]}
+
+    data.update(
+        indeterminates=["x"],
+        numeric={**data["numeric"], "x": [0.5, 0.0]},
+        u=[[2, [0]]],
+        mult_table=[[[lift(e) for e in vec] for vec in row] for row in data["mult_table"]],
+        conjugation=[[lift(e) for e in vec] for vec in data["conjugation"]],
+    )
+    ctx = AlgebraContext.from_json(data)
+    zeta, s = ctx.fourier_scalars(2)
+    assert zeta[1] == -ctx.one() and zeta[1].nums == ({(0,): -1}, {})
+    assert s * s * ctx.from_int(2) == ctx.one()
 
 
 def test_context_file_table_exponents_are_bounded(tmp_path):

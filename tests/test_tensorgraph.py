@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -330,6 +331,16 @@ def test_path_count_runs_once_per_graph_structure(c2, monkeypatch):
         assert (tg.tg_amplitude_paths(g, zb) - want).is_zero()
     assert len(passes) == 2
     assert tg.tg_path_count(g) == 2 and len(passes) == 2
+
+
+def test_dense_lowering_past_the_memory_budget_is_refused_before_building(c2):
+    # a MOD gate on 26 lines lowers entry by entry from a table of 2^26
+    # values; it is refused before the table is built
+    c = Circuit(26, 0, (TensorLayer((ModGate(3, 0, tuple(range(25)), 25),)),), c2)
+    t0 = time.perf_counter()
+    with pytest.raises(cir.CapExceededError, match="2\\^26 values of 26 lines exceeds the memory"):
+        tg.tg_build(c, "0" * 26)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_node_budget(c2, monkeypatch):
