@@ -428,9 +428,10 @@ def cyclotomic_context(q: int) -> AlgebraContext:
 def _attach_fourier_constants(ctx, q, parts=None):
     """Bind z (= w), s and the zeta power list used by gates, computed in
     the context's own arithmetic from (deg, red) = `parts`, or else
-    `_cyclotomic_parts(q)`.  s is basis element phi(q) for q = 2, 3 mod 4;
-    otherwise sqrt(q) is the Gauss sum G = sum zeta^(a^2), or G (1 - i)/2
-    with i = zeta^(q/4) when 4 | q.  Raises ContextError, before Phi_q is
+    `_cyclotomic_parts(q)`.  s is basis element phi(q) for q = 2, 3 mod 4,
+    and 1 for q = 1; otherwise sqrt(q) is the Gauss sum G = sum zeta^(a^2),
+    or G (1 - i)/2 with i = zeta^(q/4) when 4 | q, and dividing it by q
+    needs a constant u.  Raises ContextError, before Phi_q is
     built, when phi(q), doubled for q = 2, 3 mod 4, exceeds the dimension,
     and unless zeta^q = 1 and s*s*q = 1 hold exactly."""
     if type(q) is not int or q < 1:  # a JSON true is no q
@@ -441,11 +442,16 @@ def _attach_fourier_constants(ctx, q, parts=None):
     zeta = [ExactScalar(ctx, _coords(z, ctx.dim, arity=ctx.arity)) for z in red]
     if q % 4 in (2, 3):
         s = ctx.basis_element(deg)
+    elif q == 1:
+        s = ctx.one()
     else:
         root = sum((zeta[a * a % q] for a in range(q)), ctx.zero())
-        if q % 4 == 0:
-            root = root * (ctx.one() - zeta[q // 4]) * ctx.scalar_from_rational(Fraction(1, 2))
-        s = root * ctx.scalar_from_rational(Fraction(1, q))
+        try:
+            if q % 4 == 0:
+                root = root * (ctx.one() - zeta[q // 4]) * ctx.scalar_from_rational(Fraction(1, 2))
+            s = root * ctx.scalar_from_rational(Fraction(1, q))
+        except ContextError as exc:  # no constant u to divide by
+            raise ContextError(f"fourier_q={q}: {exc}") from exc
     z = zeta[1 % q]
     if any(zeta[e] * z != zeta[(e + 1) % q] for e in range(q)):
         raise ContextError(

@@ -22,7 +22,8 @@ entries of a gate kernel's per-value tables (checked before any is
 built) and the gate lines of a built circuit.  The work budget, WORK, bounds the units
 one operation spends, charged to a Work meter where the work is done:
 key-gate applications in a state-vector run, path steps in a path sum and
-enumerated inputs in an equivalence check.
+enumerated inputs in an equivalence check.  WORK also bounds, in 64-bit
+words, the columns an equivalence check runs permutation gates on.
 """
 
 from __future__ import annotations
@@ -402,15 +403,28 @@ def parse_bits(bits: str, width: int) -> int:
 # value of the block's bits (2^len(block) entries), never one per key.
 
 
-def block_codes(block: tuple[int, ...], width: int) -> list[int]:
-    """Entry v holds the key bits that spell value v in the block.  A
-    block with more than BUDGET values exceeds the memory budget before
-    any entry is built."""
+def _check_values(block) -> None:
+    """A table over the block's values fits the memory budget."""
     if 1 << len(block) > BUDGET:
         raise CapExceededError(
             f"a table of the 2^{len(block)} values of {len(block)} lines "
             f"exceeds the memory budget {BUDGET}"
         )
+
+
+def _check_adder(block, q: int) -> None:
+    """A modular add's q results per block value fit the memory budget."""
+    if q << len(block) > BUDGET:
+        raise CapExceededError(
+            f"a modular-add table of {q} x 2^{len(block)} codes exceeds the memory budget {BUDGET}"
+        )
+
+
+def block_codes(block: tuple[int, ...], width: int) -> list[int]:
+    """Entry v holds the key bits that spell value v in the block.  A
+    block with more than BUDGET values exceeds the memory budget before
+    any entry is built."""
+    _check_values(block)
     codes = [0]
     for l in reversed(block):
         m = line_mask(l, width)
@@ -418,25 +432,32 @@ def block_codes(block: tuple[int, ...], width: int) -> list[int]:
     return codes
 
 
+def _read_digit(v: int, q: int, sign: int) -> int:
+    """The digit block value v reads as: sign * v mod q, or 0 for a
+    non-qudigit value."""
+    return (sign * v) % q if v < q else 0
+
+
+def _add_digit(v: int, d: int, q: int) -> int:
+    """Block value v after adding digit d: v + d mod q, or v unchanged for
+    a non-qudigit value."""
+    return (v + d) % q if v < q else v
+
+
 def _digit_reader(block, width: int, q: int, sign: int):
-    """(block mask, table: block bits -> sign * value mod q), where a
-    non-qudigit value reads as 0."""
+    """(block mask, table: block bits -> the digit they read as)."""
     codes = block_codes(block, width)
-    return codes[-1], {c: (sign * v) % q if v < q else 0 for v, c in enumerate(codes)}
+    return codes[-1], {c: _read_digit(v, q, sign) for v, c in enumerate(codes)}
 
 
 def _digit_adder(block, width: int, q: int):
     """(block mask, table: block bits -> the bits after adding d, at index
-    d for d in 0..q-1), where a non-qudigit value is left unchanged.  Its
-    q codes per value must fit in the memory budget."""
-    if q << len(block) > BUDGET:
-        raise CapExceededError(
-            f"a modular-add table of {q} x 2^{len(block)} codes exceeds the memory budget {BUDGET}"
-        )
+    d for d in 0..q-1).  Its q codes per value must fit in the memory
+    budget."""
+    _check_adder(block, q)
     codes = block_codes(block, width)
     return codes[-1], {
-        c: tuple(codes[(v + d) % q] for d in range(q)) if v < q else (c,) * q
-        for v, c in enumerate(codes)
+        c: tuple(codes[_add_digit(v, d, q)] for d in range(q)) for v, c in enumerate(codes)
     }
 
 
@@ -503,6 +524,111 @@ def cnot_action(pairs, width: int) -> Callable[[int], int]:
         return k ^ flips
 
     return act
+
+
+# -- column form ---------------------------------------------------------------
+#
+# The permutation gates above, run on many inputs at once (bitslicing):
+# cols[l] is one int per line whose bit i is line l's value on input i, and
+# `ones` has the bit of every input set.  Each form below restates its key
+# map above in exact boolean operations; the tests pin the two to each other
+# on every key.
+
+
+def _value_columns(block, cols: list, ones: int) -> list[int]:
+    """Entry v is the column of the inputs on which the block holds value
+    v (its first line the most significant bit)."""
+    _check_values(block)
+    values = [ones]
+    for l in block:
+        c, nc = cols[l], ones ^ cols[l]
+        values = [v for m in values for v in (m & nc, m & c)]
+    return values
+
+
+def _digit_columns(block, cols: list, ones: int, q: int, sign: int) -> list[int]:
+    """Entry d is the column of the inputs on which the block reads as
+    digit d (_read_digit)."""
+    digits = [0] * q
+    for v, m in enumerate(_value_columns(block, cols, ones)):
+        digits[_read_digit(v, q, sign)] |= m
+    return digits
+
+
+def _sum_digits(a: list[int], b: list[int], q: int) -> list[int]:
+    """The digit columns of a + b mod q, from those of a and b."""
+    out = [0] * q
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % q] |= x & y
+    return out
+
+
+def _add_columns(block, digits: list[int], cols: list, ones: int, q: int) -> None:
+    """Add the digit given by its columns into the block (_add_digit)."""
+    _check_adder(block, q)
+    sums = [0] * (1 << len(block))
+    for v, m in enumerate(_value_columns(block, cols, ones)):
+        if m:
+            for d, dm in enumerate(digits):
+                sums[_add_digit(v, d, q)] |= m & dm
+    for i, l in enumerate(block):
+        bit = 1 << (len(block) - 1 - i)
+        col = 0
+        for v, m in enumerate(sums):
+            if v & bit:
+                col |= m
+        cols[l] = col
+
+
+def permutation_columns(g: Gate, cols: list, ones: int) -> None:
+    """Apply permutation gate g to every input's columns, in place: the
+    column form of permutation_action."""
+    if isinstance(g, ToffoliGate):
+        c = ones
+        for l in g.controls:
+            c &= cols[l]
+        cols[g.target] ^= c
+    elif isinstance(g, FanOutGate):
+        c = cols[g.control]
+        for t in g.targets:
+            cols[t] ^= c
+    elif isinstance(g, ModGate):
+        # counts[j]: the inputs whose bit sum so far is j mod q; the sum of k
+        # bits takes at most k + 1 values
+        counts = [ones] + [0] * min(g.q - 1, len(g.inputs))
+        for l in g.inputs:
+            x = cols[l]
+            counts = [m ^ ((m ^ counts[j - 1]) & x) for j, m in enumerate(counts)]
+        if g.r < len(counts):
+            cols[g.output] ^= counts[g.r]
+    elif isinstance(g, (AddModGate, AddBlockGate)):
+        sign = -1 if g.inverse else 1
+        total = [ones] + [0] * (g.q - 1)
+        for b in g.blocks if isinstance(g, AddModGate) else (g.addend,):
+            total = _sum_digits(total, _digit_columns(b, cols, ones, g.q, sign), g.q)
+        _add_columns(g.result, total, cols, ones, g.q)
+    elif isinstance(g, FanOutModGate):
+        digits = _digit_columns(g.control, cols, ones, g.q, -1 if g.inverse else 1)
+        for b in g.blocks:
+            _add_columns(b, digits, cols, ones, g.q)
+    else:
+        raise TypeError(f"{type(g).__name__} is not a permutation gate")
+
+
+def run_columns(layers, cols: list, ones: int) -> None:
+    """Run permutation layers on every input's columns, in place; a
+    controlled-not stage's pairs are disjoint, so each reads its control
+    before any target changes."""
+    for layer in layers:
+        if isinstance(layer, TensorLayer):
+            for g in layer.gates:
+                permutation_columns(g, cols, ones)
+        else:
+            for stage in layer.stages if isinstance(layer, StagedCNotLayer) else (layer.pairs,):
+                for c, t in stage:
+                    cols[t] ^= cols[c]
 
 
 def fourier_columns(g: FourierGate, ctx) -> list[list[tuple[int, ExactScalar]]]:

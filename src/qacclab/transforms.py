@@ -7,11 +7,14 @@ uncomputation that restores the auxiliary lines included, comes from
 conjugate, not written out by hand.  equivalence_check compares the
 candidate against its target amplitude-by-amplitude over all basis
 inputs, with the auxiliary setting fixed to all zeros, and verifies the
-restoration property.
+restoration property.  Five builders use only permutation gates, and
+their checks run every input at once as columns (circuit.run_columns);
+a candidate with a one-qubit or Fourier gate runs one input at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -20,6 +23,7 @@ from . import circuit as cir
 from .circuit import (
     AddBlockGate,
     AddModGate,
+    CapExceededError,
     Circuit,
     CNotLayer,
     FanOutGate,
@@ -27,6 +31,8 @@ from .circuit import (
     FourierGate,
     Gate,
     ModGate,
+    OneQubitGate,
+    StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
     block_width,
@@ -77,10 +83,6 @@ def _target_map(target: Target, main: int, ctx, work: cir.Work) -> Callable[[int
     with the target compiled once; a circuit target's runs charge work."""
     one = ctx.one()
     if isinstance(target, Circuit):
-        if target.width != main:
-            raise ValueError("target circuit width differs from compared lines")
-        if target.n_aux:
-            raise ValueError("target circuit must have no auxiliary lines")
         program = statevec.compile_circuit(target)
         return lambda x: program.apply({x: one}, work)
     if callable(target) and not isinstance(target, Gate):
@@ -99,6 +101,171 @@ def _charge_inputs(work: cir.Work, lines: int, bound: str = "") -> None:
     work.charge(units, f"comparing {bound}2^{lines} inputs")
 
 
+def _key_maps(target: Target) -> int | None:
+    """The key maps one input's run of a circuit costs (a permutation gate
+    or a controlled-not stage each count 1, as Program.apply charges a
+    fused run), 0 for a permutation gate or a callable (which permutes by
+    contract), or None when it holds a one-qubit or Fourier gate."""
+    if not isinstance(target, Circuit):
+        return None if isinstance(target, (OneQubitGate, FourierGate)) else 0
+    maps = 0
+    for layer in target.layers:
+        if isinstance(layer, TensorLayer):
+            if any(isinstance(g, (OneQubitGate, FourierGate)) for g in layer.gates):
+                return None
+            maps += len(layer.gates)
+        else:
+            maps += len(layer.stages) if isinstance(layer, StagedCNotLayer) else 1
+    return maps
+
+
+def _check_memory(lines: int, words: int) -> None:
+    """Columns of `lines` lines, of `words` 64-bit words each, must fit in
+    WORK words."""
+    if lines * words > cir.WORK:
+        raise CapExceededError(
+            f"{lines} columns of {words} words exceed the column budget of {cir.WORK} words"
+        )
+
+
+def _input_column(shift: int, bits: int) -> int:
+    """Bits 0..bits-1 of the column whose bit x is bit `shift` of x: the
+    pattern of 2^shift zeros then 2^shift ones, doubled until it covers
+    them (a division by 2^(2^(shift+1)) - 1 would take quadratic time)."""
+    run = 1 << shift
+    if run >= bits:
+        return 0
+    col, period = ((1 << run) - 1) << run, 2 * run
+    while period < bits:
+        col |= col << period
+        period *= 2
+    return col & ((1 << bits) - 1)
+
+
+def _increasing(inputs, main: int):
+    """The inputs, each checked to lie above the one before and below 2^main."""
+    last, end = -1, 1 << main
+    for x in inputs:
+        if not last < x < end:
+            raise ValueError(f"input {x} is not above {last} and below 2^{main}")
+        last = x
+        yield x
+
+
+def _held_inputs(inputs, main: int, reach, lines: int) -> tuple[int, bytearray]:
+    """(count, mask bytes) of the `inputs` the column check holds, bit x of
+    the little-endian bytes set for input x.  It stops at the first input
+    past `reach`, which count then exceeds; the columns' memory is checked
+    as the mask grows, a word at a time."""
+    seen, count, words = bytearray(), 0, 0
+    for x in _increasing(inputs, main):
+        count += 1
+        if reach is not None and count > reach:
+            break  # the meter cannot reach every input: the check cannot end equivalent
+        if x >> 6 >= words:
+            words = (x >> 6) + 1
+            _check_memory(lines, words)
+            seen += bytes(8 * words - len(seen))
+        seen[x >> 3] |= 1 << (x & 7)
+    return count, seen
+
+
+def _members(seen: bytes):
+    """The inputs whose bits are set in `seen`, in increasing order."""
+    for i, byte in enumerate(seen):
+        while byte:
+            low = byte & -byte
+            yield 8 * i + low.bit_length() - 1
+            byte ^= low
+
+
+def _flip_columns(target_fn, compared, main: int, bits: int) -> list[int]:
+    """Entry l is the column of the compared inputs x on whose line l
+    target_fn(x) differs from x, each evaluated once (built in bytes, in
+    linear time)."""
+    flips: dict = {}
+    for x in compared:
+        flip = target_fn(x) ^ x
+        if flip >> main:
+            raise ValueError(f"target maps input {x} outside the {main} compared lines")
+        while flip:
+            low = flip & -flip
+            line = main - low.bit_length()
+            if line not in flips:
+                flips[line] = bytearray((bits + 7) >> 3)
+            flips[line][x >> 3] |= 1 << (x & 7)
+            flip ^= low
+    return [int.from_bytes(flips[l], "little") if l in flips else 0 for l in range(main)]
+
+
+def _column_check(target, candidate, main, inputs, work, maps, target_maps):
+    """equivalence_check of a candidate and a target that permute basis
+    states: every compared input runs at once, as columns
+    (circuit.run_columns).  Only the inputs the work meter can reach are
+    held; the report and the charge are the per-input loop's."""
+    width = candidate.width
+    per = maps + target_maps
+    # inputs the meter can reach: the last one can still end the check with
+    # dirty aux lines, before its target run is charged
+    reach = work.left // per + 1 if per else None
+    if inputs is None:
+        count = 1 << main
+        bits = count if reach is None else min(count, reach)
+        _check_memory(width, -(-bits // 64))
+        mask = (1 << bits) - 1
+        compared = range(bits)
+    else:
+        count, seen = _held_inputs(inputs, main, reach, width)
+        mask = int.from_bytes(seen, "little")
+        bits = mask.bit_length()
+        compared = _members(seen)
+    ones = (1 << bits) - 1
+    given = [_input_column(main - 1 - l, bits) for l in range(main)]
+    cols = given + [0] * (width - main)
+    cir.run_columns(candidate.layers, cols, ones)
+    if callable(target) and not isinstance(target, Gate):
+        want = [c ^ f for c, f in zip(given, _flip_columns(target, compared, main, bits))]
+    else:
+        want = list(given)
+        if isinstance(target, Circuit):
+            cir.run_columns(target.layers, want, ones)
+        else:
+            cir.permutation_columns(target, want, ones)
+    dirty = 0
+    for c in cols[main:]:
+        dirty |= c
+    bad = dirty
+    for c, t in zip(cols, want):
+        bad |= c ^ t
+    bad &= mask
+    zeros = "0" * (width - main)
+    if not bad:
+        work.charge(count * per, "a column run")
+        return EquivalenceReport("equivalent", zeros, main, aux_restored=True)
+    low = bad & -bad
+    x = low.bit_length() - 1
+    index = x if inputs is None else (mask & (low - 1)).bit_count()
+    aux_dirty = dirty >> x & 1
+    work.charge(index * per + maps + (0 if aux_dirty else target_maps), "a column run")
+
+    def output(columns):
+        key = sum((c >> x & 1) << (main - 1 - l) for l, c in enumerate(columns[:main]))
+        return cir.key_to_bits(key, main)
+
+    one, zero = candidate.context.one(), candidate.context.zero()
+    x_bits, got = cir.key_to_bits(x, main), output(cols)
+    if aux_dirty:
+        return EquivalenceReport(
+            "counterexample", zeros, main, aux_restored=False,
+            counterexample=(x_bits, got, None, one),
+        )
+    y = min(got, output(want))  # the first output on which the amplitudes differ
+    return EquivalenceReport(
+        "counterexample", zeros, main, aux_restored=True,
+        counterexample=(x_bits, y, zero if y == got else one, one if y == got else zero),
+    )
+
+
 def equivalence_check(
     target: Target,
     candidate: Circuit,
@@ -110,15 +277,22 @@ def equivalence_check(
     Also verifies that every reachable candidate state leaves the
     auxiliary lines at their initial zeros.  The compared lines are the
     first `main_lines` lines, by default the candidate's input lines.
-    `inputs` optionally restricts the compared basis inputs (e.g. to
-    qudigit-encoded states when the construction only promises to simulate
-    the digit encoding).  The candidate, and a circuit or gate target, are
-    compiled once per check, not once per input; a circuit was validated
-    when it was made.
+    `inputs` optionally restricts the compared basis inputs, listed in
+    increasing order (e.g. to qudigit-encoded states when the construction
+    only promises to simulate the digit encoding).  A counterexample names
+    the smallest failing input.
+
+    When the candidate, and a circuit or gate target, hold no one-qubit or
+    Fourier gate, every input runs at once as columns, one int per line
+    (circuit.run_columns); a callable target is evaluated once per input.
+    Otherwise the candidate and target are compiled once and run on one
+    input at a time.
 
     The check has one Work meter: enumerating every input charges 2^main
     units up front, and the candidate's and a circuit target's runs charge
-    their steps.
+    their steps per input, on either path.  A column holds one bit per key
+    up to the largest input the meter can reach, and lines x ⌈keys/64⌉
+    must be at most WORK 64-bit words.
     """
     main = main_lines if main_lines is not None else candidate.n_inputs
     work = cir.Work()
@@ -129,13 +303,21 @@ def equivalence_check(
     pad = candidate.n_inputs - main
     if aux < 0 or pad < 0:
         raise ValueError("candidate has fewer lines than the comparison space")
+    if isinstance(target, Circuit):
+        if target.width != main:
+            raise ValueError("target circuit width differs from compared lines")
+        if target.n_aux:
+            raise ValueError("target circuit must have no auxiliary lines")
+    maps, target_maps = _key_maps(candidate), _key_maps(target)
+    if maps is not None and target_maps is not None:
+        return _column_check(target, candidate, main, inputs, work, maps, target_maps)
     aux_mask = (1 << aux) - 1
     zeros = "0" * aux
     program = statevec.compile_circuit(candidate)
     target_of = _target_map(target, main, ctx, work)
     one = ctx.one()
 
-    for x in range(1 << main) if inputs is None else inputs:
+    for x in range(1 << main) if inputs is None else _increasing(inputs, main):
         entries = program.apply({x << aux: one}, work)
         for key in entries:
             if key & aux_mask:  # report the smallest aux-dirty output, not the first
@@ -393,20 +575,11 @@ def gate_kinds(c: Circuit) -> set[str]:
 
 
 def qudigit_inputs(n_blocks: int, q: int):
-    """Basis keys whose blocks all hold values < q (the digit encoding)."""
+    """Basis keys whose blocks all hold values < q (the digit encoding), in
+    increasing order."""
     w = block_width(q)
-    main = n_blocks * w
-
-    def keys():
-        import itertools
-
-        for values in itertools.product(range(q), repeat=n_blocks):
-            key = 0
-            for v in values:
-                key = (key << w) | v
-            yield key
-
-    return keys() if main else iter((0,))
+    places = [[v << (w * i) for v in range(q)] for i in reversed(range(n_blocks))]
+    return map(sum, itertools.product(*places))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared test helpers: an independent double-precision simulator, a
-per-branch exact reference for the simulator's branching steps, dense gate
+per-branch exact reference for the simulator's branching steps, a per-key
+reference for equivalence checks of permutation circuits, dense gate
 matrices, a Fraction reference for scalar arithmetic, a context with one
 indeterminate, two-element context files and a seeded random-circuit
 generator.
@@ -163,6 +164,46 @@ def reference_run(layers, input_bits: str, ctx) -> tuple[dict, int]:
                 act = cir.cnot_action(pairs, width)
                 state = {act(key): amp for key, amp in state.items()}
     return state, cancellations
+
+
+def per_key_report(target, candidate, main: int, inputs=None):
+    """The EquivalenceReport of checking a permutation candidate against a
+    permutation target one input at a time, as the per-input loop builds
+    it: each input x runs through statevec.compile_circuit(candidate), and
+    target x is permutation_action of a gate, a compiled run of a circuit
+    or a callable's value.  The reference the column path is checked
+    against."""
+    from qacclab import statevec
+    from qacclab.transforms import EquivalenceReport
+
+    ctx = candidate.context
+    one, zero = ctx.one(), ctx.zero()
+    aux = candidate.width - main
+    zeros = "0" * aux
+    program = statevec.compile_circuit(candidate)
+    if isinstance(target, cir.Circuit):
+        target_program = statevec.compile_circuit(target)
+        target_of = lambda x: target_program.apply({x: one}, cir.Work())  # noqa: E731
+    elif callable(target) and not isinstance(target, cir.Gate):
+        target_of = lambda x: {target(x): one}  # noqa: E731
+    else:
+        act = cir.permutation_action(target, main)
+        target_of = lambda x: {act(x): one}  # noqa: E731
+    for x in range(1 << main) if inputs is None else inputs:
+        ((key, amp),) = program.apply({x << aux: one}, cir.Work()).items()
+        x_bits, y_bits = cir.key_to_bits(x, main), cir.key_to_bits(key >> aux, main)
+        if key & ((1 << aux) - 1):
+            return EquivalenceReport(
+                "counterexample", zeros, main, False, (x_bits, y_bits, None, amp)
+            )
+        ((t, _),) = target_of(x).items()
+        if t != key >> aux:
+            y = min(t, key >> aux)
+            lhs, rhs = (one, zero) if y == t else (zero, one)
+            return EquivalenceReport(
+                "counterexample", zeros, main, True, (x_bits, cir.key_to_bits(y, main), lhs, rhs)
+            )
+    return EquivalenceReport("equivalent", zeros, main, True)
 
 
 GATE_MATRIX_CAP = 12

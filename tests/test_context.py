@@ -4,7 +4,7 @@ import math
 import time
 
 import pytest
-from support import two_element_context_json
+from support import sqrt_a1_context, two_element_context_json
 
 from qacclab.algebra import (
     CONTEXT_DIM_CAP,
@@ -221,6 +221,22 @@ def test_context_file_with_false_fourier_constants_is_refused(tmp_path, square, 
     path = tmp_path / "ctx.json"
     path.write_text(json.dumps(two_element_context_json(square, u, q)))
     with pytest.raises(ContextError, match=match):
+        load_context(path)
+
+
+def test_fourier_q_with_indeterminates_names_fourier_q(tmp_path):
+    # u = a1 is no constant: q = 1 needs no division (s = 1), and q = 4's
+    # Gauss sum cannot be divided, which the error pins on fourier_q
+    path = tmp_path / "ctx.json"
+    data = sqrt_a1_context().to_json()
+    path.write_text(json.dumps({**data, "fourier_q": 1}))
+    ctx = load_context(path)
+    zeta, s = ctx.fourier_scalars(1)
+    assert zeta == [ctx.one()] and s == ctx.one()
+    path.write_text(json.dumps({**data, "fourier_q": 4}))
+    with pytest.raises(
+        ContextError, match="^fourier_q=4: rational coefficients need a constant denominator u$"
+    ):
         load_context(path)
 
 
