@@ -184,10 +184,6 @@ class ExactScalar:
         x = from_numerators(ctx, *numerators(ctx, coords))
         self.ctx, self.nums, self.r = ctx, x.nums, x.r
 
-    @classmethod
-    def from_json(cls, ctx, data: dict) -> "ExactScalar":
-        return cls(ctx, [f_from_json(c, ctx.arity) for c in data["coords"]])
-
     @property
     def coords(self) -> tuple[FScalar, ...]:
         """The coordinates as FScalars.  Without indeterminates each has

@@ -16,12 +16,13 @@ raises ValidationError with its diagnostics, so no engine validates again.
 
 Every engine shares two budgets, and going past either raises
 CapExceededError.  The memory budget, BUDGET, bounds the items held at
-once: basis states in a state vector, nodes in a tensor graph, the lines
-of a circuit that runs (checked before any key or graph is built), the
-entries of a gate kernel's per-value tables (checked before any is
-built) and the gate lines of a built circuit.  The work budget, WORK, bounds the units
-one operation spends, charged to a Work meter where the work is done:
-key-gate applications in a state-vector run, path steps in a path sum and
+once: basis states in a state vector, nodes in a tensor graph, color terms
+in its amplitude DP, the lines of a circuit that runs (checked before any
+key or graph is built), the entries of a gate kernel's per-value tables
+(checked before any is built) and the gate lines of a built circuit.  The
+work budget, WORK, bounds the units one operation spends, charged to a
+Work meter where the work is done: key-gate applications in a state-vector
+run, path steps in a path sum, color-term products in a graph DP and
 enumerated inputs in an equivalence check.  WORK also bounds, in 64-bit
 words, the columns an equivalence check runs permutation gates on.
 """
@@ -373,13 +374,6 @@ def lines_mask(lines: Iterable[int], width: int) -> int:
     for l in lines:
         mask |= line_mask(l, width)
     return mask
-
-
-def read_block(key: int, block: tuple[int, ...], width: int) -> int:
-    v = 0
-    for l in block:
-        v = (v << 1) | ((key >> (width - 1 - l)) & 1)
-    return v
 
 
 def key_to_bits(key: int, width: int) -> str:

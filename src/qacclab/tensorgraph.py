@@ -48,12 +48,16 @@ apply_layer and tg_build leave their input unchanged: apply_layer copies
 its input graph once and returns the copy.  The private rules behind it
 (_apply_variants, _cnot_pair) change the graph they are given in place, so
 a layer costs one copy, not one per gate.  The add_* methods change the
-graph they are called on; they are for construction and loaders.
+graph they are called on; they are for construction.
 
 A graph holds at most circuit.BUDGET nodes, the memory budget: add_node,
 through which every node passes, raises CapExceededError before the count
 would go past it.  A path sum charges the work budget one scalar product
-per vertical edge of each path, before it walks.
+per vertical edge of each path, before it walks.  The DP charges the work
+budget one unit per color-term product, before it forms them, and holds
+the values of the nodes it has reached but not yet left, and the
+terminal's: it raises CapExceededError once their terms together would go
+past the memory budget.
 """
 
 from __future__ import annotations
@@ -199,8 +203,8 @@ class ColorTerm:
 
 
 class TensorGraph:
-    """Mutating builder methods are for construction and loaders;
-    apply_layer never modifies its argument.
+    """Mutating builder methods are for construction; apply_layer never
+    modifies its argument.
 
     levels indexes node ids by height, in insertion order.  The
     extraction order (_topo_nodes) is kept on the graph until add_node or
@@ -506,28 +510,51 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
 
     Accumulates, per node, the color-term amplitude of the target prefix
     over all partial paths; color products multiply in path order, the
-    regime where the algebra behaves associatively.
+    regime where the algebra behaves associatively.  A node's value is
+    dropped once its out-edges are processed, so the terms held at once,
+    which must stay within circuit.BUDGET, are the frontier's and the
+    terminal's.  A Work meter is charged one unit per color-term product,
+    before the products are formed.
     """
     parse_bits(target_bits, g.height)
     ctx = g.ctx
-    acc = {g.source: ColorTerm(ctx, {UNIT_PRODUCT: ctx.one()})}  # reached nodes only
+    work = cir.Work()
+    what = f"the amplitude DP over {len(g.nodes)} nodes"
+    acc = {g.source: ColorTerm(ctx, {UNIT_PRODUCT: ctx.one()})}  # reached, not yet left
+    held = 1  # terms in acc
 
     def add(dst, term):
+        nonlocal held
         prev = acc.get(dst)
-        acc[dst] = term if prev is None else prev.plus(term)
+        if prev is not None:
+            held -= len(prev.terms)
+            term = prev.plus(term)
+        acc[dst] = term
+        held += len(term.terms)
+        if held > cir.BUDGET:
+            raise CapExceededError(
+                f"{what} would hold {held} color terms at once, over the memory budget "
+                f"of {cir.BUDGET}"
+            )
 
     for node in _topo_nodes(g):
         value = acc.get(node)
-        if value is None or value.is_zero():
+        if value is None:
             continue
-        for dst in g.hout.get(node, ()):
-            add(dst, value)
-        edge = g.vout.get(node)
-        if edge is not None:
-            dst, product, a0, a1 = edge
-            amp = a0 if target_bits[g.nodes[dst] - 1] == "0" else a1
-            if not amp.is_zero():
-                add(dst, value.times(ColorTerm(ctx, {product: amp})))
+        n = len(value.terms)
+        if n:
+            for dst in g.hout.get(node, ()):
+                add(dst, value)
+            edge = g.vout.get(node)
+            if edge is not None:
+                dst, product, a0, a1 = edge
+                amp = a0 if target_bits[g.nodes[dst] - 1] == "0" else a1
+                if not amp.is_zero():
+                    work.charge(n, what)
+                    add(dst, value.times(ColorTerm(ctx, {product: amp})))
+        if node != g.terminal:
+            del acc[node]
+            held -= n
     final = acc.get(g.terminal, ColorTerm(ctx))
     if final.colored_residue():
         raise GraphError("terminal value keeps color factors: graph is not color consistent")
@@ -662,52 +689,3 @@ def tg_to_json(g: TensorGraph) -> dict:
         "source": g.source,
         "terminal": g.terminal,
     }
-
-
-def _product_from_json(colors) -> ColorProduct:
-    """The one check of color ids from outside: each id is an int in
-    [0, circuit.BUDGET), read as is, with polarity 0 or 1, and no id is
-    given with both polarities."""
-    masks = [0, 0]  # colors, antis
-    for cid, anti in colors:
-        if type(cid) is not int or not 0 <= cid < cir.BUDGET:
-            raise GraphError(f"color id {cid!r} is not an int in [0, {cir.BUDGET})")
-        if anti not in (0, 1):
-            raise GraphError(f"color polarity {anti!r} is not 0 or 1")
-        masks[anti] |= 1 << cid
-    if masks[0] & masks[1]:
-        raise GraphError("color product holds both polarities of one color")
-    return ColorProduct(*masks)
-
-
-def tg_from_json(data: dict, ctx) -> TensorGraph:
-    """The graph a tg_to_json dump spells.  Like load_context, it raises
-    GraphError for a dump that spells no graph: one whose node ids, heights
-    or edge ends are not ints >= 0, or whose source is not a node at height
-    0 or terminal not a node at the top height."""
-    try:
-        nodes = [(n["id"], n["height"]) for n in data["nodes"]]
-        ends = [e[k] for e in data["vedges"] + data["hedges"] for k in ("from", "to")]
-        if any(type(v) is not int or v < 0 for v in ends + [v for node in nodes for v in node]):
-            raise GraphError("node ids, heights and edge ends must be ints >= 0")
-        g = TensorGraph(ctx, max((h for _nid, h in nodes), default=0))
-        for nid, h in nodes:
-            g.add_node(h, nid)
-        for e in data["vedges"]:
-            product = _product_from_json(e["colors"])
-            a0 = ExactScalar.from_json(ctx, e["amp0"])
-            a1 = ExactScalar.from_json(ctx, e["amp1"])
-            g.add_vedge(e["from"], e["to"], product, a0, a1)
-            g._next_color = max(g._next_color, (product.colors | product.antis).bit_length())
-        for e in data["hedges"]:
-            g.add_hedge(e["from"], e["to"])
-        g.source, g.terminal = data["source"], data["terminal"]
-    except KeyError as exc:
-        raise GraphError(f"graph dump lacks the key or node {exc}") from exc
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise GraphError(f"graph dump is malformed: {exc}") from exc
-    for end, height in (("source", 0), ("terminal", g.height)):
-        nid = getattr(g, end)
-        if type(nid) is not int or g.nodes.get(nid) != height:
-            raise GraphError(f"{end} {nid!r} is not a node at height {height}")
-    return g

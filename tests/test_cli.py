@@ -270,6 +270,16 @@ def test_work_budget_exits_3_with_one_error_line(capsys, monkeypatch, bell_file)
         assert "work budget of 3 units" in err, argv
 
 
+def test_graph_dp_past_the_work_budget_exits_3_with_one_line(capsys, monkeypatch, bell_file):
+    from qacclab import circuit as cir
+
+    monkeypatch.setattr(cir, "WORK", 1)
+    argv = ("graph", "--circuit", bell_file, "--input", "00", "--target", "11")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: the amplitude DP over 7 nodes exceeds the work budget of 1 units\n"
+
+
 def test_wide_builds_are_refused_by_their_size(capsys, monkeypatch):
     # 13,760,248 gate lines: refused before the builder runs
     from qacclab import transforms

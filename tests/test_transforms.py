@@ -3,6 +3,8 @@ import itertools
 
 import pytest
 
+from support import _blockval
+
 from qacclab import circuit as cir
 from qacclab import statevec as sv
 from qacclab import transforms as tf
@@ -124,7 +126,7 @@ def test_mq_from_modq_sum_probe():
             bits = cir.key_to_bits(d1, w) + cir.key_to_bits(d2, w) + "0" * w
             state = sv.run(c, bits)
             key = state.support()[0]
-            assert cir.read_block(key, s_block, c.width) == (d1 + d2) % q
+            assert _blockval(key, s_block, c.width) == (d1 + d2) % q
 
 
 @pytest.mark.parametrize("q,n", GRID)
