@@ -20,6 +20,7 @@ once by the product loop).
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -139,10 +140,19 @@ def from_numerators(ctx, nums, r: int) -> "ExactScalar":
     if u is None:
         if r and not any(nums):
             r = 0
-    else:
-        while r and not any(map(u.__rmod__, nums)):
-            nums = [n // u for n in nums]
-            r -= 1
+    elif r:
+        # u^k divides every numerator iff it divides their gcd: strip the
+        # largest such power, k <= r, in one division
+        g, k = math.gcd(*nums), 0
+        while k < r and g % u == 0:
+            g //= u
+            k += 1
+        if not g:  # every numerator is 0: 0 divides by any power
+            r = 0
+        elif k:
+            d = ctx.u_power(k)
+            nums = [n // d for n in nums]
+            r -= k
     x = object.__new__(ExactScalar)
     x.ctx = ctx
     x.nums = tuple(nums)

@@ -1,17 +1,19 @@
 """Brute-force exact simulator and the E/N/B acceptance predicates.
 
 States are sparse maps from basis keys to exact scalars; amplitudes that
-become exactly zero are pruned eagerly.  A Circuit is validated when it is
-made, so nothing here validates again.  A circuit runs through one compile
-step: compile_circuit builds every gate's kernel once from bit masks,
-fusing each maximal run of permutation gates and controlled-not layers
-into a single key map.  The resulting Program runs any number of inputs;
-run and apply_layer both go through it.  Permutation steps move keys with
-no scalar arithmetic at all; only one-qubit and Fourier gates touch the
-algebra.  Each of their entries s is compiled once into a multiplier
+become exactly zero are pruned eagerly.  A Circuit is validated when it
+is made, so nothing here validates again.  A circuit runs through one
+compile step: a Compiler builds every gate's kernel once from bit masks,
+and makes Programs of any run of layers, fusing each maximal run of
+permutation gates and controlled-not layers into a single key map.  A
+Program runs any number of inputs; run, apply_layer and the equivalence
+checker, which compiles a candidate's layers and their inverses with one
+Compiler, all go through it.  Permutation steps move keys with no scalar
+arithmetic at all; only one-qubit and Fourier gates touch the algebra.
+Each of their entries s is compiled once into a multiplier
 (scalars.multiplier), so a branching step adds every product into its
-output key's slot as integer numerators over one power of u and builds one
-scalar per nonzero slot, not one per product or partial sum.
+output key's slot as integer numerators over one power of u and builds
+one scalar per nonzero slot, not one per product or partial sum.
 
 Both budgets raise CapExceededError.  The memory budget: a run's width is
 at most circuit.BUDGET lines, and before a one-qubit or Fourier step runs,
@@ -164,54 +166,75 @@ def _branch(mask: int, table: dict, fan: int, ctx):
     return step
 
 
-def _compile_steps(layers, width: int, ctx) -> tuple:
-    """One step per one-qubit or Fourier gate, one fused key map per maximal
-    run of permutation gates and controlled-not layers, each paired with its
-    cost per basis state.  Gates in a tensor layer commute, so they are
-    applied in sequence."""
-    steps: list = []
-    maps: list = []
-    built: dict = {}  # scalar form -> its multiplier, shared by the program's gates
+class Compiler:
+    """Compiles layers on `width` lines of one context into Programs.  Each
+    gate's kernel is built once, so programs made from overlapping runs of
+    layers share them, and every program shares one multiplier per scalar
+    form (`multipliers`, which a compiler for another width in the same
+    context may share too)."""
 
-    def multiplier_of(s):
+    def __init__(self, width: int, ctx, multipliers: dict | None = None):
+        self.width, self.ctx = width, ctx
+        self.multipliers = {} if multipliers is None else multipliers
+        self._gates: dict = {}  # gate -> its key map, or its (branch step, fan)
+
+    def _multiplier(self, s):
         form = s.key()
-        if form not in built:
-            built[form] = multiplier(ctx, s)
-        return built[form]
+        if form not in self.multipliers:
+            self.multipliers[form] = multiplier(self.ctx, s)
+        return self.multipliers[form]
 
-    def close_run():
-        if maps:
-            steps.append((_permute(_fuse(maps)), len(maps)))
-            maps.clear()
+    def _gate(self, gate):
+        part = self._gates.get(gate)
+        if part is None:
+            part = permutation_action(gate, self.width)
+            if part is None:
+                mask, columns = gate_columns(gate, self.width, self.ctx)
+                table = {
+                    b: tuple((bits, self._multiplier(s)) for bits, s in col)
+                    for b, col in columns.items()
+                }
+                fan = 1 << len(gate.lines())
+                part = (_branch(mask, table, fan, self.ctx), fan)
+            self._gates[gate] = part
+        return part
 
-    for layer in layers:
-        if isinstance(layer, TensorLayer):
-            for gate in layer.gates:
-                perm = permutation_action(gate, width)
-                if perm is not None:
-                    maps.append(perm)
-                else:
-                    close_run()
-                    mask, columns = gate_columns(gate, width, ctx)
-                    table = {
-                        b: tuple((bits, multiplier_of(s)) for bits, s in col)
-                        for b, col in columns.items()
-                    }
-                    fan = 1 << len(gate.lines())
-                    steps.append((_branch(mask, table, fan, ctx), fan))
-        elif isinstance(layer, CNotLayer):
-            maps.append(cnot_action(layer.pairs, width))
-        elif isinstance(layer, StagedCNotLayer):
-            maps.extend(cnot_action(stage, width) for stage in layer.stages)
-        else:
-            raise TypeError(f"unknown layer {type(layer).__name__}")
-    close_run()
-    return tuple(steps)
+    def program(self, layers) -> Program:
+        """One step per one-qubit or Fourier gate, one fused key map per
+        maximal run of permutation gates and controlled-not layers, each
+        paired with its cost per basis state.  Gates in a tensor layer
+        commute, so they are applied in sequence."""
+        steps: list = []
+        maps: list = []
+
+        def close_run():
+            if maps:
+                steps.append((_permute(_fuse(maps)), len(maps)))
+                maps.clear()
+
+        for layer in layers:
+            if isinstance(layer, TensorLayer):
+                for gate in layer.gates:
+                    part = self._gate(gate)
+                    if callable(part):
+                        maps.append(part)
+                    else:
+                        close_run()
+                        steps.append(part)
+            elif isinstance(layer, CNotLayer):
+                maps.append(cnot_action(layer.pairs, self.width))
+            elif isinstance(layer, StagedCNotLayer):
+                maps.extend(cnot_action(stage, self.width) for stage in layer.stages)
+            else:
+                raise TypeError(f"unknown layer {type(layer).__name__}")
+        close_run()
+        return Program(tuple(steps))
 
 
-def compile_circuit(c: Circuit) -> Program:
-    """Build every gate's kernel once."""
-    return Program(_compile_steps(c.layers, c.width, c.context))
+def compile_circuit(c: Circuit, multipliers: dict | None = None) -> Program:
+    """Build every gate's kernel once; `multipliers` shares a multiplier
+    table with other programs of the same context."""
+    return Compiler(c.width, c.context, multipliers).program(c.layers)
 
 
 def apply_layer(state: StateVector, layer: Layer) -> StateVector:

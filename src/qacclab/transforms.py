@@ -9,7 +9,9 @@ candidate against its target amplitude-by-amplitude over all basis
 inputs, with the auxiliary setting fixed to all zeros, and verifies the
 restoration property.  Five builders use only permutation gates, and
 their checks run every input at once as columns (circuit.run_columns);
-a candidate with a one-qubit or Fourier gate runs one input at a time.
+a candidate with a one-qubit or Fourier gate runs one input at a time,
+meeting in the middle (_per_input_check), as equivalence checkers cancel
+G'⁻¹ against G (Burgholzer and Wille, IEEE TCAD 2021).
 """
 
 from __future__ import annotations
@@ -78,12 +80,14 @@ class EquivalenceReport:
         return data
 
 
-def _target_map(target: Target, main: int, ctx, work: cir.Work) -> Callable[[int], dict]:
+def _target_map(target: Target, main: int, ctx, work: cir.Work, multipliers: dict):
     """Function from a basis key x to target|x> as {basis key: ExactScalar},
-    with the target compiled once; a circuit target's runs charge work."""
+    with the target compiled once, sharing `multipliers` when it is in
+    `ctx`; a circuit target's runs charge work."""
     one = ctx.one()
     if isinstance(target, Circuit):
-        program = statevec.compile_circuit(target)
+        shared = multipliers if target.context is ctx else None
+        program = statevec.compile_circuit(target, shared)
         return lambda x: program.apply({x: one}, work)
     if callable(target) and not isinstance(target, Gate):
         return lambda x: {target(x): one}
@@ -285,23 +289,24 @@ def equivalence_check(
     When the candidate, and a circuit or gate target, hold no one-qubit or
     Fourier gate, every input runs at once as columns, one int per line
     (circuit.run_columns); a callable target is evaluated once per input.
-    Otherwise the candidate and target are compiled once and run on one
-    input at a time.
+    Otherwise each layer of the candidate, its inverse and the target are
+    compiled once and run on one input at a time, the candidate cut in two
+    where that is cheaper (_per_input_check); the report is the one the
+    whole candidate gives.
 
     The check has one Work meter: enumerating every input charges 2^main
     units up front, and the candidate's and a circuit target's runs charge
-    their steps per input, on either path.  A column holds one bit per key
-    up to the largest input the meter can reach, and lines x ⌈keys/64⌉
-    must be at most WORK 64-bit words.
+    their steps per input, on either path.  A cut check also charges its
+    backward probe, at most the first input's forward run, and per input
+    the units of B, of A⁻¹ and, on a mismatch, of A.  A column holds one
+    bit per key up to the largest input the meter can reach, and lines x
+    ⌈keys/64⌉ must be at most WORK 64-bit words.
     """
     main = main_lines if main_lines is not None else candidate.n_inputs
     work = cir.Work()
     if inputs is None:
         _charge_inputs(work, main)
-    ctx = candidate.context
-    aux = candidate.width - main
-    pad = candidate.n_inputs - main
-    if aux < 0 or pad < 0:
+    if candidate.n_inputs < main:
         raise ValueError("candidate has fewer lines than the comparison space")
     if isinstance(target, Circuit):
         if target.width != main:
@@ -311,48 +316,138 @@ def equivalence_check(
     maps, target_maps = _key_maps(candidate), _key_maps(target)
     if maps is not None and target_maps is not None:
         return _column_check(target, candidate, main, inputs, work, maps, target_maps)
-    aux_mask = (1 << aux) - 1
-    zeros = "0" * aux
-    program = statevec.compile_circuit(candidate)
-    target_of = _target_map(target, main, ctx, work)
-    one = ctx.one()
+    return _per_input_check(target, candidate, main, inputs, work)
 
-    for x in range(1 << main) if inputs is None else _increasing(inputs, main):
-        entries = program.apply({x << aux: one}, work)
-        for key in entries:
-            if key & aux_mask:  # report the smallest aux-dirty output, not the first
-                dirty = min(k for k in entries if k & aux_mask)
-                return EquivalenceReport(
-                    "counterexample",
-                    zeros,
-                    main,
-                    aux_restored=False,
-                    counterexample=(
-                        cir.key_to_bits(x, main),
-                        cir.key_to_bits(dirty >> aux, main),
-                        None,
-                        entries[dirty],
-                    ),
-                )
-        want = target_of(x)
-        got = {key >> aux: amp for key, amp in entries.items()}
-        if want == got:  # amplitudes compared with ExactScalar.__eq__
-            continue
-        zero = ctx.zero()
-        for y in sorted(set(want) | set(got)):
-            lhs = want.get(y, zero)
-            rhs = got.get(y, zero)
-            if lhs != rhs:
-                return EquivalenceReport(
-                    "counterexample",
-                    zeros,
-                    main,
-                    aux_restored=True,
-                    counterexample=(
-                        cir.key_to_bits(x, main), cir.key_to_bits(y, main), lhs, rhs
-                    ),
-                )
-    return EquivalenceReport("equivalent", zeros, main, aux_restored=True)
+
+def _aux_report(x: int, entries: dict, main: int, aux: int) -> EquivalenceReport | None:
+    """The counterexample of input x when its candidate state leaves an aux
+    line dirty, naming the smallest aux-dirty output, not the first."""
+    aux_mask = (1 << aux) - 1
+    dirty = [k for k in entries if k & aux_mask]
+    if not dirty:
+        return None
+    key = min(dirty)
+    return EquivalenceReport(
+        "counterexample", "0" * aux, main, aux_restored=False,
+        counterexample=(
+            cir.key_to_bits(x, main), cir.key_to_bits(key >> aux, main), None, entries[key]
+        ),
+    )
+
+
+def _amplitude_report(x: int, entries: dict, want: dict, main: int, aux: int, ctx):
+    """The counterexample of input x at the smallest output whose target
+    and candidate amplitudes differ, or None when all agree."""
+    got = {key >> aux: amp for key, amp in entries.items()}
+    if want == got:  # amplitudes compared with ExactScalar.__eq__
+        return None
+    zero = ctx.zero()
+    for y in sorted(set(want) | set(got)):
+        lhs, rhs = want.get(y, zero), got.get(y, zero)
+        if lhs != rhs:
+            return EquivalenceReport(
+                "counterexample", "0" * aux, main, aux_restored=True,
+                counterexample=(cir.key_to_bits(x, main), cir.key_to_bits(y, main), lhs, rhs),
+            )
+    return None
+
+
+def _choose_cut(inverse, costs: list, state: dict, work: cir.Work) -> tuple[int, int]:
+    """(cut, units): the layer boundary b that minimises costs[b], the
+    forward units of the first input up to b, plus the units of running the
+    inverse layers from the end back to b on its target state, and the
+    units that backward probe spent.  The probe stops, without raising,
+    before a step that would leave no boundary further back cheaper than
+    the best so far (at first the whole forward run), that would spend more
+    than the meter has left, or that would hold more than BUDGET states.
+    The last boundary, len(costs) - 1, means no cut."""
+    cut = len(costs) - 1
+    best, spent = costs[cut], 0
+    for b in range(cut - 1, -1, -1):
+        for step, cost in inverse(b).steps:
+            units = len(state) * cost
+            if spent + units >= best or spent + units > work.left:
+                return cut, spent
+            try:
+                state = step(state)
+            except CapExceededError:  # over the memory budget, before any work
+                return cut, spent
+            spent += units
+        if costs[b] + spent < best:
+            best, cut = costs[b] + spent, b
+    return cut, spent
+
+
+def _per_input_check(target, candidate, main, inputs, work) -> EquivalenceReport:
+    """equivalence_check one input at a time, meeting in the middle.
+
+    The candidate C = A·B is cut at a layer boundary, and each input
+    compares B|x,0> with A⁻¹(T|x> ⊗ |0>).  Every layer has an exact inverse,
+    so the two are equal iff C|x,0> = T|x> ⊗ |0>; on a mismatch A runs on
+    B's state, and the report is made from C|x,0> as without a cut.  For a
+    conjugation U·V·U⁻¹ the cut skips the U⁻¹ that collapses the
+    superposition U spread.  The first input runs the whole candidate,
+    layer by layer, and prices each cut (_choose_cut).  A one-qubit gate
+    has an exact inverse only in a context with a conjugation; without one
+    there is no cut."""
+    ctx = candidate.context
+    aux = candidate.width - main
+    layers = candidate.layers
+    compiler = statevec.Compiler(candidate.width, ctx)
+    target_of = _target_map(target, main, ctx, work, compiler.multipliers)
+    one = ctx.one()
+    xs = iter(range(1 << main) if inputs is None else _increasing(inputs, main))
+    x = next(xs, None)
+    if x is None:
+        return EquivalenceReport("equivalent", "0" * aux, main, aux_restored=True)
+    state, costs = {x << aux: one}, [0]
+    for layer in layers:
+        left = work.left
+        state = compiler.program((layer,)).apply(state, work)
+        costs.append(costs[-1] + left - work.left)
+    report = _aux_report(x, state, main, aux)
+    if report is not None:
+        return report
+    want = target_of(x)
+    report = _amplitude_report(x, state, want, main, aux, ctx)
+    if report is not None:
+        return report
+
+    cut = len(layers)
+    if ctx.conjugation is not None or not any(
+        isinstance(g, OneQubitGate)
+        for layer in layers if isinstance(layer, TensorLayer) for g in layer.gates
+    ):
+        inverse_layers = [cir.inverse_layer(layer) for layer in layers]
+        cut, spent = _choose_cut(
+            lambda b: compiler.program((inverse_layers[b],)), costs,
+            {y << aux: amp for y, amp in want.items()}, work,
+        )
+        work.charge(spent, "a backward probe")
+    if cut == len(layers):
+        program = compiler.program(layers)
+        for x in xs:
+            entries = program.apply({x << aux: one}, work)
+            report = _aux_report(x, entries, main, aux) or _amplitude_report(
+                x, entries, target_of(x), main, aux, ctx
+            )
+            if report is not None:
+                return report
+    else:
+        front, rest = compiler.program(layers[:cut]), compiler.program(layers[cut:])
+        back = compiler.program(reversed(inverse_layers[cut:]))
+        for x in xs:
+            mid = front.apply({x << aux: one}, work)
+            want = target_of(x)
+            if mid == back.apply({y << aux: amp for y, amp in want.items()}, work):
+                continue
+            entries = rest.apply(mid, work)
+            report = _aux_report(x, entries, main, aux) or _amplitude_report(
+                x, entries, want, main, aux, ctx
+            )
+            if report is not None:
+                return report
+    return EquivalenceReport("equivalent", "0" * aux, main, aux_restored=True)
 
 
 # -- builders ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared test helpers: an independent double-precision simulator, a
-per-branch exact reference for the simulator's branching steps, a per-key
-reference for equivalence checks of permutation circuits, dense gate
+per-branch exact reference for the simulator's branching steps, a per-input
+reference for equivalence checks that runs the whole candidate, dense gate
 matrices, a Fraction reference for scalar arithmetic, a context with one
 indeterminate, two-element context files and a seeded random-circuit
 generator.
@@ -167,11 +167,13 @@ def reference_run(layers, input_bits: str, ctx) -> tuple[dict, int]:
 
 
 def per_key_report(target, candidate, main: int, inputs=None):
-    """The EquivalenceReport of checking a permutation candidate against a
-    permutation target one input at a time, as the per-input loop builds
-    it: each input x runs through statevec.compile_circuit(candidate), and
-    target x is permutation_action of a gate, a compiled run of a circuit
-    or a callable's value.  The reference the column path is checked
+    """The EquivalenceReport of checking the candidate against the target
+    one input at a time, the whole candidate on each: input x runs through
+    statevec.compile_circuit(candidate), and target x is gate_kernel of a
+    gate, a compiled run of a circuit or a callable's value.  The first
+    failing input is reported, at its smallest aux-dirty output if any,
+    else at its smallest output whose amplitudes differ.  The reference
+    the column path and the cut of the per-input path are checked
     against."""
     from qacclab import statevec
     from qacclab.transforms import EquivalenceReport
@@ -187,22 +189,25 @@ def per_key_report(target, candidate, main: int, inputs=None):
     elif callable(target) and not isinstance(target, cir.Gate):
         target_of = lambda x: {target(x): one}  # noqa: E731
     else:
-        act = cir.permutation_action(target, main)
-        target_of = lambda x: {act(x): one}  # noqa: E731
+        kernel = cir.gate_kernel(target, main, ctx)
+        target_of = lambda x: {k: one if s is None else s for k, s in kernel(x)}  # noqa: E731
     for x in range(1 << main) if inputs is None else inputs:
-        ((key, amp),) = program.apply({x << aux: one}, cir.Work()).items()
-        x_bits, y_bits = cir.key_to_bits(x, main), cir.key_to_bits(key >> aux, main)
-        if key & ((1 << aux) - 1):
+        state = program.apply({x << aux: one}, cir.Work())
+        x_bits = cir.key_to_bits(x, main)
+        dirty = sorted(key for key in state if key & ((1 << aux) - 1))
+        if dirty:
+            y_bits = cir.key_to_bits(dirty[0] >> aux, main)
             return EquivalenceReport(
-                "counterexample", zeros, main, False, (x_bits, y_bits, None, amp)
+                "counterexample", zeros, main, False, (x_bits, y_bits, None, state[dirty[0]])
             )
-        ((t, _),) = target_of(x).items()
-        if t != key >> aux:
-            y = min(t, key >> aux)
-            lhs, rhs = (one, zero) if y == t else (zero, one)
-            return EquivalenceReport(
-                "counterexample", zeros, main, True, (x_bits, cir.key_to_bits(y, main), lhs, rhs)
-            )
+        want, got = target_of(x), {key >> aux: amp for key, amp in state.items()}
+        for y in sorted(set(want) | set(got)):
+            lhs, rhs = want.get(y, zero), got.get(y, zero)
+            if lhs != rhs:
+                y_bits = cir.key_to_bits(y, main)
+                return EquivalenceReport(
+                    "counterexample", zeros, main, True, (x_bits, y_bits, lhs, rhs)
+                )
     return EquivalenceReport("equivalent", zeros, main, True)
 
 
@@ -329,6 +334,38 @@ def two_element_context_json(square: int, u: int, fourier_q: int) -> dict:
 
 
 # -- seeded circuit generator ----------------------------------------------------
+
+
+PERMUTATION_KINDS = ("toffoli", "fanout", "mod", "addmod", "fanoutmod", "addblock")
+
+
+def random_permutation_gate(rng, kind, q, lines):
+    """A random permutation gate of `kind` (one of PERMUTATION_KINDS) on
+    some of `lines`, in a random line order and with a random inverse
+    flag, or None if they are too few."""
+    lines = rng.sample(lines, len(lines))
+    inverse = rng.random() < 0.5
+    if kind in ("toffoli", "fanout", "mod"):
+        low = 0 if kind == "toffoli" else 1
+        if len(lines) < low + 1:
+            return None
+        many = rng.randint(low, len(lines) - 1)
+        if kind == "toffoli":
+            return ToffoliGate(tuple(lines[:many]), lines[many])
+        if kind == "fanout":
+            return FanOutGate(tuple(lines[:many]), lines[many])
+        return ModGate(q, rng.randrange(q), tuple(lines[:many]), lines[many])
+    w = cir.block_width(q)
+    most = len(lines) // w
+    if most < 2:
+        return None
+    n_blocks = 2 if kind == "addblock" else rng.randint(2, most)
+    blocks = tuple(tuple(lines[i * w:(i + 1) * w]) for i in range(n_blocks))
+    if kind == "addmod":
+        return AddModGate(q, blocks[:-1], blocks[-1], inverse)
+    if kind == "fanoutmod":
+        return FanOutModGate(q, blocks[:-1], blocks[-1], inverse)
+    return AddBlockGate(q, blocks[0], blocks[1], inverse)
 
 
 def random_tensor_layer(rng: random.Random, lines: int, ctx) -> TensorLayer:

@@ -15,55 +15,14 @@ import time
 
 import pytest
 
-from support import per_key_report
+from support import PERMUTATION_KINDS, per_key_report, random_permutation_gate
 
 from qacclab import circuit as cir
 from qacclab import transforms as tf
 from qacclab.algebra import get_context
-from qacclab.circuit import (
-    AddBlockGate,
-    AddModGate,
-    Circuit,
-    CNotLayer,
-    FanOutGate,
-    FanOutModGate,
-    ModGate,
-    StagedCNotLayer,
-    TensorLayer,
-    ToffoliGate,
-    block_width,
-)
+from qacclab.circuit import Circuit, CNotLayer, StagedCNotLayer, TensorLayer
 
 QS = (2, 3, 4, 5, 7)
-KINDS = ("toffoli", "fanout", "mod", "addmod", "fanoutmod", "addblock")
-
-
-def _gate_on(rng, kind, q, lines):
-    """A random gate of `kind` on some of `lines`, or None if they are too
-    few."""
-    lines = rng.sample(lines, len(lines))
-    inverse = rng.random() < 0.5
-    if kind in ("toffoli", "fanout", "mod"):
-        low = 0 if kind == "toffoli" else 1
-        if len(lines) < low + 1:
-            return None
-        many = rng.randint(low, len(lines) - 1)
-        if kind == "toffoli":
-            return ToffoliGate(tuple(lines[:many]), lines[many])
-        if kind == "fanout":
-            return FanOutGate(tuple(lines[:many]), lines[many])
-        return ModGate(q, rng.randrange(q), tuple(lines[:many]), lines[many])
-    w = block_width(q)
-    most = len(lines) // w
-    if most < 2:
-        return None
-    n_blocks = 2 if kind == "addblock" else rng.randint(2, most)
-    blocks = tuple(tuple(lines[i * w:(i + 1) * w]) for i in range(n_blocks))
-    if kind == "addmod":
-        return AddModGate(q, blocks[:-1], blocks[-1], inverse)
-    if kind == "fanoutmod":
-        return FanOutModGate(q, blocks[:-1], blocks[-1], inverse)
-    return AddBlockGate(q, blocks[0], blocks[1], inverse)
 
 
 def _columns(width):
@@ -80,13 +39,13 @@ def _keys(cols, width):
 
 
 @pytest.mark.parametrize("q", QS)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", PERMUTATION_KINDS)
 def test_column_form_matches_permutation_action_on_every_key(kind, q):
     rng = random.Random(f"columns:{kind}:{q}")
     done = 0
     while done < 6:
         width = rng.randint(1, 7)
-        gate = _gate_on(rng, kind, q, list(range(width)))
+        gate = random_permutation_gate(rng, kind, q, list(range(width)))
         if gate is None:
             continue
         cols = _columns(width)
@@ -139,7 +98,7 @@ def _random_layers(rng, q, lines, count):
             continue
         free, gates = list(lines), []
         for _ in range(rng.randint(1, 2)):
-            gate = _gate_on(rng, rng.choice(KINDS), q, free)
+            gate = random_permutation_gate(rng, rng.choice(PERMUTATION_KINDS), q, free)
             if gate is not None:
                 gates.append(gate)
                 free = [l for l in free if l not in gate.lines()]
@@ -228,6 +187,7 @@ def test_dropping_the_last_layer_of_modqr_from_modq_reports_the_reference_aux_co
 
 def test_every_permutation_builder_takes_the_column_path(monkeypatch):
     monkeypatch.setattr(tf.statevec, "compile_circuit", None)  # no per-input run may start
+    monkeypatch.setattr(tf.statevec, "Compiler", None)
     for name in ("modqr_from_modq", "modq_from_mq", "modhat", "mq_from_modq", "f_from_fq"):
         assert tf.check_builder(name, 2, 3, 1 if tf.BUILDERS[name].needs_r else 0).equivalent
 

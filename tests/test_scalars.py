@@ -5,6 +5,7 @@ import pytest
 
 from support import FractionReference, sqrt_a1_context
 
+from qacclab.algebra import scalars
 from qacclab.algebra import (
     ContextError,
     ExactScalar,
@@ -296,3 +297,40 @@ def test_arithmetic_matches_fraction_reference(name):
     assert inv_u * ExactScalar(ctx, [FScalar(dict(ctx.denominator), 0)] + rest) == ctx.one()
     if ctx.arity == 0:
         assert inv_u.key() == u_over_u2.key() and inv_u.to_json() == u_over_u2.to_json()
+
+
+def _strip_power_by_power(ctx, nums, r):
+    """The reduction from_numerators makes, as one divisibility scan per
+    power of u: the slow path its gcd reduction replaced."""
+    u = ctx.u_int
+    while r and not any(n % u for n in nums):
+        nums = [n // u for n in nums]
+        r -= 1
+    return tuple(nums), r
+
+
+@pytest.mark.parametrize(
+    "name", ["rational10", "rational12", "cyclotomic2", "cyclotomic3", "cyclotomic5", "cyclotomic7"]
+)
+def test_gcd_reduction_matches_the_power_by_power_scan(name):
+    # u = 10 and u = 12 are composite: numerators divisible by a factor of
+    # u, but not by u, must keep their r
+    ctx = get_context(name)
+    u = ctx.u_int
+    rng = random.Random(f"gcd:{name}")
+    stripped = kept = 0
+    for trial in range(600):
+        r = trial % 7
+        power = u ** rng.randint(0, 8)
+        if trial % 50 == 0:
+            nums = [0] * ctx.dim
+        else:
+            nums = [
+                rng.choice((0, 1, -1, 2, 3, 5, -4, 25, rng.randint(-10**15, 10**15))) * power
+                for _ in range(ctx.dim)
+            ]
+        x = scalars.from_numerators(ctx, nums, r)
+        assert (x.nums, x.r) == _strip_power_by_power(ctx, nums, r), (nums, r)
+        stripped += x.r < r
+        kept += 0 < x.r == r
+    assert stripped > 100 and kept > 20

@@ -325,7 +325,7 @@ def test_branching_steps_match_per_branch_fold(name):
         x = random_bits(rng, lines)
         want, cancelled = reference_run(layers, x, ctx)
         cancellations += cancelled
-        program = sv.Program(sv._compile_steps(layers, lines, ctx))
+        program = sv.Compiler(lines, ctx).program(layers)
         start = {cir.parse_bits(x, lines): ctx.one()}
         got = sv.StateVector(program.apply(start, cir.Work()), lines, ctx)
         assert got.entries == want
