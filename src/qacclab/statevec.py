@@ -7,9 +7,9 @@ compile step: a Compiler builds every gate's kernel once from bit masks,
 and makes Programs of any run of layers, fusing each maximal run of
 permutation gates and controlled-not layers into a single key map.  A
 Program runs any number of inputs; run, apply_layer and the equivalence
-checker, which compiles a candidate's layers and their inverses with one
-Compiler, all go through it.  Permutation steps move keys with no scalar
-arithmetic at all; only one-qubit and Fourier gates touch the algebra.
+checker, which compiles a candidate's layers, their inverses and its
+target with one Compiler, all go through it.  Permutation steps move keys
+with no scalar arithmetic; only one-qubit and Fourier gates touch the algebra.
 Each of their entries s is compiled once into a multiplier
 (scalars.multiplier), so a branching step adds every product into its
 output key's slot as integer numerators over one power of u and builds
@@ -170,19 +170,21 @@ class Compiler:
     """Compiles layers on `width` lines of one context into Programs.  Each
     gate's kernel is built once, so programs made from overlapping runs of
     layers share them, and every program shares one multiplier per scalar
-    form (`multipliers`, which a compiler for another width in the same
-    context may share too)."""
+    form.  The equivalence checker compiles the candidate, its inverse
+    layers and a circuit or gate target in one Compiler of the candidate's
+    width, so the target runs on the candidate's keys and a gate they
+    share is compiled once."""
 
-    def __init__(self, width: int, ctx, multipliers: dict | None = None):
+    def __init__(self, width: int, ctx):
         self.width, self.ctx = width, ctx
-        self.multipliers = {} if multipliers is None else multipliers
+        self._multipliers: dict = {}  # scalar form -> its multiplier
         self._gates: dict = {}  # gate -> its key map, or its (branch step, fan)
 
     def _multiplier(self, s):
         form = s.key()
-        if form not in self.multipliers:
-            self.multipliers[form] = multiplier(self.ctx, s)
-        return self.multipliers[form]
+        if form not in self._multipliers:
+            self._multipliers[form] = multiplier(self.ctx, s)
+        return self._multipliers[form]
 
     def _gate(self, gate):
         part = self._gates.get(gate)
@@ -231,10 +233,9 @@ class Compiler:
         return Program(tuple(steps))
 
 
-def compile_circuit(c: Circuit, multipliers: dict | None = None) -> Program:
-    """Build every gate's kernel once; `multipliers` shares a multiplier
-    table with other programs of the same context."""
-    return Compiler(c.width, c.context, multipliers).program(c.layers)
+def compile_circuit(c: Circuit) -> Program:
+    """Build every gate's kernel once."""
+    return Compiler(c.width, c.context).program(c.layers)
 
 
 def apply_layer(state: StateVector, layer: Layer) -> StateVector:

@@ -11,7 +11,8 @@ restoration property.  Five builders use only permutation gates, and
 their checks run every input at once as columns (circuit.run_columns);
 a candidate with a one-qubit or Fourier gate runs one input at a time,
 meeting in the middle (_per_input_check), as equivalence checkers cancel
-G'⁻¹ against G (Burgholzer and Wille, IEEE TCAD 2021).
+G'⁻¹ against G (Burgholzer and Wille, IEEE TCAD 2021).  The target runs
+on the candidate's keys, and every counterexample is a per-input report.
 """
 
 from __future__ import annotations
@@ -80,22 +81,19 @@ class EquivalenceReport:
         return data
 
 
-def _target_map(target: Target, main: int, ctx, work: cir.Work, multipliers: dict):
-    """Function from a basis key x to target|x> as {basis key: ExactScalar},
-    with the target compiled once, sharing `multipliers` when it is in
-    `ctx`; a circuit target's runs charge work."""
-    one = ctx.one()
+def _target_map(target: Target, compiler: statevec.Compiler, aux: int, work: cir.Work):
+    """Function from a basis key x to target|x> ⊗ |0^aux> as {basis key:
+    ExactScalar}, keyed like the candidate's states; a circuit or gate
+    target is compiled once in the candidate's compiler.  A circuit
+    target's runs charge work, a gate target's do not."""
+    one = compiler.ctx.one()
     if isinstance(target, Circuit):
-        shared = multipliers if target.context is ctx else None
-        program = statevec.compile_circuit(target, shared)
-        return lambda x: program.apply({x: one}, work)
+        program = compiler.program(target.layers)
+        return lambda x: program.apply({x << aux: one}, work)
     if callable(target) and not isinstance(target, Gate):
-        return lambda x: {target(x): one}
-    perm = cir.permutation_action(target, main)
-    if perm is not None:
-        return lambda x: {perm(x): one}
-    kernel = cir.gate_kernel(target, main, ctx)
-    return lambda x: dict(kernel(x))
+        return lambda x: {target(x) << aux: one}
+    program = compiler.program((TensorLayer((target,)),))
+    return lambda x: program.apply({x << aux: one}, cir.Work())
 
 
 def _charge_inputs(work: cir.Work, lines: int, bound: str = "") -> None:
@@ -206,7 +204,8 @@ def _column_check(target, candidate, main, inputs, work, maps, target_maps):
     """equivalence_check of a candidate and a target that permute basis
     states: every compared input runs at once, as columns
     (circuit.run_columns).  Only the inputs the work meter can reach are
-    held; the report and the charge are the per-input loop's."""
+    held; the charge is the per-input loop's, and so is the report: that
+    of the first failing input alone."""
     width = candidate.width
     per = maps + target_maps
     # inputs the meter can reach: the last one can still end the check with
@@ -242,32 +241,15 @@ def _column_check(target, candidate, main, inputs, work, maps, target_maps):
     for c, t in zip(cols, want):
         bad |= c ^ t
     bad &= mask
-    zeros = "0" * (width - main)
     if not bad:
         work.charge(count * per, "a column run")
-        return EquivalenceReport("equivalent", zeros, main, aux_restored=True)
+        return EquivalenceReport("equivalent", "0" * (width - main), main, aux_restored=True)
     low = bad & -bad
     x = low.bit_length() - 1
     index = x if inputs is None else (mask & (low - 1)).bit_count()
     aux_dirty = dirty >> x & 1
     work.charge(index * per + maps + (0 if aux_dirty else target_maps), "a column run")
-
-    def output(columns):
-        key = sum((c >> x & 1) << (main - 1 - l) for l, c in enumerate(columns[:main]))
-        return cir.key_to_bits(key, main)
-
-    one, zero = candidate.context.one(), candidate.context.zero()
-    x_bits, got = cir.key_to_bits(x, main), output(cols)
-    if aux_dirty:
-        return EquivalenceReport(
-            "counterexample", zeros, main, aux_restored=False,
-            counterexample=(x_bits, got, None, one),
-        )
-    y = min(got, output(want))  # the first output on which the amplitudes differ
-    return EquivalenceReport(
-        "counterexample", zeros, main, aux_restored=True,
-        counterexample=(x_bits, y, zero if y == got else one, one if y == got else zero),
-    )
+    return _per_input_check(target, candidate, main, (x,), cir.Work())
 
 
 def equivalence_check(
@@ -286,13 +268,20 @@ def equivalence_check(
     only promises to simulate the digit encoding).  A counterexample names
     the smallest failing input.
 
+    A ValueError, raised before any input is charged, refuses `main_lines`
+    outside 0..candidate.n_inputs, a circuit target that is not that wide,
+    has aux lines or is in another context, and a gate target whose lines
+    are not distinct compared lines.  A circuit or gate target runs on the
+    candidate's keys, target|x> ⊗ |0^aux>, in the candidate's compiler.
+
     When the candidate, and a circuit or gate target, hold no one-qubit or
     Fourier gate, every input runs at once as columns, one int per line
-    (circuit.run_columns); a callable target is evaluated once per input.
-    Otherwise each layer of the candidate, its inverse and the target are
-    compiled once and run on one input at a time, the candidate cut in two
-    where that is cheaper (_per_input_check); the report is the one the
-    whole candidate gives.
+    (circuit.run_columns), and a callable target is evaluated once per
+    input; a mismatch is reported by the per-input check of the first
+    failing input.  Otherwise each layer of the candidate, its inverse and
+    the target are compiled once, in one statevec.Compiler, and run on one
+    input at a time, the candidate cut in two where that is cheaper
+    (_per_input_check); the report is the one the whole candidate gives.
 
     The check has one Work meter: enumerating every input charges 2^main
     units up front, and the candidate's and a circuit target's runs charge
@@ -303,16 +292,22 @@ def equivalence_check(
     ⌈keys/64⌉ must be at most WORK 64-bit words.
     """
     main = main_lines if main_lines is not None else candidate.n_inputs
-    work = cir.Work()
-    if inputs is None:
-        _charge_inputs(work, main)
-    if candidate.n_inputs < main:
-        raise ValueError("candidate has fewer lines than the comparison space")
+    if not 0 <= main <= candidate.n_inputs:
+        raise ValueError(f"compared lines {main} not in 0..{candidate.n_inputs} input lines")
     if isinstance(target, Circuit):
         if target.width != main:
             raise ValueError("target circuit width differs from compared lines")
         if target.n_aux:
             raise ValueError("target circuit must have no auxiliary lines")
+        if target.context != candidate.context:
+            raise ValueError("target circuit context differs from the candidate's")
+    elif isinstance(target, Gate):
+        lines = target.lines()
+        if len(set(lines)) != len(lines) or not all(0 <= l < main for l in lines):
+            raise ValueError(f"target gate lines {lines} are not distinct lines below {main}")
+    work = cir.Work()
+    if inputs is None:
+        _charge_inputs(work, main)
     maps, target_maps = _key_maps(candidate), _key_maps(target)
     if maps is not None and target_maps is not None:
         return _column_check(target, candidate, main, inputs, work, maps, target_maps)
@@ -337,17 +332,18 @@ def _aux_report(x: int, entries: dict, main: int, aux: int) -> EquivalenceReport
 
 def _amplitude_report(x: int, entries: dict, want: dict, main: int, aux: int, ctx):
     """The counterexample of input x at the smallest output whose target
-    and candidate amplitudes differ, or None when all agree."""
-    got = {key >> aux: amp for key, amp in entries.items()}
-    if want == got:  # amplitudes compared with ExactScalar.__eq__
+    and candidate amplitudes differ, or None when all agree; both states
+    are keyed on the candidate's lines, with clean aux lines."""
+    if want == entries:  # amplitudes compared with ExactScalar.__eq__
         return None
     zero = ctx.zero()
-    for y in sorted(set(want) | set(got)):
-        lhs, rhs = want.get(y, zero), got.get(y, zero)
+    for y in sorted(set(want) | set(entries)):
+        lhs, rhs = want.get(y, zero), entries.get(y, zero)
         if lhs != rhs:
+            y_bits = cir.key_to_bits(y >> aux, main)
             return EquivalenceReport(
                 "counterexample", "0" * aux, main, aux_restored=True,
-                counterexample=(cir.key_to_bits(x, main), cir.key_to_bits(y, main), lhs, rhs),
+                counterexample=(cir.key_to_bits(x, main), y_bits, lhs, rhs),
             )
     return None
 
@@ -394,7 +390,7 @@ def _per_input_check(target, candidate, main, inputs, work) -> EquivalenceReport
     aux = candidate.width - main
     layers = candidate.layers
     compiler = statevec.Compiler(candidate.width, ctx)
-    target_of = _target_map(target, main, ctx, work, compiler.multipliers)
+    target_of = _target_map(target, compiler, aux, work)
     one = ctx.one()
     xs = iter(range(1 << main) if inputs is None else _increasing(inputs, main))
     x = next(xs, None)
@@ -420,8 +416,7 @@ def _per_input_check(target, candidate, main, inputs, work) -> EquivalenceReport
     ):
         inverse_layers = [cir.inverse_layer(layer) for layer in layers]
         cut, spent = _choose_cut(
-            lambda b: compiler.program((inverse_layers[b],)), costs,
-            {y << aux: amp for y, amp in want.items()}, work,
+            lambda b: compiler.program((inverse_layers[b],)), costs, want, work
         )
         work.charge(spent, "a backward probe")
     if cut == len(layers):
@@ -439,7 +434,7 @@ def _per_input_check(target, candidate, main, inputs, work) -> EquivalenceReport
         for x in xs:
             mid = front.apply({x << aux: one}, work)
             want = target_of(x)
-            if mid == back.apply({y << aux: amp for y, amp in want.items()}, work):
+            if mid == back.apply(want, work):
                 continue
             entries = rest.apply(mid, work)
             report = _aux_report(x, entries, main, aux) or _amplitude_report(

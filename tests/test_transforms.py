@@ -233,6 +233,34 @@ def test_identity_check_on_40_lines_is_refused_before_any_input_runs(monkeypatch
         tf.equivalence_check(wide, wide)
 
 
+def _refused_arguments():
+    c2, c3 = get_context("cyclotomic2"), get_context("cyclotomic3")
+    x0, h0 = TensorLayer((cir.x_gate(0),)), TensorLayer((cir.hadamard_gate(0),))
+    two, h = Circuit(2, 0, (x0,), c2), Circuit(2, 0, (h0,), c2)
+    with_aux = Circuit(2, 1, (x0,), c2)
+    other_context = Circuit(2, 0, (x0,), c3)
+    yield "too many compared lines", lambda x: x, two, 100, "^compared lines 100 not in 0..2"
+    yield "negative compared lines", lambda x: x, two, -1, "^compared lines -1 not in 0..2"
+    yield "gate target on an aux line", cir.x_gate(2), with_aux, 2, r"^target gate lines \(2,\)"
+    yield "gate target reusing a line", ToffoliGate((0,), 0), two, None, r"lines \(0, 0\) are not"
+    yield "context, permutation candidate", other_context, two, None, "context differs"
+    yield "context, branching candidate", other_context, h, None, "context differs"
+
+
+@pytest.mark.parametrize("case", list(_refused_arguments()), ids=lambda case: case[0])
+def test_arguments_that_cannot_be_compared_are_refused_before_any_input_runs(monkeypatch, case):
+    _, target, candidate, main, message = case
+    monkeypatch.setattr(sv.Program, "apply", None)  # no per-input run may start
+    monkeypatch.setattr(tf, "_input_column", None)  # no column run may start
+    with pytest.raises(ValueError, match=message):
+        tf.equivalence_check(target, candidate, main)
+
+
+def test_a_mod_gate_target_with_no_inputs_is_still_checked():
+    # modqr_from_modq at n = 0 compares one line against MOD_3 of no inputs
+    assert tf.check_builder("modqr_from_modq", 0, 3, 1).equivalent
+
+
 def test_check_charges_every_run_of_candidate_and_target(monkeypatch):
     # one H on one line: 2 inputs up front, then per input 2 key-gate
     # applications in the candidate and 2 in the circuit target
