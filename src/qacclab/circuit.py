@@ -115,15 +115,21 @@ class FanOutGate:
 
 @dataclass(frozen=True)
 class ModGate:
-    """Flips the output bit iff the input bit-sum is congruent to r mod q."""
+    """Flips the output bit iff the input bit-sum is congruent to r mod q;
+    input i counts weights[i] times, and every input once when weights is
+    empty."""
 
     q: int
     r: int
     inputs: tuple[int, ...]
     output: int
+    weights: tuple[int, ...] = ()
 
     def lines(self):
         return self.inputs + (self.output,)
+
+    def input_weights(self) -> tuple[int, ...]:
+        return self.weights or (1,) * len(self.inputs)
 
 
 @dataclass(frozen=True)
@@ -304,6 +310,8 @@ def _gate_diagnostics(g: Gate, idx: int, width: int, ctx) -> list[Diagnostic]:
             out.append(Diagnostic(idx, f"residue r={g.r} out of range for q={g.q}"))
         if not g.inputs:
             out.append(Diagnostic(idx, "MOD gate needs at least one input"))
+        if (message := weights_error(g)) is not None:
+            out.append(Diagnostic(idx, message))
     if isinstance(g, AddModGate):
         out.extend(_block_diagnostics(g.blocks + (g.result,), g.q, idx))
     if isinstance(g, FanOutModGate):
@@ -319,6 +327,17 @@ def _gate_diagnostics(g: Gate, idx: int, width: int, ctx) -> list[Diagnostic]:
     if isinstance(g, OneQubitGate):
         out.extend(_unitarity_diagnostics(g, idx, ctx))
     return out
+
+
+def weights_error(g: ModGate) -> str | None:
+    """Why the MOD gate's weights are neither empty nor one positive int per
+    input, or None."""
+    w = g.weights
+    if not isinstance(w, tuple) or w and (
+        len(w) != len(g.inputs) or not all(type(x) is int and x > 0 for x in w)
+    ):
+        return f"MOD gate weights {w!r} are not one positive int per input"
+    return None
 
 
 def _block_diagnostics(blocks, q, idx):
@@ -494,8 +513,11 @@ def permutation_action(g: Gate, width: int) -> Callable[[int], int] | None:
         c, t = line_mask(g.control, width), lines_mask(g.targets, width)
         return lambda k: k ^ t if k & c else k
     if isinstance(g, ModGate):
-        m, o, q, r = lines_mask(g.inputs, width), line_mask(g.output, width), g.q, g.r
-        return lambda k: k ^ o if (k & m).bit_count() % q == r else k
+        masks: dict[int, int] = {}  # weight -> the key bits of its inputs
+        for l, w in zip(g.inputs, g.input_weights()):
+            masks[w] = masks.get(w, 0) | line_mask(l, width)
+        pairs, o, q, r = tuple(masks.items()), line_mask(g.output, width), g.q, g.r
+        return lambda k: k ^ o if sum(w * (k & m).bit_count() for w, m in pairs) % q == r else k
     if isinstance(g, AddModGate):
         return _modular_add(g.blocks, g.result, g.q, g.inverse, width)
     if isinstance(g, AddBlockGate):
@@ -589,12 +611,15 @@ def permutation_columns(g: Gate, cols: list, ones: int) -> None:
         for t in g.targets:
             cols[t] ^= c
     elif isinstance(g, ModGate):
-        # counts[j]: the inputs whose bit sum so far is j mod q; the sum of k
-        # bits takes at most k + 1 values
-        counts = [ones] + [0] * min(g.q - 1, len(g.inputs))
-        for l in g.inputs:
-            x = cols[l]
-            counts = [m ^ ((m ^ counts[j - 1]) & x) for j, m in enumerate(counts)]
+        # counts[j]: the inputs whose weighted bit sum so far is j mod q;
+        # weights that total s leave at most s + 1 sums.  An input of weight
+        # w moves the counts of the inputs it is set on up by w: counts[j - w]
+        # wraps mod q when all q are kept, else it reads a sum not reached yet
+        weights = g.input_weights()
+        counts = [ones] + [0] * min(g.q - 1, sum(weights))
+        for l, w in zip(g.inputs, weights):
+            x, w = cols[l], w % g.q
+            counts = [m ^ ((m ^ counts[j - w]) & x) for j, m in enumerate(counts)]
         if g.r < len(counts):
             cols[g.output] ^= counts[g.r]
     elif isinstance(g, (AddModGate, AddBlockGate)):

@@ -397,6 +397,8 @@ def _gate_text(g) -> str:
     keyword = _KEYWORD.get(type(g))
     if keyword is None:
         raise TypeError(f"unknown gate {type(g).__name__}")
+    if isinstance(g, ModGate) and g.weights:
+        raise ValueError(f"MOD gate weights {g.weights} have no DSL syntax")
     if keyword == "HQ" and g.q == 2 and not g.inverse:
         keyword = "H"
     out = keyword
@@ -419,7 +421,8 @@ def _stage_text(pairs) -> str:
 
 def serialize_circuit(c: Circuit) -> str:
     """Canonical text: header, then one line per layer, gates sorted by
-    lowest line."""
+    lowest line.  A MOD gate with weights has no text and raises
+    ValueError."""
     header = f"circuit n={c.n_inputs} aux={c.n_aux}"
     if c.context.name:
         header += f" context={c.context.name}"

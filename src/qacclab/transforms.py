@@ -44,7 +44,7 @@ from .circuit import (
 from . import statevec
 from .statevec import run  # noqa: F401  (run stays importable from here)
 
-Target = Union[Gate, Circuit, Callable[[int], int]]
+Target = Union[Gate, Circuit]
 
 
 class BuilderArgumentError(ValueError):
@@ -81,19 +81,20 @@ class EquivalenceReport:
         return data
 
 
+def _target_layers(target: Target) -> tuple:
+    """A circuit target's layers, or a gate target as one layer."""
+    return target.layers if isinstance(target, Circuit) else (TensorLayer((target,)),)
+
+
 def _target_map(target: Target, compiler: statevec.Compiler, aux: int, work: cir.Work):
     """Function from a basis key x to target|x> ⊗ |0^aux> as {basis key:
-    ExactScalar}, keyed like the candidate's states; a circuit or gate
-    target is compiled once in the candidate's compiler.  A circuit
-    target's runs charge work, a gate target's do not."""
+    ExactScalar}, keyed like the candidate's states; the target is compiled
+    once in the candidate's compiler.  A circuit target's runs charge work,
+    a gate target's do not."""
     one = compiler.ctx.one()
-    if isinstance(target, Circuit):
-        program = compiler.program(target.layers)
-        return lambda x: program.apply({x << aux: one}, work)
-    if callable(target) and not isinstance(target, Gate):
-        return lambda x: {target(x) << aux: one}
-    program = compiler.program((TensorLayer((target,)),))
-    return lambda x: program.apply({x << aux: one}, cir.Work())
+    program = compiler.program(_target_layers(target))
+    meter = work if isinstance(target, Circuit) else cir.Work()
+    return lambda x: program.apply({x << aux: one}, meter)
 
 
 def _charge_inputs(work: cir.Work, lines: int, bound: str = "") -> None:
@@ -106,8 +107,8 @@ def _charge_inputs(work: cir.Work, lines: int, bound: str = "") -> None:
 def _key_maps(target: Target) -> int | None:
     """The key maps one input's run of a circuit costs (a permutation gate
     or a controlled-not stage each count 1, as Program.apply charges a
-    fused run), 0 for a permutation gate or a callable (which permutes by
-    contract), or None when it holds a one-qubit or Fourier gate."""
+    fused run), 0 for a permutation gate, or None when it holds a one-qubit
+    or Fourier gate."""
     if not isinstance(target, Circuit):
         return None if isinstance(target, (OneQubitGate, FourierGate)) else 0
     maps = 0
@@ -172,34 +173,6 @@ def _held_inputs(inputs, main: int, reach, lines: int) -> tuple[int, bytearray]:
     return count, seen
 
 
-def _members(seen: bytes):
-    """The inputs whose bits are set in `seen`, in increasing order."""
-    for i, byte in enumerate(seen):
-        while byte:
-            low = byte & -byte
-            yield 8 * i + low.bit_length() - 1
-            byte ^= low
-
-
-def _flip_columns(target_fn, compared, main: int, bits: int) -> list[int]:
-    """Entry l is the column of the compared inputs x on whose line l
-    target_fn(x) differs from x, each evaluated once (built in bytes, in
-    linear time)."""
-    flips: dict = {}
-    for x in compared:
-        flip = target_fn(x) ^ x
-        if flip >> main:
-            raise ValueError(f"target maps input {x} outside the {main} compared lines")
-        while flip:
-            low = flip & -flip
-            line = main - low.bit_length()
-            if line not in flips:
-                flips[line] = bytearray((bits + 7) >> 3)
-            flips[line][x >> 3] |= 1 << (x & 7)
-            flip ^= low
-    return [int.from_bytes(flips[l], "little") if l in flips else 0 for l in range(main)]
-
-
 def _column_check(target, candidate, main, inputs, work, maps, target_maps):
     """equivalence_check of a candidate and a target that permute basis
     states: every compared input runs at once, as columns
@@ -216,24 +189,16 @@ def _column_check(target, candidate, main, inputs, work, maps, target_maps):
         bits = count if reach is None else min(count, reach)
         _check_memory(width, -(-bits // 64))
         mask = (1 << bits) - 1
-        compared = range(bits)
     else:
         count, seen = _held_inputs(inputs, main, reach, width)
         mask = int.from_bytes(seen, "little")
         bits = mask.bit_length()
-        compared = _members(seen)
     ones = (1 << bits) - 1
     given = [_input_column(main - 1 - l, bits) for l in range(main)]
     cols = given + [0] * (width - main)
     cir.run_columns(candidate.layers, cols, ones)
-    if callable(target) and not isinstance(target, Gate):
-        want = [c ^ f for c, f in zip(given, _flip_columns(target, compared, main, bits))]
-    else:
-        want = list(given)
-        if isinstance(target, Circuit):
-            cir.run_columns(target.layers, want, ones)
-        else:
-            cir.permutation_columns(target, want, ones)
+    want = list(given)
+    cir.run_columns(_target_layers(target), want, ones)
     dirty = 0
     for c in cols[main:]:
         dirty |= c
@@ -268,20 +233,22 @@ def equivalence_check(
     only promises to simulate the digit encoding).  A counterexample names
     the smallest failing input.
 
-    A ValueError, raised before any input is charged, refuses `main_lines`
-    outside 0..candidate.n_inputs, a circuit target that is not that wide,
-    has aux lines or is in another context, and a gate target whose lines
-    are not distinct compared lines.  A circuit or gate target runs on the
-    candidate's keys, target|x> ⊗ |0^aux>, in the candidate's compiler.
+    The target is a gate or a circuit.  A ValueError, raised before any
+    input is charged, refuses any other target, `main_lines` outside
+    0..candidate.n_inputs, a circuit target that is not that wide, has aux
+    lines or is in another context, and a gate target whose lines are not
+    distinct compared lines or, for a MOD gate, whose weights are not one
+    positive int per input.  The target runs on the candidate's keys,
+    target|x> ⊗ |0^aux>, in the candidate's compiler.
 
-    When the candidate, and a circuit or gate target, hold no one-qubit or
-    Fourier gate, every input runs at once as columns, one int per line
-    (circuit.run_columns), and a callable target is evaluated once per
-    input; a mismatch is reported by the per-input check of the first
-    failing input.  Otherwise each layer of the candidate, its inverse and
-    the target are compiled once, in one statevec.Compiler, and run on one
-    input at a time, the candidate cut in two where that is cheaper
-    (_per_input_check); the report is the one the whole candidate gives.
+    When the candidate and the target hold no one-qubit or Fourier gate,
+    every input runs at once as columns, one int per line
+    (circuit.run_columns); a mismatch is reported by the per-input check of
+    the first failing input.  Otherwise each layer of the candidate, its
+    inverse and the target are compiled once, in one statevec.Compiler, and
+    run on one input at a time, the candidate cut in two where that is
+    cheaper (_per_input_check); the report is the one the whole candidate
+    gives.
 
     The check has one Work meter: enumerating every input charges 2^main
     units up front, and the candidate's and a circuit target's runs charge
@@ -305,6 +272,10 @@ def equivalence_check(
         lines = target.lines()
         if len(set(lines)) != len(lines) or not all(0 <= l < main for l in lines):
             raise ValueError(f"target gate lines {lines} are not distinct lines below {main}")
+        if isinstance(target, ModGate) and (message := cir.weights_error(target)) is not None:
+            raise ValueError(f"target {message}")
+    else:
+        raise ValueError(f"target {type(target).__name__} is neither a gate nor a circuit")
     work = cir.Work()
     if inputs is None:
         _charge_inputs(work, main)
@@ -555,21 +526,13 @@ def build_modhat(n: int, q: int, r: int) -> Circuit:
     return Circuit(n * w + 1, cursor - (n * w + 1), layers, ctx)
 
 
-def modhat_target(n: int, q: int, r: int) -> Callable[[int], int]:
-    """Flip the bit after the n digit blocks iff the digit sum is r mod q;
-    the sum weighs the bit count of each bit position of the digits."""
+def modhat_target(n: int, q: int, r: int) -> ModGate:
+    """Flip the bit after the n digit blocks iff the digit sum is r mod q:
+    a MOD gate that counts bit k of each block 2^k times, as the fan-out
+    copies of build_modhat do."""
     w = block_width(q)
-    main = n * w + 1
-    weights = tuple(
-        (cir.lines_mask((i * w + (w - 1 - k) for i in range(n)), main), k) for k in range(w)
-    )
-    out = cir.line_mask(n * w, main)
-
-    def act(key: int) -> int:
-        total = sum((key & m).bit_count() << k for m, k in weights)
-        return key ^ out if total % q == r else key
-
-    return act
+    lines = tuple(range(n * w))
+    return ModGate(q, r, lines, n * w, tuple(1 << (w - 1 - l % w) for l in lines))
 
 
 def build_mq_from_modq(n: int, q: int) -> Circuit:

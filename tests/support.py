@@ -88,7 +88,8 @@ def _numeric_gate(state: dict, gate, width: int) -> dict:
                     key = _setblock(key, (t,), width, 1 - _bit(key, t, width))
             put(key, amp)
         elif isinstance(gate, ModGate):
-            total = sum(_bit(key, l, width) for l in gate.inputs)
+            weights = gate.weights or (1,) * len(gate.inputs)
+            total = sum(w * _bit(key, l, width) for l, w in zip(gate.inputs, weights))
             if total % gate.q == gate.r:
                 key = _setblock(key, (gate.output,), width, 1 - _bit(key, gate.output, width))
             put(key, amp)
@@ -170,7 +171,7 @@ def per_key_report(target, candidate, main: int, inputs=None):
     """The EquivalenceReport of checking the candidate against the target
     one input at a time, the whole candidate on each: input x runs through
     statevec.compile_circuit(candidate), and target x is gate_kernel of a
-    gate, a compiled run of a circuit or a callable's value.  The first
+    gate or a compiled run of a circuit.  The first
     failing input is reported, at its smallest aux-dirty output if any,
     else at its smallest output whose amplitudes differ.  The reference
     the column path and the cut of the per-input path are checked
@@ -186,8 +187,6 @@ def per_key_report(target, candidate, main: int, inputs=None):
     if isinstance(target, cir.Circuit):
         target_program = statevec.compile_circuit(target)
         target_of = lambda x: target_program.apply({x: one}, cir.Work())  # noqa: E731
-    elif callable(target) and not isinstance(target, cir.Gate):
-        target_of = lambda x: {target(x): one}  # noqa: E731
     else:
         kernel = cir.gate_kernel(target, main, ctx)
         target_of = lambda x: {k: one if s is None else s for k, s in kernel(x)}  # noqa: E731
@@ -342,7 +341,8 @@ PERMUTATION_KINDS = ("toffoli", "fanout", "mod", "addmod", "fanoutmod", "addbloc
 def random_permutation_gate(rng, kind, q, lines):
     """A random permutation gate of `kind` (one of PERMUTATION_KINDS) on
     some of `lines`, in a random line order and with a random inverse
-    flag, or None if they are too few."""
+    flag, or None if they are too few.  A MOD gate is weighted half the
+    time, each weight drawn from 1..2q."""
     lines = rng.sample(lines, len(lines))
     inverse = rng.random() < 0.5
     if kind in ("toffoli", "fanout", "mod"):
@@ -354,7 +354,8 @@ def random_permutation_gate(rng, kind, q, lines):
             return ToffoliGate(tuple(lines[:many]), lines[many])
         if kind == "fanout":
             return FanOutGate(tuple(lines[:many]), lines[many])
-        return ModGate(q, rng.randrange(q), tuple(lines[:many]), lines[many])
+        weights = tuple(rng.randint(1, 2 * q) for _ in range(many)) if rng.random() < 0.5 else ()
+        return ModGate(q, rng.randrange(q), tuple(lines[:many]), lines[many], weights)
     w = cir.block_width(q)
     most = len(lines) // w
     if most < 2:

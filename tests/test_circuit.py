@@ -66,6 +66,18 @@ def test_block_size_enforced(c3):
     assert any("block" in d for d in _diagnostics(3, 0, (layer,), c3))
 
 
+def test_mod_gate_weights_must_be_one_positive_int_per_input(c2):
+    def layers(weights):
+        return (TensorLayer((ModGate(3, 0, (0, 1), 2, weights),)),)
+
+    for weights in ((1,), (1, 2, 3), (1, 0), (1, -2), (1, True), (1, 2.0), [1, 1]):
+        assert _diagnostics(3, 0, layers(weights), c2) == [
+            f"layer 0: MOD gate weights {weights!r} are not one positive int per input"
+        ]
+    for weights in ((), (1, 1), (4, 7)):
+        assert validate(Circuit(3, 0, layers(weights), c2)) == []
+
+
 def test_fourier_q_outside_context_diagnostic(c3):
     # cyclotomic3 holds no 1/sqrt(2): H = Fourier_2 is refused where the
     # circuit is made, by the DSL as well, before any engine can run it

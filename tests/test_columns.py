@@ -109,7 +109,7 @@ def _random_layers(rng, q, lines, count):
 
 def _random_check(rng):
     """(target, candidate, main, inputs): a conjugation U·V·U⁻¹ against V,
-    as a gate, a circuit or a callable, then perhaps mutated."""
+    as a gate or a circuit, then perhaps mutated."""
     q = rng.choice(QS)
     ctx = get_context(f"cyclotomic{q}")
     main, aux = rng.randint(1, 6), rng.randint(0, 4)
@@ -127,34 +127,14 @@ def _random_check(rng):
         layers.insert(at, TensorLayer((cir.x_gate(main + rng.randrange(aux)),)))
     candidate = Circuit(main, aux, tuple(layers), ctx)
     spec = Circuit(main, 0, inner, ctx)
-    kind = rng.choice(("circuit", "gate", "callable"))
+    kind = rng.choice(("circuit", "gate"))
     target = spec
     if kind == "gate" and len(inner) == 1 and isinstance(inner[0], TensorLayer):
         target = inner[0].gates[0] if len(inner[0].gates) == 1 else spec
-    elif kind == "callable":
-        target = _key_map(inner, main)
     inputs = None
     if rng.random() < 0.4:
         inputs = sorted(rng.sample(range(1 << main), rng.randint(0, 1 << main)))
     return target, candidate, main, inputs
-
-
-def _key_map(layers, width):
-    """The layers' basis map as one callable, from their key forms."""
-    maps = []
-    for layer in layers:
-        if isinstance(layer, TensorLayer):
-            maps += [cir.permutation_action(g, width) for g in layer.gates]
-        else:
-            stages = layer.stages if isinstance(layer, StagedCNotLayer) else (layer.pairs,)
-            maps += [cir.cnot_action(stage, width) for stage in stages]
-
-    def act(k):
-        for f in maps:
-            k = f(k)
-        return k
-
-    return act
 
 
 def test_column_checks_match_the_per_key_reference_on_random_circuits():
@@ -165,9 +145,9 @@ def test_column_checks_match_the_per_key_reference_on_random_circuits():
         got = tf.equivalence_check(target, candidate, main, inputs=inputs).to_json()
         want = per_key_report(target, candidate, main, inputs).to_json()
         assert json.dumps(got) == json.dumps(want), (target, candidate, inputs)
-        seen.add((got["verdict"], got["aux_restored"], type(target).__name__ == "function"))
-    # equivalent, aux-dirty and amplitude counterexamples, with callable
-    # targets and without
+        seen.add((got["verdict"], got["aux_restored"], isinstance(target, Circuit)))
+    # equivalent, aux-dirty and amplitude counterexamples, with gate targets
+    # and with circuit targets
     assert seen >= {
         ("equivalent", True, False), ("counterexample", False, False),
         ("counterexample", True, False), ("equivalent", True, True),
@@ -196,6 +176,35 @@ def test_modqr_from_modq_at_22_inputs_is_answered_within_two_seconds():
     t0 = time.perf_counter()
     assert tf.check_builder("modqr_from_modq", 22, 3, 0).equivalent
     assert time.perf_counter() - t0 < 2
+
+
+def test_modhat_at_23_lines_is_answered_within_two_seconds():
+    t0 = time.perf_counter()
+    assert tf.check_builder("modhat", 22, 2, 1).equivalent
+    assert time.perf_counter() - t0 < 2
+
+
+@pytest.mark.parametrize("q", range(2, 8))
+def test_modhat_target_flips_on_the_digit_sum_of_every_key(q):
+    # the digit-sum formula modhat's target once was: bit k of every block
+    # counted 2^k times; the column form is checked beside the key map
+    w = cir.block_width(q)
+    for n in (1, 2, 3):
+        main = n * w + 1
+        places = [
+            (cir.lines_mask((i * w + (w - 1 - k) for i in range(n)), main), k) for k in range(w)
+        ]
+        for r in range(q):
+            gate = tf.modhat_target(n, q, r)
+            want = []
+            for key in range(1 << main):
+                total = sum((key & m).bit_count() << k for m, k in places)
+                want.append(key ^ 1 if total % q == r else key)
+            act = cir.permutation_action(gate, main)
+            assert [act(key) for key in range(1 << main)] == want, (n, q, r)
+            cols = _columns(main)
+            cir.permutation_columns(gate, cols, (1 << (1 << main)) - 1)
+            assert _keys(cols, main) == want, (n, q, r)
 
 
 def test_modqr_from_modq_over_the_work_budget_is_still_refused():

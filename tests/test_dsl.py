@@ -105,6 +105,13 @@ def test_serialized_gates_sorted_by_lowest_line():
     assert text.index("H [0]") < text.index("TOF [4 -> 5]")
 
 
+def test_a_weighted_mod_gate_is_refused_rather_than_printed_unweighted():
+    ctx = get_context("cyclotomic2")
+    weighted = Circuit(3, 0, (TensorLayer((ModGate(3, 1, (0, 1), 2, (1, 2)),)),), ctx)
+    with pytest.raises(ValueError, match=r"^MOD gate weights \(1, 2\) have no DSL syntax$"):
+        serialize_circuit(weighted)
+
+
 def test_empty_circuit_serializes_to_header_only():
     ctx = get_context("cyclotomic3")
     text = serialize_circuit(Circuit(2, 1, (), ctx))

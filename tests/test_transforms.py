@@ -172,7 +172,7 @@ def test_aux_counterexample_names_smallest_dirty_output():
     )
     bad = Circuit(1, 2, layers, ctx)
     assert list(sv.run(bad, "1").entries) == [0b101, 0b001]
-    report = tf.equivalence_check(lambda x: x, bad, 1, inputs=[1])
+    report = tf.equivalence_check(Circuit(1, 0, (), ctx), bad, 1, inputs=[1])
     assert not report.aux_restored
     x, y, lhs, rhs = report.counterexample
     assert (x, y, lhs) == ("1", "0", None)
@@ -239,8 +239,11 @@ def _refused_arguments():
     two, h = Circuit(2, 0, (x0,), c2), Circuit(2, 0, (h0,), c2)
     with_aux = Circuit(2, 1, (x0,), c2)
     other_context = Circuit(2, 0, (x0,), c3)
-    yield "too many compared lines", lambda x: x, two, 100, "^compared lines 100 not in 0..2"
-    yield "negative compared lines", lambda x: x, two, -1, "^compared lines -1 not in 0..2"
+    yield "too many compared lines", two, two, 100, "^compared lines 100 not in 0..2"
+    yield "negative compared lines", two, two, -1, "^compared lines -1 not in 0..2"
+    yield "callable target", lambda x: x, two, None, "^target function is neither a gate nor a"
+    yield "MOD target, a weight short", ModGate(3, 0, (0,), 1, (1, 2)), two, None, "^target MOD"
+    yield "MOD target, a zero weight", ModGate(3, 0, (0,), 1, (0,)), h, None, r"weights \(0,\) are"
     yield "gate target on an aux line", cir.x_gate(2), with_aux, 2, r"^target gate lines \(2,\)"
     yield "gate target reusing a line", ToffoliGate((0,), 0), two, None, r"lines \(0, 0\) are not"
     yield "context, permutation candidate", other_context, two, None, "context differs"
@@ -254,6 +257,17 @@ def test_arguments_that_cannot_be_compared_are_refused_before_any_input_runs(mon
     monkeypatch.setattr(tf, "_input_column", None)  # no column run may start
     with pytest.raises(ValueError, match=message):
         tf.equivalence_check(target, candidate, main)
+
+
+@pytest.mark.parametrize("layer", [
+    TensorLayer((cir.hadamard_gate(0), cir.hadamard_gate(1))), TensorLayer((cir.x_gate(0),)),
+])
+def test_a_callable_target_is_refused_on_either_path(layer):
+    # k + 4 maps every input off the two compared lines; the H candidate
+    # takes the per-input path, the X candidate the column path
+    candidate = Circuit(2, 0, (layer,), get_context("cyclotomic2"))
+    with pytest.raises(ValueError, match="^target function is neither a gate nor a circuit$"):
+        tf.equivalence_check(lambda k: k + 4, candidate)
 
 
 def test_a_mod_gate_target_with_no_inputs_is_still_checked():
