@@ -310,8 +310,13 @@ def _gate_diagnostics(g: Gate, idx: int, width: int, ctx) -> list[Diagnostic]:
             out.append(Diagnostic(idx, f"residue r={g.r} out of range for q={g.q}"))
         if not g.inputs:
             out.append(Diagnostic(idx, "MOD gate needs at least one input"))
-        if (message := weights_error(g)) is not None:
-            out.append(Diagnostic(idx, message))
+        w = g.weights
+        if not isinstance(w, tuple) or w and (
+            len(w) != len(g.inputs) or not all(type(x) is int and x > 0 for x in w)
+        ):
+            out.append(
+                Diagnostic(idx, f"MOD gate weights {w!r} are not one positive int per input")
+            )
     if isinstance(g, AddModGate):
         out.extend(_block_diagnostics(g.blocks + (g.result,), g.q, idx))
     if isinstance(g, FanOutModGate):
@@ -327,17 +332,6 @@ def _gate_diagnostics(g: Gate, idx: int, width: int, ctx) -> list[Diagnostic]:
     if isinstance(g, OneQubitGate):
         out.extend(_unitarity_diagnostics(g, idx, ctx))
     return out
-
-
-def weights_error(g: ModGate) -> str | None:
-    """Why the MOD gate's weights are neither empty nor one positive int per
-    input, or None."""
-    w = g.weights
-    if not isinstance(w, tuple) or w and (
-        len(w) != len(g.inputs) or not all(type(x) is int and x > 0 for x in w)
-    ):
-        return f"MOD gate weights {w!r} are not one positive int per input"
-    return None
 
 
 def _block_diagnostics(blocks, q, idx):

@@ -3,11 +3,15 @@
 Exit codes: 0 success/accept/equivalent, 1 reject/counterexample/invalid
 outcome, 2 usage or input error, 3 a memory or work budget was exceeded.
 Reports are byte-deterministic; --json switches to machine-readable form.
+main(argv) may be called any number of times in one process: the parser is
+built on the first call and reused, so a shell run, which calls it once, is
+unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -158,7 +162,11 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qacc` parser, built (and set_defaults(fn=...) bound to the cmd_*
+    functions) on the first call and reused by every main(argv) after it: no
+    command changes it, and parse_args returns a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="qacc",
         description="Exact simulation, tensor graphs, and gate-equivalence "

@@ -237,9 +237,9 @@ def equivalence_check(
     input is charged, refuses any other target, `main_lines` outside
     0..candidate.n_inputs, a circuit target that is not that wide, has aux
     lines or is in another context, and a gate target whose lines are not
-    distinct compared lines or, for a MOD gate, whose weights are not one
-    positive int per input.  The target runs on the candidate's keys,
-    target|x> ⊗ |0^aux>, in the candidate's compiler.
+    distinct compared lines or that fails circuit.validate's gate checks,
+    bar the rule that a MOD gate needs an input.  The target runs on the
+    candidate's keys, target|x> ⊗ |0^aux>, in the candidate's compiler.
 
     When the candidate and the target hold no one-qubit or Fourier gate,
     every input runs at once as columns, one int per line
@@ -272,8 +272,11 @@ def equivalence_check(
         lines = target.lines()
         if len(set(lines)) != len(lines) or not all(0 <= l < main for l in lines):
             raise ValueError(f"target gate lines {lines} are not distinct lines below {main}")
-        if isinstance(target, ModGate) and (message := cir.weights_error(target)) is not None:
-            raise ValueError(f"target {message}")
+        # the circuit's own gate checks, but a MOD gate of no inputs is a target
+        # (modqr_from_modq at n = 0)
+        for d in cir._gate_diagnostics(target, 0, main, candidate.context):
+            if d.message != "MOD gate needs at least one input":
+                raise ValueError(f"target {d.message}")
     else:
         raise ValueError(f"target {type(target).__name__} is neither a gate nor a circuit")
     work = cir.Work()

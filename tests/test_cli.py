@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -320,6 +321,26 @@ def test_check_json_shape(capsys):
     )
     data = json.loads(out)
     assert code == 0 and data["verdict"] == "equivalent" and data["aux_restored"] is True
+
+
+def test_later_calls_build_no_parser(capsys, monkeypatch):
+    check = ("check", "--builder", "modhat", "--n", "3", "--q", "2")
+    assert run_cli(capsys, *check)[0] == 0  # the first call may build the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, *check) == (0, "equivalent\n", "")
+    assert run_cli(capsys, "build", "--builder", "f_from_fq", "--n", "1", "--q", "2")[0] == 0
+    code, _, err = run_cli(capsys, "check", "--builder", "modhat", "--n", "x", "--q", "2")
+    assert code == 2 and "invalid int value: 'x'" in err
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: qacc")
+    assert built == []
 
 
 def test_graph_methods_agree(capsys, bell_file):

@@ -190,7 +190,7 @@ def _misused_flags(rng) -> list[str]:
     return argv
 
 
-def _check(argv, seen: set) -> None:
+def _check(argv, runs: list) -> None:
     try:
         code, out, err = _cli(argv)
     except Exception as exc:
@@ -199,7 +199,7 @@ def _check(argv, seen: set) -> None:
     assert "Traceback" not in out + err, argv
     if code in (2, 3):
         assert "error:" in err.rstrip("\n").rsplit("\n", 1)[-1], (argv, err)
-    seen.add(code)
+    runs.append((argv, (code, out, err)))
 
 
 def test_cli_survives_malformed_input(tmp_path):
@@ -214,15 +214,18 @@ def test_cli_survives_malformed_input(tmp_path):
         sources += [out, out + SCALAR_LAYER]
     malformed, mutated = _context_files(rng, tmp_path)
     (tmp_path / "latin1.qc").write_bytes(sources[0].encode() + b"# caf\xe9\n")
-    seen: set = set()
+    runs: list = []  # (argv, (exit code, stdout, stderr))
     circuit = tmp_path / "c.qc"
     circuit.write_text(sources[0])
     zeros = "0" * int(re.search(r"n=(\d+)", sources[0])[1])
     for path in malformed:  # each once, then at random with the mutated ones
-        _check(["simulate", "--circuit", str(circuit), "--input", zeros, "--context-file", path], seen)
+        _check(["simulate", "--circuit", str(circuit), "--input", zeros, "--context-file", path], runs)
     for i in range(RUNS):
         if rng.random() < 0.8:
-            _check(_circuit_argv(rng, tmp_path, sources, malformed + mutated, i), seen)
+            _check(_circuit_argv(rng, tmp_path, sources, malformed + mutated, i), runs)
         else:
-            _check(_misused_flags(rng), seen)
-    assert seen == {0, 1, 2, 3}
+            _check(_misused_flags(rng), runs)
+    assert {result[0] for _argv, result in runs} == {0, 1, 2, 3}
+    # a later call in the same process answers each command as its first did
+    for argv, result in runs[::-5]:
+        assert _cli(argv) == result, argv

@@ -246,6 +246,9 @@ def _refused_arguments():
     yield "MOD target, a zero weight", ModGate(3, 0, (0,), 1, (0,)), h, None, r"weights \(0,\) are"
     yield "gate target on an aux line", cir.x_gate(2), with_aux, 2, r"^target gate lines \(2,\)"
     yield "gate target reusing a line", ToffoliGate((0,), 0), two, None, r"lines \(0, 0\) are not"
+    yield "MOD target, q = 0", ModGate(0, 0, (0,), 1), two, None, "^target q=0 must be at least 2$"
+    yield "MOD target, r out of range", ModGate(3, 5, (0,), 1), two, None, "^target residue r=5"
+    yield "ADD target, q = 1", AddModGate(1, ((0,),), (1,)), two, None, "^target q=1 must be"
     yield "context, permutation candidate", other_context, two, None, "context differs"
     yield "context, branching candidate", other_context, h, None, "context differs"
 
