@@ -73,9 +73,13 @@ class AlgebraContext:
         self.basis = tuple(basis)
         if not self.basis or self.basis[0] != "1":
             raise ContextError("basis element 0 must be the unit, named '1'")
-        self.dim = len(self.basis)
+        self.dim = d = len(self.basis)
         self.arity = len(self.indeterminates)
         self.mult_table = tuple(tuple(tuple(v) for v in row) for row in mult_table)
+        if len(self.mult_table) != d or any(
+            len(row) != d or any(len(v) != d for v in row) for row in self.mult_table
+        ):
+            raise ContextError(f"mult_table is not {d} x {d} x {d}")
         self.denominator = dict(denominator)
         if polys.is_zero(self.denominator):
             raise ContextError("denominator u must be nonzero")
@@ -93,7 +97,6 @@ class AlgebraContext:
         self.f_zero = FScalar({}, 0)
         self.f_one = FScalar(polys.const(self.arity, 1), 0)
 
-        d = self.dim
         self.mul_r, cells = structure_constants(
             self, (vec for row in self.mult_table for vec in row)
         )
@@ -101,6 +104,8 @@ class AlgebraContext:
         self.conjugation = self.conj_r = self.conj_constants = None
         if conjugation is not None:
             self.conjugation = tuple(tuple(vec) for vec in conjugation)
+            if len(self.conjugation) != d or any(len(v) != d for v in self.conjugation):
+                raise ContextError(f"conjugation is not {d} x {d}")
             self.conj_r, self.conj_constants = structure_constants(self, self.conjugation)
 
         self.indeterminate_values = [

@@ -148,12 +148,13 @@ def to_terms(p: Poly) -> list:
 def from_terms(terms: Iterable, arity: int | None = None) -> Poly:
     out: Poly = {}
     for coeff, exps in terms:
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(exps)
+        if type(coeff) is not int or not all(type(e) is int for e in exps):
+            raise ValueError(f"term {coeff!r}, {list(exps)!r} holds a non-integer")
         if arity is not None and len(exps) != arity:
             raise ValueError(f"exponent vector {exps} has arity {len(exps)}, expected {arity}")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
-        coeff = int(coeff)
         if coeff:
             new = out.get(exps, 0) + coeff
             if new == 0:

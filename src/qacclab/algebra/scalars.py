@@ -177,7 +177,10 @@ def f_to_json(a: FScalar) -> dict:
 
 
 def f_from_json(data: dict, arity: int) -> FScalar:
-    return FScalar(polys.from_terms(data["num"], arity), int(data.get("r", 0)))
+    r = data.get("r", 0)
+    if type(r) is not int:
+        raise ValueError(f"denominator power {r!r} is not an integer")
+    return FScalar(polys.from_terms(data["num"], arity), r)
 
 
 class ExactScalar:

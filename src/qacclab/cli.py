@@ -82,19 +82,7 @@ class UsageError(ValueError):
 
 
 def _builder_args(args):
-    name = args.builder
-    if name not in transforms.BUILDERS:
-        known = ", ".join(sorted(transforms.BUILDERS))
-        raise UsageError(f"unknown builder {name!r} (known: {known})")
-    if args.n < 0:
-        raise UsageError(f"--n {args.n} must be nonnegative")
-    if args.q < 2:
-        raise UsageError(f"--q {args.q} must be at least 2")
-    if not 0 <= args.r < args.q:
-        raise UsageError(f"--r {args.r} must satisfy 0 <= r < q = {args.q}")
-    spec = transforms.BUILDERS[name]
-    if args.r and not spec.needs_r:
-        raise UsageError(f"--r {args.r} given, but builder {name!r} takes no r")
+    spec = transforms.builder_spec(args.builder, args.n, args.q, args.r)
     get_context(f"cyclotomic{args.q}")  # an unsupported q exits 2, whatever the size
     size = spec.size(args.n, args.q, args.r)
     if size > cir.BUDGET:

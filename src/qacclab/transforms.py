@@ -181,9 +181,7 @@ def _column_check(target, candidate, main, inputs, work, maps, target_maps):
     of the first failing input alone."""
     width = candidate.width
     per = maps + target_maps
-    # inputs the meter can reach: the last one can still end the check with
-    # dirty aux lines, before its target run is charged
-    reach = work.left // per + 1 if per else None
+    reach = work.left // per if per else None  # the inputs the meter can reach
     if inputs is None:
         count = 1 << main
         bits = count if reach is None else min(count, reach)
@@ -199,10 +197,9 @@ def _column_check(target, candidate, main, inputs, work, maps, target_maps):
     cir.run_columns(candidate.layers, cols, ones)
     want = list(given)
     cir.run_columns(_target_layers(target), want, ones)
-    dirty = 0
-    for c in cols[main:]:
-        dirty |= c
-    bad = dirty
+    bad = 0
+    for c in cols[main:]:  # a dirty aux line
+        bad |= c
     for c, t in zip(cols, want):
         bad |= c ^ t
     bad &= mask
@@ -212,8 +209,7 @@ def _column_check(target, candidate, main, inputs, work, maps, target_maps):
     low = bad & -bad
     x = low.bit_length() - 1
     index = x if inputs is None else (mask & (low - 1)).bit_count()
-    aux_dirty = dirty >> x & 1
-    work.charge(index * per + maps + (0 if aux_dirty else target_maps), "a column run")
+    work.charge((index + 1) * per, "a column run")
     return _per_input_check(target, candidate, main, (x,), cir.Work())
 
 
@@ -248,15 +244,16 @@ def equivalence_check(
     inverse and the target are compiled once, in one statevec.Compiler, and
     run on one input at a time, the candidate cut in two where that is
     cheaper (_per_input_check); the report is the one the whole candidate
-    gives.
+    gives.  Each input runs its target before its states are compared.
 
     The check has one Work meter: enumerating every input charges 2^main
     units up front, and the candidate's and a circuit target's runs charge
     their steps per input, on either path.  A cut check also charges its
     backward probe, at most the first input's forward run, and per input
-    the units of B, of A⁻¹ and, on a mismatch, of A.  A column holds one
-    bit per key up to the largest input the meter can reach, and lines x
-    ⌈keys/64⌉ must be at most WORK 64-bit words.
+    the units of B, of A⁻¹ and, on a mismatch, of A.  A column run charges
+    the per-input loop's units up to and including the first failing input.
+    A column holds one bit per key up to the largest input the meter can
+    reach, and lines x ⌈keys/64⌉ must be at most WORK 64-bit words.
     """
     main = main_lines if main_lines is not None else candidate.n_inputs
     if not 0 <= main <= candidate.n_inputs:
@@ -288,28 +285,23 @@ def equivalence_check(
     return _per_input_check(target, candidate, main, inputs, work)
 
 
-def _aux_report(x: int, entries: dict, main: int, aux: int) -> EquivalenceReport | None:
-    """The counterexample of input x when its candidate state leaves an aux
-    line dirty, naming the smallest aux-dirty output, not the first."""
-    aux_mask = (1 << aux) - 1
-    dirty = [k for k in entries if k & aux_mask]
-    if not dirty:
-        return None
-    key = min(dirty)
-    return EquivalenceReport(
-        "counterexample", "0" * aux, main, aux_restored=False,
-        counterexample=(
-            cir.key_to_bits(x, main), cir.key_to_bits(key >> aux, main), None, entries[key]
-        ),
-    )
-
-
-def _amplitude_report(x: int, entries: dict, want: dict, main: int, aux: int, ctx):
-    """The counterexample of input x at the smallest output whose target
-    and candidate amplitudes differ, or None when all agree; both states
-    are keyed on the candidate's lines, with clean aux lines."""
+def _report(x: int, entries: dict, want: dict, main: int, aux: int, ctx):
+    """The counterexample of input x, or None when its candidate state
+    equals its target state (keyed on the candidate's lines, with clean aux
+    lines).  It names the smallest output that leaves an aux line dirty if
+    there is one, else the smallest output whose amplitudes differ."""
     if want == entries:  # amplitudes compared with ExactScalar.__eq__
         return None
+    aux_mask = (1 << aux) - 1
+    dirty = [k for k in entries if k & aux_mask]
+    if dirty:
+        key = min(dirty)
+        return EquivalenceReport(
+            "counterexample", "0" * aux, main, aux_restored=False,
+            counterexample=(
+                cir.key_to_bits(x, main), cir.key_to_bits(key >> aux, main), None, entries[key]
+            ),
+        )
     zero = ctx.zero()
     for y in sorted(set(want) | set(entries)):
         lhs, rhs = want.get(y, zero), entries.get(y, zero)
@@ -352,14 +344,14 @@ def _per_input_check(target, candidate, main, inputs, work) -> EquivalenceReport
     """equivalence_check one input at a time, meeting in the middle.
 
     The candidate C = A·B is cut at a layer boundary, and each input
-    compares B|x,0> with A⁻¹(T|x> ⊗ |0>).  Every layer has an exact inverse,
-    so the two are equal iff C|x,0> = T|x> ⊗ |0>; on a mismatch A runs on
-    B's state, and the report is made from C|x,0> as without a cut.  For a
-    conjugation U·V·U⁻¹ the cut skips the U⁻¹ that collapses the
-    superposition U spread.  The first input runs the whole candidate,
-    layer by layer, and prices each cut (_choose_cut).  A one-qubit gate
-    has an exact inverse only in a context with a conjugation; without one
-    there is no cut."""
+    compares B|x,0> with A⁻¹(T|x> ⊗ |0>).  Every layer has an exact inverse
+    (a one-qubit gate is only made in a context with a conjugation), so the
+    two are equal iff C|x,0> = T|x> ⊗ |0>; on a mismatch A runs on B's
+    state, and the report is made from C|x,0>.  For a conjugation U·V·U⁻¹
+    the cut skips the U⁻¹ that collapses the superposition U spread.  The
+    first input runs the whole candidate, layer by layer, and prices each
+    cut (_choose_cut); no cut is the cut at the last boundary, where A and
+    A⁻¹ have no steps."""
     ctx = candidate.context
     aux = candidate.width - main
     layers = candidate.layers
@@ -375,47 +367,23 @@ def _per_input_check(target, candidate, main, inputs, work) -> EquivalenceReport
         left = work.left
         state = compiler.program((layer,)).apply(state, work)
         costs.append(costs[-1] + left - work.left)
-    report = _aux_report(x, state, main, aux)
-    if report is not None:
-        return report
     want = target_of(x)
-    report = _amplitude_report(x, state, want, main, aux, ctx)
+    report = _report(x, state, want, main, aux, ctx)
     if report is not None:
         return report
-
-    cut = len(layers)
-    if ctx.conjugation is not None or not any(
-        isinstance(g, OneQubitGate)
-        for layer in layers if isinstance(layer, TensorLayer) for g in layer.gates
-    ):
-        inverse_layers = [cir.inverse_layer(layer) for layer in layers]
-        cut, spent = _choose_cut(
-            lambda b: compiler.program((inverse_layers[b],)), costs, want, work
-        )
-        work.charge(spent, "a backward probe")
-    if cut == len(layers):
-        program = compiler.program(layers)
-        for x in xs:
-            entries = program.apply({x << aux: one}, work)
-            report = _aux_report(x, entries, main, aux) or _amplitude_report(
-                x, entries, target_of(x), main, aux, ctx
-            )
-            if report is not None:
-                return report
-    else:
-        front, rest = compiler.program(layers[:cut]), compiler.program(layers[cut:])
-        back = compiler.program(reversed(inverse_layers[cut:]))
-        for x in xs:
-            mid = front.apply({x << aux: one}, work)
-            want = target_of(x)
-            if mid == back.apply(want, work):
-                continue
-            entries = rest.apply(mid, work)
-            report = _aux_report(x, entries, main, aux) or _amplitude_report(
-                x, entries, want, main, aux, ctx
-            )
-            if report is not None:
-                return report
+    inverse_layers = [cir.inverse_layer(layer) for layer in layers]
+    cut, spent = _choose_cut(lambda b: compiler.program((inverse_layers[b],)), costs, want, work)
+    work.charge(spent, "a backward probe")
+    front, rest = compiler.program(layers[:cut]), compiler.program(layers[cut:])
+    back = compiler.program(reversed(inverse_layers[cut:]))
+    for x in xs:
+        mid = front.apply({x << aux: one}, work)
+        want = target_of(x)
+        if mid == back.apply(want, work):
+            continue
+        report = _report(x, rest.apply(mid, work), want, main, aux, ctx)
+        if report is not None:
+            return report
     return EquivalenceReport("equivalent", "0" * aux, main, aux_restored=True)
 
 
@@ -709,15 +677,36 @@ BUILDERS = {
 }
 
 
+def builder_spec(name: str, n: int, q: int, r: int = 0) -> BuilderSpec:
+    """The spec of builder `name`, once (n, q, r) is checked against the
+    domain every builder shares: n >= 0, q >= 2, 0 <= r < q, and r = 0 for
+    a builder that takes no r.  Anything else raises BuilderArgumentError;
+    a builder may refuse more (its build raises the same error)."""
+    spec = BUILDERS.get(name)
+    if spec is None:
+        known = ", ".join(sorted(BUILDERS))
+        raise BuilderArgumentError(f"unknown builder {name!r} (known: {known})")
+    if n < 0:
+        raise BuilderArgumentError(f"n={n} must be nonnegative")
+    if q < 2:
+        raise BuilderArgumentError(f"q={q} must be at least 2")
+    if not 0 <= r < q:
+        raise BuilderArgumentError(f"r={r} must satisfy 0 <= r < q = {q}")
+    if r and not spec.needs_r:
+        raise BuilderArgumentError(f"r={r} given, but builder {name!r} takes no r")
+    return spec
+
+
 def check_builder(name: str, n: int, q: int, r: int = 0) -> EquivalenceReport:
     """Equivalence-check a builder's candidate against its target.
 
-    Every candidate has at least n + 1 input lines, all compared, and each
-    input costs at least one unit, so a check with 2^(n + 1) > WORK is
-    refused before anything is built.
+    (n, q, r) must lie in builder_spec's domain.  Every candidate has at
+    least n + 1 input lines, all compared, and each input costs at least one
+    unit, so a check with 2^(n + 1) > WORK is refused before anything is
+    built.
     """
+    spec = builder_spec(name, n, q, r)
     _charge_inputs(cir.Work(), n + 1, "at least ")
-    spec = BUILDERS[name]
     candidate = spec.build(n, q, r)
     inputs = spec.inputs(n, q) if spec.inputs is not None else None
     return equivalence_check(spec.target(n, q, r), candidate, inputs=inputs)

@@ -93,17 +93,16 @@ def test_nonunitary_matrix_rejected(c2):
     assert any("unitary" in d for d in _diagnostics(1, 0, (TensorLayer((g,)),), c2))
 
 
-def test_unitarity_without_conjugation_is_checked_numerically():
-    # a context without a conjugation has no exact U U^dagger, so a U gate
-    # is checked on its numeric values, to 1e-9
+def test_a_one_qubit_gate_without_a_conjugation_is_refused():
+    # a context without a conjugation has no exact U U^dagger, so it holds
+    # no U gate, unitary or not
     one = FScalar(polys.const(0, 1), 0)
     ctx = AlgebraContext([], ["1"], [[(one,)]], polys.const(0, 1), {})
     assert ctx.conjugation is None
-    bad = cir.one_qubit(ctx, [[1, 0], [0, 2]], 0)
-    want = ["layer 0: one-qubit matrix is not unitary (numeric)"]
-    assert _diagnostics(1, 0, (TensorLayer((bad,)),), ctx) == want
-    swap = cir.one_qubit(ctx, [[0, 1], [1, 0]], 0)
-    assert validate(Circuit(1, 0, (TensorLayer((swap,)),), ctx)) == []
+    want = ["layer 0: a one-qubit gate needs a context with a conjugation"]
+    for matrix in ([[1, 0], [0, 2]], [[0, 1], [1, 0]]):
+        gate = cir.one_qubit(ctx, matrix, 0)
+        assert _diagnostics(1, 0, (TensorLayer((gate,)),), ctx) == want
 
 
 def test_gate_matrix_cnot(c2):
@@ -227,7 +226,9 @@ def test_circuit_stats_counts_equal_gates_once():
     from qacclab.algebra import AlgebraContext, ExactScalar, FScalar, polys
 
     one = FScalar(polys.const(1, 1), 0)
-    ctx = AlgebraContext(["a1"], ["1"], [[(one,)]], polys.variable(1, 0), {"a1": [2.0, 0.0]})
+    ctx = AlgebraContext(
+        ["a1"], ["1"], [[(one,)]], polys.variable(1, 0), {"a1": [2.0, 0.0]}, conjugation=[[one]]
+    )
     u = polys.variable(1, 0)
     u_over_u = ExactScalar(ctx, [FScalar(u, 1)])
     u2_over_u2 = ExactScalar(ctx, [FScalar(polys.power(u, 2), 2)])

@@ -2,7 +2,7 @@ import argparse
 import json
 
 import pytest
-from support import two_element_context_json
+from support import sqrt_a1_context, two_element_context_json
 
 from qacclab.algebra import get_context, save_context
 from qacclab.cli import main
@@ -409,3 +409,71 @@ def test_context_file_fourier_constants_in_its_own_arithmetic(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: fourier_q=4: ") and err.count("\n") == 1
+
+
+def _simulate_u_swap(capsys, tmp_path, context: dict):
+    """qacc simulate of a one-qubit swap U gate in the context file `context`."""
+    circuit, path = tmp_path / "u.qc", tmp_path / "ctx.json"
+    circuit.write_text("circuit n=1 aux=0\nlayer { U [[0, 1], [1, 0]] [0] }\n")
+    path.write_text(json.dumps(context))
+    return run_cli(
+        capsys, "simulate", "--circuit", str(circuit), "--input", "0", "--context-file", str(path)
+    )
+
+
+def test_a_one_qubit_gate_in_a_context_without_a_conjugation_exits_2(capsys, tmp_path):
+    one = {"num": [[1, []]], "r": 0}
+    context = {"indeterminates": [], "basis": ["1"], "mult_table": [[[one]]], "u": [[1, []]]}
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err == "error: layer 0: a one-qubit gate needs a context with a conjugation\n"
+
+
+_ONE, _ZERO = {"num": [[1, []]], "r": 0}, {"num": [], "r": 0}
+
+
+def _two_element_context_with_conjugation() -> dict:
+    """Basis 1, b with b*b = 2, u = 2, and the identity as its conjugation
+    (b = sqrt(2) is real)."""
+    return {**two_element_context_json(2, 2, None), "conjugation": [[_ONE, _ZERO], [_ZERO, _ONE]]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # two vectors of three entries, the third a coordinate no basis element has
+        ({"conjugation": [[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO]]}, "conjugation is not 2 x 2"),
+        # one vector: the image of b would be read as 0
+        ({"conjugation": [[_ONE, _ZERO]]}, "conjugation is not 2 x 2"),
+        # b*b given as the vector [2]: its b coordinate would be read as 0
+        (
+            {"mult_table": [[[_ONE, _ZERO], [_ZERO, _ONE]], [[_ZERO, _ONE], [{"num": [[2, []]]}]]]},
+            "mult_table is not 2 x 2 x 2",
+        ),
+    ],
+)
+def test_a_context_file_with_tables_of_the_wrong_shape_exits_2(capsys, tmp_path, change, message):
+    context = {**_two_element_context_with_conjugation(), **change}
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def _non_integer_contexts():
+    """Context files that each hold one number that is not an int, and load
+    as a valid context where it is truncated by int()."""
+    for u in (1.5, "7", True):  # a coefficient of u, once read as 1, 7 and 1
+        yield {**_two_element_context_with_conjugation(), "u": [[u, []]]}
+    data = sqrt_a1_context().to_json()  # u = a1, and b*b = 1/u
+    yield {**data, "u": [[1, [1.0]]]}  # an exponent, once read as 1
+    power = json.loads(json.dumps(data))
+    power["mult_table"][1][1][0]["r"] = 1.5  # a power of u, once read as 1
+    yield power
+
+
+@pytest.mark.parametrize("context", list(_non_integer_contexts()))
+def test_a_context_file_number_that_is_not_an_int_exits_2(capsys, tmp_path, context):
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err.startswith("error: context file ") and "is malformed" in err
+    assert err.count("\n") == 1

@@ -215,17 +215,17 @@ def test_modqr_from_modq_over_the_work_budget_is_still_refused():
 
 def test_column_run_charges_what_the_per_input_loop_charges(monkeypatch):
     # an X on the aux line dirties input 0: 2^2 inputs up front, then the
-    # candidate's 2 key maps on input 0 answer the check; a circuit target's
-    # map is not charged for a dirty input
+    # candidate's 2 key maps and the circuit target's 1 on input 0 answer
+    # the check; a dirty input runs its target too
     ctx = get_context("cyclotomic2")
     layers = (TensorLayer((cir.x_gate(2),)), TensorLayer((cir.x_gate(0),)))
     candidate = Circuit(2, 1, layers, ctx)
     target = Circuit(2, 0, (TensorLayer((cir.x_gate(0),)),), ctx)
-    monkeypatch.setattr(cir, "WORK", 4 + 2)
+    monkeypatch.setattr(cir, "WORK", 4 + 3)
     report = tf.equivalence_check(target, candidate)
     assert not report.aux_restored and report.counterexample[0] == "00"
-    monkeypatch.setattr(cir, "WORK", 4 + 1)
-    with pytest.raises(cir.CapExceededError, match="^a column run exceeds the work budget of 5"):
+    monkeypatch.setattr(cir, "WORK", 4 + 2)
+    with pytest.raises(cir.CapExceededError, match="^a column run exceeds the work budget of 6"):
         tf.equivalence_check(target, candidate)
     # without the aux flip every input costs 2 + 1 maps: 4 + 4 * 3 units
     clean = Circuit(2, 1, layers[1:] * 2 + layers[1:], ctx)

@@ -1,13 +1,16 @@
 """The per-input equivalence check cut in the middle.
 
 A check with a branching candidate C = A·B compares B|x,0> with
-A⁻¹(T|x> ⊗ |0>).  That is sound only if every layer's inverse undoes it
-exactly, which is pinned first: for every permutation gate kind on every
-key, non-qudigit block values included, and for Fourier and one-qubit
-gates as exact state-vector runs.  Reports are then compared, byte for
-byte, with support.per_key_report, which runs the whole candidate on one
-input at a time, on builders, their mutants and seeded random
-conjugations; and a cut check's work charges are pinned unit for unit.
+A⁻¹(T|x> ⊗ |0>); a check that does not cut is the cut at the last
+boundary, where A and A⁻¹ are empty.  That is sound only if every layer's
+inverse undoes it exactly, which is pinned first: for every permutation
+gate kind on every key, non-qudigit block values included, and for
+Fourier and one-qubit gates as exact state-vector runs; a one-qubit gate
+in a context without a conjugation, which has no exact inverse, cannot be
+made.  Reports are then compared, byte for byte, with
+support.per_key_report, which runs the whole candidate on one input at a
+time, on builders, their mutants and seeded random conjugations; and a
+cut check's work charges are pinned unit for unit.
 """
 
 import json
@@ -129,23 +132,17 @@ def _two_hadamards(ctx, s):
     return Circuit(2, 0, (TensorLayer((h,)), TensorLayer((h,))), ctx)
 
 
-def test_without_a_conjugation_a_one_qubit_inverse_raises_and_the_check_makes_no_cut(monkeypatch):
+def test_without_a_conjugation_a_one_qubit_circuit_cannot_be_made(monkeypatch):
     ctx = _no_conjugation_context()
     assert ctx.conjugation is None
     half = ctx.basis_element(1) * ctx.scalar_from_rational(Fraction(1, 2))
-    candidate = _two_hadamards(ctx, half)  # H = (b/2)[[1, 1], [1, -1]], unitary numerically only
+    h = OneQubitGate(((half, half), (half, -half)), 0)  # H = (b/2)[[1, 1], [1, -1]]
     with pytest.raises(ValueError, match="conjugation"):
-        cir.inverse_gate(candidate.layers[0].gates[0])
-    identity = Circuit(2, 0, (), ctx)
-    # no cut: 4 inputs, then per input H (1 state x 2) and H (2 states x 2);
-    # the empty target costs nothing
-    units = 4 + 4 * (2 + 4)
-    monkeypatch.setattr(cir, "WORK", units)
-    assert tf.equivalence_check(identity, candidate).equivalent
-    monkeypatch.setattr(cir, "WORK", units - 1)
-    with pytest.raises(sv.CapExceededError, match="work budget"):
-        tf.equivalence_check(identity, candidate)
-    # the same check where a conjugation makes the cut after the first H:
+        cir.inverse_gate(h)
+    with pytest.raises(cir.ValidationError, match="needs a context with a conjugation"):
+        _two_hadamards(ctx, half)
+    # so every candidate has an exact inverse, and a check with a conjugation
+    # makes the cut after the first H:
     # input 0 runs whole (6), the probe runs the second H back (2), and
     # inputs 1..3 each run one H forward and one back (2 + 2)
     c2 = get_context("cyclotomic2")
@@ -179,6 +176,24 @@ def test_cut_check_charges_every_run_and_the_probe(monkeypatch):
     assert tf.equivalence_check(target, candidate).equivalent
     assert made == [(2, 4, 3)]
     monkeypatch.setattr(cir, "WORK", units - 1)
+    with pytest.raises(sv.CapExceededError, match="work budget"):
+        tf.equivalence_check(target, candidate)
+
+
+def test_a_dirty_input_is_charged_its_target_run(monkeypatch):
+    # the per-input twin of test_columns' column charge pin: C = X on aux
+    # line 2, H0, H0 dirties input 0.  2^2 inputs up front, then X (1 state
+    # x 1), H (1 x 2) and H (2 x 2) forward, then the circuit target X0, X0
+    # (1 state x 2) before the states are compared: 4 + 7 + 2
+    ctx = get_context("cyclotomic2")
+    h = TensorLayer((cir.hadamard_gate(0),))
+    candidate = Circuit(2, 1, (TensorLayer((x_gate(2),)), h, h), ctx)
+    x0 = TensorLayer((x_gate(0),))
+    target = Circuit(2, 0, (x0, x0), ctx)
+    monkeypatch.setattr(cir, "WORK", 4 + 7 + 2)
+    report = tf.equivalence_check(target, candidate)
+    assert not report.aux_restored and report.counterexample[0] == "00"
+    monkeypatch.setattr(cir, "WORK", 4 + 7 + 1)
     with pytest.raises(sv.CapExceededError, match="work budget"):
         tf.equivalence_check(target, candidate)
 
@@ -305,8 +320,8 @@ def test_random_conjugations_report_as_the_whole_candidate(monkeypatch, q):
     # the whole candidate's state is looked at only for the first input and
     # on a mismatch, so a cut check that passes looks at it once
     whole = []
-    aux_report = tf._aux_report
-    monkeypatch.setattr(tf, "_aux_report", lambda *a: whole.append(a[0]) or aux_report(*a))
+    report = tf._report
+    monkeypatch.setattr(tf, "_report", lambda *a: whole.append(a[0]) or report(*a))
     seen = []  # (whether the check cut, its verdict)
     for _ in range(6):
         target, candidate = _random_conjugation(rng, ctx, q, main, rng.randint(1, 2))

@@ -278,6 +278,21 @@ def test_a_mod_gate_target_with_no_inputs_is_still_checked():
     assert tf.check_builder("modqr_from_modq", 0, 3, 1).equivalent
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("f_from_fq", 2, 3, 1), "^r=1 given, but builder 'f_from_fq' takes no r$"),
+        (("modq_from_mq", -1, 3), "^n=-1 must be nonnegative$"),
+        (("modhat", 2, 3, 3), "^r=3 must satisfy 0 <= r < q = 3$"),
+        (("modhat", 2, 1, 0), "^q=1 must be at least 2$"),
+        (("nonsense", 2, 3), "^unknown builder 'nonsense'"),
+    ],
+)
+def test_check_builder_refuses_what_qacc_check_refuses(args, message):
+    with pytest.raises(tf.BuilderArgumentError, match=message):
+        tf.check_builder(*args)
+
+
 def test_check_charges_every_run_of_candidate_and_target(monkeypatch):
     # one H on one line: 2 inputs up front, then per input 2 key-gate
     # applications in the candidate and 2 in the circuit target
