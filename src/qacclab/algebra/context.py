@@ -43,7 +43,6 @@ from .scalars import (
     f_from_json,
     f_numeric,
     f_to_json,
-    hash_point,
     numerator_ring,
     structure_constants,
 )
@@ -51,6 +50,7 @@ from .scalars import (
 
 CONTEXT_DIM_CAP = 64  # basis size of a cyclotomic context; its table grows as d^3
 U_POWER_CAP = 64  # largest power of u in a rational literal or a context-table entry
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # the DSL's NAME token
 
 
 class ContextError(ValueError):
@@ -84,13 +84,12 @@ class AlgebraContext:
         if polys.is_zero(self.denominator):
             raise ContextError("denominator u must be nonzero")
         self.numeric = dict(numeric)
+        if name is not None and not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+            raise ContextError(f"context name {name!r} is not a DSL name")
         self.name = name
 
         self.is_rational = self.dim == 1 and self.arity == 0
-        if self.arity == 0:
-            self.u_int, self.hash_point = self.denominator[()], None
-        else:
-            self.u_int, self.hash_point = None, hash_point(self.denominator, self.arity)
+        self.u_int = None if self.arity else self.denominator[()]
         self.num_zero, self.num_add, self.num_sub, self.num_neg, self.num_mul = (
             numerator_ring(self.arity)
         )
@@ -294,6 +293,8 @@ class AlgebraContext:
 def _pair(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
+    if len(v) != 2 or not all(isinstance(x, (int, float)) and type(x) is not bool for x in v):
+        raise ContextError(f"numeric value {v!r} is not a pair of numbers")
     return [float(v[0]), float(v[1])]
 
 

@@ -108,6 +108,26 @@ def mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
+def div_exact(a: Poly, b: Poly) -> Poly | None:
+    """The quotient a / b when the nonzero b divides a in Z[x], else None.
+
+    Divides leading terms in lex order.  In a monomial order
+    lt(b * w) = lt(b) * lt(w), so if b divides a each leading-term division
+    is exact, and one that is not proves b does not divide a.
+    """
+    lb = max(b)
+    quotient: Poly = {}
+    while a:
+        la = max(a)
+        e = tuple(x - y for x, y in zip(la, lb))
+        c, rest = divmod(a[la], b[lb])
+        if rest or min(e, default=0) < 0:
+            return None
+        quotient[e] = c
+        a = sub(a, mul({e: c}, b))
+    return quotient
+
+
 def power(a: Poly, k: int) -> Poly:
     if k < 0:
         raise ValueError("negative exponent")

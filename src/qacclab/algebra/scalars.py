@@ -4,11 +4,11 @@ An amplitude lives in the extension field G = Q(A)(B).  It is stored in one
 form: d numerators over one power u^r of the context's common denominator
 u, the scalar being sum_j (nums[j] / u^r) beta_j.  A numerator is an int
 when the context has no indeterminates and an integer polynomial (a
-``polys`` dict) otherwise.  Without indeterminates the form is reduced: u
-is stripped while r > 0 and it divides every numerator, so equal scalars
-have equal forms and ==, hash and key() compare tuples.  With
-indeterminates equality aligns the two powers of u, which coincides with
-field equality whenever the declared basis really is one.
+``polys`` dict) otherwise.  The form is reduced in every context: u is
+stripped while r > 0 and it divides every numerator (polys.div_exact in
+Z[A] with indeterminates).  Z[A] is a domain, so two reduced forms of one
+value are equal whenever the declared basis really is one, and ==, hash
+and key() compare the stored form.
 
 Products run one loop over the context's structure constants: mult_table
 and conjugation as numerators over one power of u each, computed once per
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from fractions import Fraction
 
 from . import polys
@@ -54,31 +53,6 @@ class FScalar:
 
     def __repr__(self):
         return f"FScalar({self.num!r}, r={self.r})"
-
-
-HASH_PRIME = (1 << 61) - 1
-
-
-def _eval_mod(p: polys.Poly, point) -> int:
-    total = 0
-    for exps, coeff in p.items():
-        term = coeff
-        for e, v in zip(exps, point):
-            if e:
-                term = term * pow(v, e, HASH_PRIME) % HASH_PRIME
-        total += term
-    return total % HASH_PRIME
-
-
-def hash_point(u: polys.Poly, arity: int):
-    """(point, 1/u(point) mod HASH_PRIME) for a fixed pseudo-random integer
-    point at which the denominator u does not vanish modulo HASH_PRIME."""
-    rng = random.Random(0)
-    while True:
-        point = tuple(rng.randrange(1, HASH_PRIME) for _ in range(arity))
-        u_at = _eval_mod(u, point)
-        if u_at:
-            return point, pow(u_at, -1, HASH_PRIME)
 
 
 def numerator_ring(arity: int):
@@ -134,12 +108,16 @@ def apply_rows(ctx, nums, rows, acc: list) -> list:
 
 
 def from_numerators(ctx, nums, r: int) -> "ExactScalar":
-    """The scalar sum_j (nums[j] / u^r) beta_j, reduced when the context
-    has no indeterminates."""
+    """The scalar sum_j (nums[j] / u^r) beta_j in reduced form: u stripped
+    while r > 0 and it divides every numerator (in Z[A] with
+    indeterminates), so equal scalars are stored alike."""
     u = ctx.u_int
     if u is None:
-        if r and not any(nums):
-            r = 0
+        while r:  # all-zero numerators strip down to r = 0
+            quotients = [polys.div_exact(n, ctx.denominator) for n in nums]
+            if None in quotients:
+                break
+            nums, r = quotients, r - 1
     elif r:
         # u^k divides every numerator iff it divides their gcd: strip the
         # largest such power, k <= r, in one division
@@ -200,7 +178,7 @@ class ExactScalar:
     @property
     def coords(self) -> tuple[FScalar, ...]:
         """The coordinates as FScalars.  Without indeterminates each has
-        its least power of u; with them each has the scalar's r."""
+        its least power of u; with them each has the scalar's (reduced) r."""
         u = self.ctx.u_int
         if u is None:
             return tuple(FScalar(n, self.r) for n in self.nums)
@@ -268,12 +246,8 @@ class ExactScalar:
         return not any(self.nums)
 
     def key(self):
-        """Hashable form: equal keys mean equal scalars.
-
-        Without indeterminates the form is reduced, so the key is
-        canonical.  With them it is not (1/u and u/u^2 get different
-        keys); __hash__ does not use it.
-        """
+        """The reduced form as a hashable tuple: equal keys exactly when
+        the scalars are equal."""
         if self.ctx.arity == 0:
             return (self.r, self.nums)
         return (self.r, tuple(tuple(sorted(n.items())) for n in self.nums))
@@ -282,19 +256,10 @@ class ExactScalar:
         if not isinstance(other, ExactScalar):
             return NotImplemented
         self._same_context(other)
-        if self.r == other.r:
-            return self.nums == other.nums
-        return (self - other).is_zero()
+        return self.r == other.r and self.nums == other.nums
 
     def __hash__(self):
-        ctx = self.ctx
-        if ctx.arity == 0:
-            return hash((self.r, self.nums))
-        # The numerators over u^r evaluated at an integer point modulo a
-        # prime where u does not vanish: a ring map, so equal scalars agree.
-        point, inv_u = ctx.hash_point
-        scale = pow(inv_u, self.r, HASH_PRIME)
-        return hash(tuple(_eval_mod(n, point) * scale % HASH_PRIME for n in self.nums))
+        return hash(self.key())
 
     def numeric(self) -> complex:
         total = 0j

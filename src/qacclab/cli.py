@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import circuit as cir, dsl, statevec, tensorgraph, transforms
-from .algebra import ContextError, get_context, load_context
+from .algebra import ContextError, load_context
 from .circuit import CapExceededError, ValidationError, circuit_stats
 from .statevec import AcceptanceError
 
@@ -81,17 +81,8 @@ class UsageError(ValueError):
     pass
 
 
-def _builder_args(args):
-    spec = transforms.builder_spec(args.builder, args.n, args.q, args.r)
-    get_context(f"cyclotomic{args.q}")  # an unsupported q exits 2, whatever the size
-    size = spec.size(args.n, args.q, args.r)
-    if size > cir.BUDGET:
-        raise CapExceededError(f"{size} gate lines exceed the memory budget {cir.BUDGET}")
-    return spec
-
-
 def cmd_build(args) -> int:
-    spec = _builder_args(args)
+    spec = transforms.builder_spec(args.builder, args.n, args.q, args.r)
     built = spec.build(args.n, args.q, args.r)
     text = dsl.serialize_circuit(built)
     if args.json:
@@ -102,7 +93,6 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _builder_args(args)
     report = transforms.check_builder(args.builder, args.n, args.q, args.r)
     human = report.verdict
     if report.counterexample is not None:

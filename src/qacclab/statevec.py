@@ -129,9 +129,10 @@ def _branch(mask: int, table: dict, fan: int, ctx):
     lists the (bits, multiplier) pairs of the gate's column.  Each product
     is added, as numerators, into its output key's [numerators, r] slot,
     whose r is the largest of its terms' (the alignment _combine makes);
-    one scalar is built per nonzero slot at the end."""
+    one reduced scalar is built per nonzero slot at the end, so the order
+    the products arrive in does not change the form."""
     keep = ~mask
-    dim, zero, mul, arity = ctx.dim, ctx.num_zero, ctx.num_mul, ctx.arity
+    dim, zero, mul = ctx.dim, ctx.num_zero, ctx.num_mul
 
     def step(entries):
         if len(entries) * fan > cir.BUDGET:
@@ -157,8 +158,6 @@ def _branch(mask: int, table: dict, fan: int, ctx):
                     acc[:] = [mul(n, up) for n in acc]
                     slot[1] = rt
                 apply_rows(ctx, terms, rows, acc)
-                if arity and not any(acc):
-                    slot[1] = 0  # an unreduced zero restarts at r = 0, as in _combine
         return {
             out: from_numerators(ctx, acc, r) for out, (acc, r) in slots.items() if any(acc)
         }

@@ -678,10 +678,12 @@ BUILDERS = {
 
 
 def builder_spec(name: str, n: int, q: int, r: int = 0) -> BuilderSpec:
-    """The spec of builder `name`, once (n, q, r) is checked against the
-    domain every builder shares: n >= 0, q >= 2, 0 <= r < q, and r = 0 for
-    a builder that takes no r.  Anything else raises BuilderArgumentError;
-    a builder may refuse more (its build raises the same error)."""
+    """The spec of builder `name`, once (n, q, r) is checked, in this order,
+    against the domain every builder shares (n >= 0, q >= 2, 0 <= r < q,
+    and r = 0 for a builder that takes no r; else BuilderArgumentError),
+    the cyclotomic context of q (else ContextError), and the memory budget
+    on the built circuit's gate lines (else CapExceededError).  A builder
+    may refuse more (its build raises BuilderArgumentError)."""
     spec = BUILDERS.get(name)
     if spec is None:
         known = ", ".join(sorted(BUILDERS))
@@ -694,16 +696,20 @@ def builder_spec(name: str, n: int, q: int, r: int = 0) -> BuilderSpec:
         raise BuilderArgumentError(f"r={r} must satisfy 0 <= r < q = {q}")
     if r and not spec.needs_r:
         raise BuilderArgumentError(f"r={r} given, but builder {name!r} takes no r")
+    get_context(f"cyclotomic{q}")  # an unsupported q is refused, whatever the size
+    size = spec.size(n, q, r)
+    if size > cir.BUDGET:
+        raise CapExceededError(f"{size} gate lines exceed the memory budget {cir.BUDGET}")
     return spec
 
 
 def check_builder(name: str, n: int, q: int, r: int = 0) -> EquivalenceReport:
     """Equivalence-check a builder's candidate against its target.
 
-    (n, q, r) must lie in builder_spec's domain.  Every candidate has at
-    least n + 1 input lines, all compared, and each input costs at least one
-    unit, so a check with 2^(n + 1) > WORK is refused before anything is
-    built.
+    (n, q, r) must pass builder_spec's checks.  Then, as every candidate
+    has at least n + 1 input lines, all compared, and each input costs at
+    least one unit, a check with 2^(n + 1) > WORK is refused before anything
+    is built.
     """
     spec = builder_spec(name, n, q, r)
     _charge_inputs(cir.Work(), n + 1, "at least ")

@@ -477,3 +477,30 @@ def test_a_context_file_number_that_is_not_an_int_exits_2(capsys, tmp_path, cont
     assert code == 2 and out == ""
     assert err.startswith("error: context file ") and "is malformed" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # each part of a numeric value is a JSON number, not read by float()
+        (
+            {"numeric": {"b": ["1.4142135623730951", "0"]}},
+            "numeric value ['1.4142135623730951', '0'] is not a pair of numbers",
+        ),
+        (
+            {"numeric": {"b": [2**0.5, False]}},
+            "numeric value [1.4142135623730951, False] is not a pair of numbers",
+        ),
+        # serialize_circuit writes the name after context=, where the DSL
+        # reads one NAME: context=5 would not parse back
+        ({"name": 5}, "context name 5 is not a DSL name"),
+        ({"name": "my context"}, "context name 'my context' is not a DSL name"),
+    ],
+)
+def test_a_context_file_with_a_non_number_value_or_a_non_name_name_exits_2(
+    capsys, tmp_path, change, message
+):
+    context = {**_two_element_context_with_conjugation(), **change}
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -334,10 +334,10 @@ def test_branching_steps_match_per_branch_fold(name):
     assert cancellations > 0
 
 
-def test_unreduced_cancellation_restarts_at_r_zero():
-    # Three branches into one key, the first two cancelling: with
-    # indeterminates the form is not reduced, so the third term keeps the
-    # power of u that __mul__ gives it, not the cancelled terms' power.
+def test_cancelled_branches_leave_the_third_terms_form():
+    # Three branches into one key, the first two cancelling: the slot keeps
+    # their power of u, and the reduced scalar built from it has the form
+    # that __mul__ gives the third term alone.
     ctx = sqrt_a1_context()
     x = ExactScalar(ctx, [FScalar({(1,): 3}, 2), ctx.f_zero])
     z = ExactScalar(ctx, [FScalar({(0,): 5}, 0), ctx.f_zero])

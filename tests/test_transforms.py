@@ -293,6 +293,28 @@ def test_check_builder_refuses_what_qacc_check_refuses(args, message):
         tf.check_builder(*args)
 
 
+def test_check_builder_refuses_by_context_and_size_before_building(monkeypatch):
+    # the order qacc check exits in: domain (2), context (2), size (3), and
+    # only then the 2^(n + 1) work preflight; the builder must not run
+    from qacclab.algebra import ContextError
+
+    def refuse(*_args):
+        raise AssertionError("builder called for a check it refuses")
+
+    spec = tf.BUILDERS["mq_from_modq"]
+    monkeypatch.setitem(
+        tf.BUILDERS, "mq_from_modq", tf.BuilderSpec(False, refuse, spec.target, spec.size, spec.inputs)
+    )
+    with pytest.raises(cir.CapExceededError, match="^4031688 gate lines exceed the memory budget"):
+        tf.check_builder("mq_from_modq", 20, 132)
+    with pytest.raises(ContextError):  # unsupported q, past the size budget too
+        tf.check_builder("mq_from_modq", 10000, 1000003)
+    with pytest.raises(tf.BuilderArgumentError):  # outside the domain, unsupported q too
+        tf.check_builder("mq_from_modq", -1, 1000003)
+    with pytest.raises(cir.CapExceededError, match="work budget"):  # fits, but 2^25 inputs
+        tf.check_builder("mq_from_modq", 24, 3)
+
+
 def test_check_charges_every_run_of_candidate_and_target(monkeypatch):
     # one H on one line: 2 inputs up front, then per input 2 key-gate
     # applications in the candidate and 2 in the circuit target
