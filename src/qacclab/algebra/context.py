@@ -31,6 +31,7 @@ decided: it is only sanity-checked numerically.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import re
@@ -285,9 +286,53 @@ class AlgebraContext:
             fourier_q=data.get("fourier_q"),
             name=data.get("name"),
         )
+        _check_file_exactly(ctx)
         if ctx.fourier_q is not None:
             _attach_fourier_constants(ctx, ctx.fourier_q)
         return ctx
+
+
+def _check_file_exactly(ctx) -> None:
+    """Raise ContextError unless the table is associative on basis triples,
+    and the conjugation, if any, fixes 1, is an involution, is multiplicative
+    on basis pairs and makes each b*conj(b) nonzero and, where rational,
+    positive (it must be |b|^2).  Generated contexts pass by construction."""
+    name, table, add, mul = ctx.basis, ctx.mul_constants, ctx.num_add, ctx.num_mul
+
+    def times(cells, k):  # (sum of n * b_m over the cells) * b_k, over u^(2 mul_r)
+        acc = {}
+        for m, n in cells:
+            for p, c in table[m][k]:
+                acc[p] = add(acc.get(p, ctx.num_zero), mul(n, c))
+        return {p: v for p, v in acc.items() if v}
+
+    # triples with 1 hold by the identity row, (k, j, i) with (i, j, k) by symmetry
+    for i, j, k in itertools.product(range(1, ctx.dim), repeat=3):
+        if i <= k and times(table[i][j], k) != times(table[j][k], i):
+            raise ContextError(f"mult_table is not associative at ({name[i]}*{name[j]})*{name[k]}")
+    if ctx.conjugation is None:
+        return
+    basis = [ctx.basis_element(j) for j in range(ctx.dim)]
+    conj = [b.conjugate() for b in basis]
+    if conj[0] != ctx.one():
+        raise ContextError("conjugation does not fix 1")
+    for i, (a, b, cb) in enumerate(zip(name, basis, conj)):
+        if cb.conjugate() != b:
+            raise ContextError(f"conjugation is not an involution at {a}")
+        for j in range(i, ctx.dim):
+            if (b * basis[j]).conjugate() != cb * conj[j]:
+                raise ContextError(f"conjugation is not multiplicative at {a}*{name[j]}")
+        value = _rational_value(b * cb)  # 0 is rational
+        if value is not None and value <= 0:
+            raise ContextError(f"conjugation: {a}*conj({a}) = {value}, but |{a}|^2 is positive")
+
+
+def _rational_value(x: ExactScalar) -> Fraction | None:
+    """x as a Fraction when it is a rational number, else None."""
+    f, const, u = x.coords[0], (0,) * x.ctx.arity, x.ctx.denominator
+    if any(x.nums[1:]) or set(f.num) - {const} or f.r and set(u) != {const}:
+        return None
+    return Fraction(f.num.get(const, 0), u.get(const, 1) ** f.r)
 
 
 def _pair(v):

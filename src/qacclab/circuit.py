@@ -258,6 +258,9 @@ def validate(c: Circuit) -> list[Diagnostic]:
             seen: dict[int, int] = {}
             for g in layer.gates:
                 out.extend(_gate_diagnostics(g, idx, width, c.context))
+                # in a circuit only (a target may have none); a refused q ends the list
+                if isinstance(g, ModGate) and not g.inputs and g.q >= 2:
+                    out.append(Diagnostic(idx, "MOD gate needs at least one input"))
                 for l in g.lines():
                     if l in seen:
                         out.append(Diagnostic(idx, f"overlap on line {l}"))
@@ -308,8 +311,6 @@ def _gate_diagnostics(g: Gate, idx: int, width: int, ctx) -> list[Diagnostic]:
     if isinstance(g, ModGate):
         if not 0 <= g.r < g.q:
             out.append(Diagnostic(idx, f"residue r={g.r} out of range for q={g.q}"))
-        if not g.inputs:
-            out.append(Diagnostic(idx, "MOD gate needs at least one input"))
         w = g.weights
         if not isinstance(w, tuple) or w and (
             len(w) != len(g.inputs) or not all(type(x) is int and x > 0 for x in w)

@@ -53,11 +53,12 @@ graph they are called on; they are for construction.
 A graph holds at most circuit.BUDGET nodes, the memory budget: add_node,
 through which every node passes, raises CapExceededError before the count
 would go past it.  A path sum charges the work budget one scalar product
-per vertical edge of each path, before it walks.  The DP charges the work
-budget one unit per color-term product, before it forms them, and holds
-the values of the nodes it has reached but not yet left, and the
-terminal's: it raises CapExceededError once their terms together would go
-past the memory budget.
+per vertical edge of each path, before it walks.  The DP keeps one dict
+{ColorProduct: nonzero scalar} per node it has reached but not yet left,
+and the terminal's, and merges each edge's terms into the destination's
+dict in place.  It charges the work budget one unit per color-term
+product, before it forms them, and raises CapExceededError once the terms
+of its dicts together would go past the memory budget.
 """
 
 from __future__ import annotations
@@ -144,59 +145,6 @@ def color(cid: int) -> ColorProduct:
 
 def anticolor(cid: int) -> ColorProduct:
     return ColorProduct(antis=1 << cid)
-
-
-class ColorTerm:
-    """Formal sum of scalar-weighted color products."""
-
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms=None):
-        self.ctx = ctx
-        self.terms = dict(terms or {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def plus(self, other: "ColorTerm") -> "ColorTerm":
-        out = dict(self.terms)
-        for prod, scalar in other.terms.items():
-            prev = out.get(prod)
-            new = scalar if prev is None else prev + scalar
-            if new.is_zero():
-                out.pop(prod, None)
-            else:
-                out[prod] = new
-        return ColorTerm(self.ctx, out)
-
-    def times(self, other: "ColorTerm") -> "ColorTerm":
-        out: dict = {}
-        for p1, s1 in self.terms.items():
-            for p2, s2 in other.terms.items():
-                prod = p1.times(p2)
-                if prod is None:
-                    continue
-                scalar = s1 * s2
-                if scalar.is_zero():
-                    continue
-                prev = out.get(prod)
-                new = scalar if prev is None else prev + scalar
-                if new.is_zero():
-                    out.pop(prod, None)
-                else:
-                    out[prod] = new
-        return ColorTerm(self.ctx, out)
-
-    def scalar_part(self) -> ExactScalar:
-        return self.terms.get(UNIT_PRODUCT, self.ctx.zero())
-
-    def colored_residue(self) -> bool:
-        return any(not p.is_unit() for p in self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{p!r}*({s!r})" for p, s in self.terms.items())
 
 
 # -- the graph -----------------------------------------------------------------
@@ -508,29 +456,33 @@ def _topo_nodes(g: TensorGraph) -> list[int]:
 def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
     """Height-by-height dynamic program over color terms.
 
-    Accumulates, per node, the color-term amplitude of the target prefix
-    over all partial paths; color products multiply in path order, the
-    regime where the algebra behaves associatively.  A node's value is
-    dropped once its out-edges are processed, so the terms held at once,
-    which must stay within circuit.BUDGET, are the frontier's and the
-    terminal's.  A Work meter is charged one unit per color-term product,
-    before the products are formed.
+    Accumulates, per reached node, the amplitude of the target prefix over
+    all partial paths as one dict {ColorProduct: nonzero ExactScalar}, into
+    which each in-edge merges its terms in place; color products multiply in
+    path order, the regime where the algebra behaves associatively.  A dict
+    is dropped once its node's out-edges are processed, so the terms held
+    after each contribution, at most circuit.BUDGET, are the frontier's and
+    the terminal's.  A Work meter is charged one unit per color-term
+    product, before the products are formed.
     """
     parse_bits(target_bits, g.height)
-    ctx = g.ctx
     work = cir.Work()
     what = f"the amplitude DP over {len(g.nodes)} nodes"
-    acc = {g.source: ColorTerm(ctx, {UNIT_PRODUCT: ctx.one()})}  # reached, not yet left
+    acc = {g.source: {UNIT_PRODUCT: g.ctx.one()}}  # reached, not yet left
     held = 1  # terms in acc
 
-    def add(dst, term):
+    def add(dst, pairs):
         nonlocal held
-        prev = acc.get(dst)
-        if prev is not None:
-            held -= len(prev.terms)
-            term = prev.plus(term)
-        acc[dst] = term
-        held += len(term.terms)
+        terms = acc.setdefault(dst, {})  # dst's own: a node feeds all its out-edges
+        held -= len(terms)
+        for product, scalar in pairs:
+            prev = terms.get(product)
+            new = scalar if prev is None else prev + scalar
+            if new.is_zero():
+                terms.pop(product, None)
+            else:
+                terms[product] = new
+        held += len(terms)
         if held > cir.BUDGET:
             raise CapExceededError(
                 f"{what} would hold {held} color terms at once, over the memory budget "
@@ -538,27 +490,29 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
             )
 
     for node in _topo_nodes(g):
-        value = acc.get(node)
-        if value is None:
+        terms = acc.get(node)
+        if terms is None:
             continue
-        n = len(value.terms)
+        n = len(terms)
         if n:
             for dst in g.hout.get(node, ()):
-                add(dst, value)
+                add(dst, terms.items())
             edge = g.vout.get(node)
             if edge is not None:
                 dst, product, a0, a1 = edge
                 amp = a0 if target_bits[g.nodes[dst] - 1] == "0" else a1
                 if not amp.is_zero():
                     work.charge(n, what)
-                    add(dst, value.times(ColorTerm(ctx, {product: amp})))
+                    # p -> p*product XORs the masks: no two of these pairs share a product
+                    add(dst, ((pq, s * amp) for p, s in terms.items()
+                              if (pq := p.times(product)) is not None))
         if node != g.terminal:
             del acc[node]
             held -= n
-    final = acc.get(g.terminal, ColorTerm(ctx))
-    if final.colored_residue():
+    final = acc.get(g.terminal, {})
+    if any(not p.is_unit() for p in final):
         raise GraphError("terminal value keeps color factors: graph is not color consistent")
-    return final.scalar_part()
+    return final.get(UNIT_PRODUCT, g.ctx.zero())
 
 
 def tg_path_count(g: TensorGraph) -> int:

@@ -269,11 +269,10 @@ def equivalence_check(
         lines = target.lines()
         if len(set(lines)) != len(lines) or not all(0 <= l < main for l in lines):
             raise ValueError(f"target gate lines {lines} are not distinct lines below {main}")
-        # the circuit's own gate checks, but a MOD gate of no inputs is a target
-        # (modqr_from_modq at n = 0)
-        for d in cir._gate_diagnostics(target, 0, main, candidate.context):
-            if d.message != "MOD gate needs at least one input":
-                raise ValueError(f"target {d.message}")
+        # the circuit's own gate checks, which pass a MOD gate of no inputs (a target)
+        diags = cir._gate_diagnostics(target, 0, main, candidate.context)
+        if diags:
+            raise ValueError(f"target {diags[0].message}")
     else:
         raise ValueError(f"target {type(target).__name__} is neither a gate nor a circuit")
     work = cir.Work()

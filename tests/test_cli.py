@@ -504,3 +504,53 @@ def test_a_context_file_with_a_non_number_value_or_a_non_name_name_exits_2(
     code, out, err = _simulate_u_swap(capsys, tmp_path, context)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def _non_associative_cyclotomic3() -> dict:
+    """cyclotomic3 without its Fourier constants, the constant term of z*z
+    moved by 3^-40: within the numeric check's 1e-9, but 10 of its 64
+    basis triples are not associative."""
+    data = get_context("cyclotomic3").to_json()
+    del data["fourier_q"], data["name"]
+    data["mult_table"][1][1][0] = {"num": [[1 - 3**40, []]], "r": 40}
+    return data
+
+
+def _cyclotomic3_conjugated_by_sigma() -> dict:
+    """cyclotomic3 (basis 1, z, s, z*s) with the field automorphism
+    sigma: z -> z^2, s -> -s as its conjugation.  sigma fixes 1, is an
+    involution and is multiplicative, but s*sigma(s) = -1/3."""
+    minus = {"num": [[-1, []]], "r": 0}
+    sigma = [
+        [_ONE, _ZERO, _ZERO, _ZERO],
+        [minus, minus, _ZERO, _ZERO],  # z^2 = -1 - z
+        [_ZERO, _ZERO, minus, _ZERO],
+        [_ZERO, _ZERO, _ONE, _ONE],  # (-1 - z)(-s) = s + z*s
+    ]
+    return {**get_context("cyclotomic3").to_json(), "conjugation": sigma}
+
+
+@pytest.mark.parametrize(
+    "context, message",
+    [
+        (_non_associative_cyclotomic3(), "mult_table is not associative at (z*z)*s"),
+        (
+            _cyclotomic3_conjugated_by_sigma(),
+            "conjugation: s*conj(s) = -1/3, but |s|^2 is positive",
+        ),
+    ],
+)
+def test_a_context_file_that_fails_an_exact_check_exits_2(capsys, tmp_path, context, message):
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_a_mod_gate_of_no_inputs_in_a_circuit_exits_2(capsys, tmp_path):
+    # a check target may be a MOD gate of no inputs (modqr_from_modq at
+    # n = 0), but a circuit may not hold one
+    path = tmp_path / "mod.qc"
+    path.write_text("circuit n=1 aux=0\nlayer { MOD 3 1 [-> 0] }\n")
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--input", "0")
+    assert code == 2 and out == ""
+    assert err == "error: layer 0: MOD gate needs at least one input\n"

@@ -275,3 +275,53 @@ def test_deeply_nested_context_file_is_context_error(tmp_path):
     path.write_text("[" * 100_000)
     with pytest.raises(ContextError, match="nests too deeply"):
         load_context(path)
+
+
+def test_a_context_files_table_must_be_associative():
+    # cyclotomic3 without Fourier constants loads; moving the constant term
+    # of z*z by 3^-40 passes the numeric check but not the exact one
+    data = get_context("cyclotomic3").to_json()
+    del data["fourier_q"]
+    assert AlgebraContext.from_json(data) == get_context("cyclotomic3")
+    data["mult_table"][1][1][0] = {"num": [[1 - 3**40, []]], "r": 40}
+    with pytest.raises(ContextError, match=r"^mult_table is not associative at \(z\*z\)\*s$"):
+        AlgebraContext.from_json(data)
+
+
+_ONE, _ZERO = {"num": [[1, []]], "r": 0}, {"num": [], "r": 0}
+
+
+def _n(k):
+    return {"num": [[k, []]], "r": 0}
+
+
+@pytest.mark.parametrize(
+    "square, conjugation, match",
+    [
+        # basis 1, b with b*b = square; each conjugation lists conj(1), conj(b)
+        (2, [[_n(-1), _ZERO], [_ZERO, _ONE]], "conjugation does not fix 1"),
+        (2, [[_ONE, _ZERO], [_ZERO, _n(2)]], "^conjugation is not an involution at b$"),
+        # 1 - b is an involution, but conj(b*b) = 2 and conj(b)^2 = 3 - 2b
+        (2, [[_ONE, _ZERO], [_ONE, _n(-1)]], r"^conjugation is not multiplicative at b\*b$"),
+        # b -> -b is an automorphism of Q(sqrt 2), but no complex conjugation
+        (2, [[_ONE, _ZERO], [_ZERO, _n(-1)]], r"b\*conj\(b\) = -2, but \|b\|\^2 is positive"),
+        # b*b = 0 holds numerically at b = 0; b*conj(b) = 0 cannot be |b|^2
+        (0, [[_ONE, _ZERO], [_ZERO, _ONE]], r"b\*conj\(b\) = 0, but "),
+    ],
+)
+def test_a_context_files_conjugation_is_checked_exactly(square, conjugation, match):
+    data = {**two_element_context_json(square, 2, None), "conjugation": conjugation}
+    with pytest.raises(ContextError, match=match):
+        AlgebraContext.from_json(data)
+
+
+def test_a_conjugation_with_indeterminates_is_checked_where_rational():
+    # sqrt_a1's b*conj(b) = 1/a1 is not rational, so it has no sign to check;
+    # with b*b = 2 instead, conj(b) = -b makes it -2
+    data = sqrt_a1_context().to_json()
+    assert AlgebraContext.from_json(data) == sqrt_a1_context()
+    data["mult_table"][1][1][0] = {"num": [[2, [0]]], "r": 0}
+    data["numeric"]["b"] = [2**0.5, 0.0]
+    data["conjugation"][1][1] = {"num": [[-1, [0]]], "r": 0}
+    with pytest.raises(ContextError, match=r"^conjugation: b\*conj\(b\) = -2, but "):
+        AlgebraContext.from_json(data)

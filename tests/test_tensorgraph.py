@@ -66,36 +66,6 @@ def test_nonassociative_fold_witness():
     assert inner is None
 
 
-def test_color_term_rules(c2):
-    one = c2.one()
-    b = tg.ColorTerm(c2, {tg.color(1): one})
-    anti = tg.ColorTerm(c2, {tg.anticolor(1): one})
-    assert b.times(b).terms == {tg.UNIT_PRODUCT: one}
-    assert b.times(anti).is_zero()
-
-
-def test_color_term_distributes_over_random_pairs(c2):
-    rng = random.Random(42)
-    products = [tg.UNIT_PRODUCT, tg.color(1), tg.anticolor(1), tg.color(2),
-                tg.color(1).times(tg.color(2))]
-
-    def rand_term():
-        terms = {}
-        for p in rng.sample(products, rng.randint(1, 3)):
-            k = rng.randint(-3, 3)
-            if k:
-                terms[p] = c2.from_int(k)
-        return tg.ColorTerm(c2, terms)
-
-    for _ in range(40):
-        a, b, c = rand_term(), rand_term(), rand_term()
-        lhs = a.times(b.plus(c))
-        rhs = a.times(b).plus(a.times(c))
-        assert lhs.terms.keys() == rhs.terms.keys()
-        for key in lhs.terms:
-            assert (lhs.terms[key] - rhs.terms[key]).is_zero()
-
-
 # -- construction -----------------------------------------------------------
 
 
@@ -317,9 +287,9 @@ def _dp_held_terms(g, target):
     """(most color terms the DP holds at once, terms in every node's final
     value), counted from scratch after each contribution: a node's value is
     held from its first contribution until its out-edges are processed,
-    and the terminal's to the end."""
-    ctx = g.ctx
-    held = {g.source: tg.ColorTerm(ctx, {tg.UNIT_PRODUCT: ctx.one()})}
+    and the terminal's to the end.  A value is a dict {ColorProduct:
+    nonzero scalar}."""
+    held = {g.source: {tg.UNIT_PRODUCT: g.ctx.one()}}
     peak, every = 1, 0
     for node in tg._topo_nodes(g):
         value = held.get(node)
@@ -330,11 +300,16 @@ def _dp_held_terms(g, target):
             dst, product, a0, a1 = g.vout[node]
             amp = a0 if target[g.nodes[dst] - 1] == "0" else a1
             if not amp.is_zero():
-                outs.append((dst, value.times(tg.ColorTerm(ctx, {product: amp}))))
+                products = {p: p.times(product) for p in value}
+                term = {pq: value[p] * amp for p, pq in products.items() if pq is not None}
+                outs.append((dst, term))
         for dst, term in outs:
-            held[dst] = held[dst].plus(term) if dst in held else term
-            peak = max(peak, sum(len(v.terms) for v in held.values()))
-        every += len(value.terms)
+            total = dict(held.get(dst, {}))
+            for p, s in term.items():
+                total[p] = total[p] + s if p in total else s
+            held[dst] = {p: s for p, s in total.items() if not s.is_zero()}
+            peak = max(peak, sum(map(len, held.values())))
+        every += len(value)
         if node != g.terminal:
             del held[node]
     return peak, every
@@ -348,17 +323,13 @@ def test_dp_budgets_are_exact(c2, monkeypatch):
     c = random_circuit(rng, 6, 4, c2)
     x = random_bits(rng, 6)
     z = cir.key_to_bits(sv.run(c, x).support()[0], 6)
-    g = tg.tg_build(c, x)
+    g = tg.tg_build(c, x)  # built before the count: _cnot_pair's products stay out of it
     products = []
-    times = tg.ColorTerm.times
-
-    def counted(a, b):
-        products.append(len(a.terms) * len(b.terms))
-        return times(a, b)
-
-    monkeypatch.setattr(tg.ColorTerm, "times", counted)
-    want = tg.tg_amplitude_dp(g, z)
-    work = sum(products)
+    times = tg.ColorProduct.times
+    with monkeypatch.context() as m:
+        m.setattr(tg.ColorProduct, "times", lambda a, b: products.append(1) or times(a, b))
+        want = tg.tg_amplitude_dp(g, z)
+    work = len(products)
     peak, every = _dp_held_terms(g, z)
     assert not want.is_zero() and 1 < peak < every
     monkeypatch.setattr(cir, "WORK", work)
