@@ -299,7 +299,7 @@ def _n(k):
     "square, conjugation, match",
     [
         # basis 1, b with b*b = square; each conjugation lists conj(1), conj(b)
-        (2, [[_n(-1), _ZERO], [_ZERO, _ONE]], "conjugation does not fix 1"),
+        (2, [[_n(-1), _ZERO], [_ZERO, _ONE]], r"^conjugation is not multiplicative at 1\*1$"),
         (2, [[_ONE, _ZERO], [_ZERO, _n(2)]], "^conjugation is not an involution at b$"),
         # 1 - b is an involution, but conj(b*b) = 2 and conj(b)^2 = 3 - 2b
         (2, [[_ONE, _ZERO], [_ONE, _n(-1)]], r"^conjugation is not multiplicative at b\*b$"),

@@ -244,8 +244,8 @@ def _refused_arguments():
     yield "callable target", lambda x: x, two, None, "^target function is neither a gate nor a"
     yield "MOD target, a weight short", ModGate(3, 0, (0,), 1, (1, 2)), two, None, "^target MOD"
     yield "MOD target, a zero weight", ModGate(3, 0, (0,), 1, (0,)), h, None, r"weights \(0,\) are"
-    yield "gate target on an aux line", cir.x_gate(2), with_aux, 2, r"^target gate lines \(2,\)"
-    yield "gate target reusing a line", ToffoliGate((0,), 0), two, None, r"lines \(0, 0\) are not"
+    yield "gate target on an aux line", cir.x_gate(2), with_aux, 2, "^target line 2 out of range$"
+    yield "gate target reusing a line", ToffoliGate((0,), 0), two, None, "^target ToffoliGate reuses a"
     yield "MOD target, q = 0", ModGate(0, 0, (0,), 1), two, None, "^target q=0 must be at least 2$"
     yield "MOD target, r out of range", ModGate(3, 5, (0,), 1), two, None, "^target residue r=5"
     yield "ADD target, q = 1", AddModGate(1, ((0,),), (1,)), two, None, "^target q=1 must be"
