@@ -2,7 +2,6 @@
 
 from . import polys
 from .context import (
-    CONTEXT_DIM_CAP,
     AlgebraContext,
     ContextError,
     cyclotomic_context,
@@ -11,6 +10,7 @@ from .context import (
     load_context,
     rational_context,
     save_context,
+    table_dim_bound,
 )
 from .interpolation import (
     DegreeBoundError,
@@ -32,7 +32,6 @@ from .scalars import (
 )
 
 __all__ = [
-    "CONTEXT_DIM_CAP",
     "AlgebraContext",
     "ContextError",
     "DegreeBoundError",
@@ -56,4 +55,5 @@ __all__ = [
     "principal_lattice",
     "rational_context",
     "save_context",
+    "table_dim_bound",
 ]

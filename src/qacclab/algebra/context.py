@@ -2,7 +2,9 @@
 
 A context fixes the ordered indeterminates A, the basis B (with basis
 element 0 being 1), the d x d basis multiplication table, the common
-denominator u, and floating approximations used only for sanity checks.
+denominator u, and floating approximations of the basis elements.  The
+approximations serve display alone: validate() refuses a table they
+disagree with by more than 1e-9, and no verdict reads them.
 From the table (and the conjugation, when given) it computes once the
 structure constants the scalar kernel reads: for each basis product
 beta_a beta_b the nonzero (j, numerator) pairs of its coordinates over one
@@ -19,13 +21,15 @@ Shipped contexts:
   Q(z).  Otherwise (q = 0, 1 mod 4) sqrt(q) is computed in the context's
   own arithmetic from the quadratic Gauss sum sum_a z^(a^2), and
   z^q = 1 and s*s*q = 1 are checked exactly, as for every context file
-  that declares a ``fourier_q``.  The common denominator is u = q.
+  that declares a ``fourier_q``.  The common denominator is u = q.  Its
+  table of d^3 entries is charged to budget.BUDGET before it is built.
 
 * ``rational(u)``: plain rational amplitudes a/u^r (d = 1), as required by
   bounded-error acceptance.
 
-User contexts load from JSON; their basis independence is declared, not
-decided: it is only sanity-checked numerically.
+User contexts load from JSON.  Their table is checked exactly for
+associativity and their conjugation for its laws; their basis independence
+is declared, not decided.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import math
 import re
 from fractions import Fraction
 
+from .. import budget
+from ..budget import CapExceededError
 from . import polys
 from .scalars import (
     ExactScalar,
@@ -49,8 +55,9 @@ from .scalars import (
 )
 
 
-CONTEXT_DIM_CAP = 64  # basis size of a cyclotomic context; its table grows as d^3
-U_POWER_CAP = 64  # largest power of u in a rational literal or a context-table entry
+# Largest power of u in a context file's table entry.  A JSON r names the
+# size of u^r, which its few digits do not show, so r is checked as input.
+U_POWER_CAP = 64
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # the DSL's NAME token
 
 
@@ -165,15 +172,17 @@ class AlgebraContext:
         num, den = value.numerator, value.denominator
         if num == 0:
             return self.f_zero
-        r, cur = 0, 1
-        while cur % den:
-            r += 1
-            cur *= self.u_int
-            if r > U_POWER_CAP:
+        # den divides u^r for the least r at which stripping gcd(rest, u)
+        # r times leaves 1; a gcd of 1 before that means no power will do
+        r, rest = 0, den
+        while rest != 1:
+            g = math.gcd(rest, self.u_int)
+            if g == 1:
                 raise ContextError(
                     f"denominator {den} does not divide a power of u={self.u_int}"
                 )
-        return FScalar(polys.const(self.arity, num * (cur // den)), r)
+            r, rest = r + 1, rest // g
+        return FScalar(polys.const(self.arity, num * (self.u_int**r // den)), r)
 
     def u_power(self, k: int):
         """u^k as a numerator: an int without indeterminates, else a polynomial."""
@@ -400,13 +409,22 @@ def _poly_mod(coeffs: list[int], phi: list[int]) -> list[int]:
     return rem
 
 
-def _totient(q: int, bound: int) -> int | None:
-    """Euler's phi(q) if it is at most `bound`, else None.  phi(q) >=
-    sqrt(q/2), so a q above 2 bound^2 is refused before any counting."""
+def _dimension(q: int, bound: int) -> int | None:
+    """The dimension q's Fourier constants need, phi(q), doubled for q = 2,
+    3 mod 4 (s = 1/sqrt(q) is adjoined), if it is at most `bound`, else
+    None.  phi(q) >= sqrt(q/2), so a q above 2 bound^2 is refused before
+    any counting."""
     if q > 2 * bound * bound:
         return None
-    phi = sum(math.gcd(k, q) == 1 for k in range(q))
-    return phi if phi <= bound else None
+    d = sum(math.gcd(k, q) == 1 for k in range(q)) * (2 if q % 4 in (2, 3) else 1)
+    return d if d <= bound else None
+
+
+def table_dim_bound() -> int:
+    """The largest dimension d whose d x d x d basis table fits the memory
+    budget, budget.BUDGET (101 at 2^20)."""
+    d = round(budget.BUDGET ** (1 / 3))
+    return d if d**3 <= budget.BUDGET else d - 1
 
 
 def _cyclotomic_parts(q: int):
@@ -429,15 +447,21 @@ def _coords(
 
 def cyclotomic_context(q: int) -> AlgebraContext:
     """Exact context for circuits over the q-ary Fourier gate set.  Its
-    dimension, phi(q), or 2 phi(q) when sqrt(q) is not in Q(zeta_q) (q = 2,
-    3 mod 4), must be at most CONTEXT_DIM_CAP: the table grows as d^3."""
+    dimension d is phi(q), or 2 phi(q) when sqrt(q) is not in Q(zeta_q)
+    (q = 2, 3 mod 4).  Its table's d^3 entries are charged to the memory
+    budget from q alone, before anything is built: d above table_dim_bound()
+    raises CapExceededError."""
     if q < 2:
         raise ContextError("q must be at least 2")
-    if _totient(q, CONTEXT_DIM_CAP // (2 if q % 4 in (2, 3) else 1)) is None:
-        raise ContextError(f"cyclotomic{q} would have dimension above the cap {CONTEXT_DIM_CAP}")
+    bound = table_dim_bound()
+    d = _dimension(q, bound)
+    if d is None:
+        raise CapExceededError(
+            f"cyclotomic{q} has dimension above {bound}: its table of d^3 entries "
+            f"exceeds the memory budget {budget.BUDGET}"
+        )
     deg, red = _cyclotomic_parts(q)
-    extended = q % 4 in (2, 3)
-    d = 2 * deg if extended else deg
+    extended = d > deg
     heads = ["1" if j == 0 else "z" if j == 1 else f"z^{j}" for j in range(deg)]
     basis = heads + (["s"] + [f"{h}*s" for h in heads[1:]] if extended else [])
 
@@ -489,7 +513,7 @@ def _attach_fourier_constants(ctx, q, parts=None):
     and unless zeta^q = 1 and s*s*q = 1 hold exactly."""
     if type(q) is not int or q < 1:  # a JSON true is no q
         raise ContextError(f"fourier_q={q!r} must be a positive integer")
-    if _totient(q, ctx.dim // (2 if q % 4 in (2, 3) else 1)) is None:
+    if _dimension(q, ctx.dim) is None:
         raise ContextError(f"fourier_q={q}: phi(q) exceeds the context dimension {ctx.dim}")
     deg, red = parts or _cyclotomic_parts(q)
     zeta = [ExactScalar(ctx, _coords(z, ctx.dim, arity=ctx.arity)) for z in red]

@@ -14,17 +14,10 @@ first, lists line 0 first.
 A Circuit is well formed by construction: making one runs validate and
 raises ValidationError with its diagnostics, so no engine validates again.
 
-Every engine shares two budgets, and going past either raises
-CapExceededError.  The memory budget, BUDGET, bounds the items held at
-once: basis states in a state vector, nodes in a tensor graph, color terms
-in its amplitude DP, the lines of a circuit that runs (checked before any
-key or graph is built), the entries of a gate kernel's per-value tables
-(checked before any is built) and the gate lines of a built circuit.  The
-work budget, WORK, bounds the units one operation spends, charged to a
-Work meter where the work is done: key-gate applications in a state-vector
-run, path steps in a path sum, color-term products in a graph DP and
-enumerated inputs in an equivalence check.  WORK also bounds, in 64-bit
-words, the columns an equivalence check runs permutation gates on.
+Every engine shares the two budgets of the `budget` module, BUDGET (items
+held at once) and WORK (units one operation spends); going past either
+raises CapExceededError.  Here BUDGET bounds the lines of a circuit that
+runs and the per-value tables a gate kernel is built from.
 """
 
 from __future__ import annotations
@@ -35,28 +28,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .algebra import AlgebraContext, ContextError, ExactScalar
-
-
-BUDGET = 1 << 20
-WORK = 1 << 24
-
-
-class CapExceededError(RuntimeError):
-    """A run would go past the memory budget or the work budget."""
-
-
-class Work:
-    """The work meter of one operation: `left` of its WORK units remain."""
-
-    __slots__ = ("left",)
-
-    def __init__(self):
-        self.left = WORK
-
-    def charge(self, units: int, what: str) -> None:
-        self.left -= units
-        if self.left < 0:
-            raise CapExceededError(f"{what} exceeds the work budget of {WORK} units")
+from . import budget
+from .budget import CapExceededError
 
 
 class ValidationError(ValueError):
@@ -365,8 +338,8 @@ def _unitarity_diagnostics(g: OneQubitGate, idx: int, ctx) -> list[Diagnostic]:
 def check_width(c: Circuit) -> None:
     """A basis key holds one bit per line: a circuit wider than BUDGET
     lines exceeds the memory budget before any key or graph is built."""
-    if c.width > BUDGET:
-        raise CapExceededError(f"{c.width} lines exceed the memory budget {BUDGET}")
+    if c.width > budget.BUDGET:
+        raise CapExceededError(f"{c.width} lines exceed the memory budget {budget.BUDGET}")
 
 
 # -- basis-state helpers -----------------------------------------------------
@@ -407,18 +380,19 @@ def parse_bits(bits: str, width: int) -> int:
 
 def _check_values(block) -> None:
     """A table over the block's values fits the memory budget."""
-    if 1 << len(block) > BUDGET:
+    if 1 << len(block) > budget.BUDGET:
         raise CapExceededError(
             f"a table of the 2^{len(block)} values of {len(block)} lines "
-            f"exceeds the memory budget {BUDGET}"
+            f"exceeds the memory budget {budget.BUDGET}"
         )
 
 
 def _check_adder(block, q: int) -> None:
     """A modular add's q results per block value fit the memory budget."""
-    if q << len(block) > BUDGET:
+    if q << len(block) > budget.BUDGET:
         raise CapExceededError(
-            f"a modular-add table of {q} x 2^{len(block)} codes exceeds the memory budget {BUDGET}"
+            f"a modular-add table of {q} x 2^{len(block)} codes exceeds the memory budget "
+            f"{budget.BUDGET}"
         )
 
 

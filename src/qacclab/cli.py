@@ -17,7 +17,8 @@ import sys
 
 from . import circuit as cir, dsl, statevec, tensorgraph, transforms
 from .algebra import ContextError, load_context
-from .circuit import CapExceededError, ValidationError, circuit_stats
+from .budget import CapExceededError
+from .circuit import ValidationError, circuit_stats
 from .statevec import AcceptanceError
 
 

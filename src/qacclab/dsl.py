@@ -44,7 +44,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import CONTEXT_DIM_CAP, AlgebraContext, ContextError, ExactScalar, get_context
+from .algebra import AlgebraContext, ContextError, ExactScalar, get_context, table_dim_bound
 from .circuit import (
     AddBlockGate,
     AddModGate,
@@ -80,10 +80,6 @@ GATE_SYNTAX = {
 }
 GATE_KEYWORDS = tuple(GATE_SYNTAX)
 _LAYER_KEYWORDS = ("layer", "cnotlayer", "cnotstages")
-
-# NAME ^ INT multiplies INT times.  Every basis name z^j that scalar_to_text
-# prints has j below a context's dimension, so it still parses.
-EXPONENT_CAP = CONTEXT_DIM_CAP
 
 
 class ParseError(ValueError):
@@ -297,8 +293,11 @@ class _Parser:
             if self.accept("PUNCT", "^"):
                 exp_tok = self.peek()
                 k = self.parse_int()
-                if k > EXPONENT_CAP:
-                    raise self.error(f"exponent {k} is above the cap {EXPONENT_CAP}", tok=exp_tok)
+                # NAME ^ INT multiplies INT times.  Every basis name z^j that
+                # scalar_to_text prints has j below a dimension the budget admits
+                cap = table_dim_bound()
+                if k > cap:
+                    raise self.error(f"exponent {k} is above the cap {cap}", tok=exp_tok)
                 out = self.ctx.one()
                 for _ in range(k):
                     out = out * base

@@ -16,8 +16,8 @@ output key's slot as integer numerators over one power of u and builds
 one scalar per nonzero slot, not one per product or partial sum.
 
 Both budgets raise CapExceededError.  The memory budget: a run's width is
-at most circuit.BUDGET lines, and before a one-qubit or Fourier step runs,
-support x 2^(lines of the gate) must be at most circuit.BUDGET.
+at most budget.BUDGET lines, and before a one-qubit or Fourier step runs,
+support x 2^(lines of the gate) must be at most budget.BUDGET.
 Permutation steps map keys one-to-one, so they never grow the support.
 The work budget: each step charges the run's Work meter, before it runs,
 its support times its cost in key-gate applications: the number of key
@@ -32,15 +32,14 @@ from fractions import Fraction
 
 from .algebra import ExactScalar
 from .algebra.scalars import apply_rows, from_numerators, multiplier
-from . import circuit as cir
+from . import budget
+from .budget import CapExceededError, Work
 from .circuit import (
-    CapExceededError,
     Circuit,
     CNotLayer,
     Layer,
     StagedCNotLayer,
     TensorLayer,
-    Work,
     check_width,
     cnot_action,
     gate_columns,
@@ -135,10 +134,10 @@ def _branch(mask: int, table: dict, fan: int, ctx):
     dim, zero, mul = ctx.dim, ctx.num_zero, ctx.num_mul
 
     def step(entries):
-        if len(entries) * fan > cir.BUDGET:
+        if len(entries) * fan > budget.BUDGET:
             raise CapExceededError(
                 f"{len(entries)} basis states x {fan} branches exceed the memory budget "
-                f"{cir.BUDGET}"
+                f"{budget.BUDGET}"
             )
         slots: dict = {}
         for key, amp in entries.items():

@@ -50,15 +50,18 @@ its input graph once and returns the copy.  The private rules behind it
 a layer costs one copy, not one per gate.  The add_* methods change the
 graph they are called on; they are for construction.
 
-A graph holds at most circuit.BUDGET nodes, the memory budget: add_node,
+A graph holds at most budget.BUDGET nodes, the memory budget: add_node,
 through which every node passes, raises CapExceededError before the count
-would go past it.  A path sum charges the work budget one scalar product
-per vertical edge of each path, before it walks.  The DP keeps one dict
-{ColorProduct: nonzero scalar} per node it has reached but not yet left,
-and the terminal's, and merges each edge's terms into the destination's
-dict in place.  It charges the work budget one unit per color-term
-product, before it forms them, and raises CapExceededError once the terms
-of its dicts together would go past the memory budget.
+would go past it.  A gate on k lines lowered entry by entry holds k
+one-line operators per variant, and these are charged to the memory budget
+before any variant is built: first k x 2^k, as a unitary has an entry in
+every column, then k x its entries.  A path sum charges the work budget one
+scalar product per vertical edge of each path, before it walks.  The DP
+keeps one dict {ColorProduct: nonzero scalar} per node it has reached but
+not yet left, and the terminal's, and merges each edge's terms into the
+destination's dict in place.  It charges the work budget one unit per
+color-term product, before it forms them, and raises CapExceededError once
+the terms of its dicts together would go past the memory budget.
 """
 
 from __future__ import annotations
@@ -67,9 +70,10 @@ from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 
 from .algebra import ExactScalar
+from . import budget
 from . import circuit as cir
+from .budget import CapExceededError
 from .circuit import (
-    CapExceededError,
     Circuit,
     CNotLayer,
     StagedCNotLayer,
@@ -180,9 +184,9 @@ class TensorGraph:
     # construction ---------------------------------------------------------
 
     def add_node(self, height: int, node_id: int | None = None) -> int:
-        if len(self.nodes) >= cir.BUDGET:
+        if len(self.nodes) >= budget.BUDGET:
             raise CapExceededError(
-                f"tensor graph would exceed the memory budget of {cir.BUDGET} nodes"
+                f"tensor graph would exceed the memory budget of {budget.BUDGET} nodes"
             )
         nid = self._next_node if node_id is None else node_id
         if nid in self.nodes:
@@ -273,6 +277,16 @@ def _local(entries, zero):
     return op
 
 
+def _check_dense(k: int, variants: int) -> None:
+    """A gate on k lines lowered entry by entry holds k one-line operators
+    per variant; they fit the memory budget before any is built."""
+    if variants * k > budget.BUDGET:
+        raise CapExceededError(
+            f"lowering a gate on {k} lines entry by entry takes {variants} variants of "
+            f"{k} one-line operators, over the memory budget of {budget.BUDGET}"
+        )
+
+
 def _lower(g: TensorGraph, gate) -> list[dict]:
     """The gate as a list of variants on g, by the identities in the module
     docstring; a gate lowered entry by entry is counted in
@@ -298,11 +312,14 @@ def _lower(g: TensorGraph, gate) -> list[dict]:
     lines = gate.lines()
     k = len(lines)
     codes = cir.block_codes(lines, g.height)  # value x of the lines -> key bits
+    if k > 1:  # a unitary has an entry in every column: at least 2^k variants
+        _check_dense(k, 1 << k)
     value_of = {c: x for x, c in enumerate(codes)}
     kernel = cir.gate_kernel(gate, g.height, g.ctx)
     entries = [(x, value_of[y], s) for x, c in enumerate(codes) for y, s in kernel(c)]
     if k == 1:
         return [{lines[0]: _local(entries, zero)}]
+    _check_dense(k, len(entries))
     g.dense_lowered_gates += 1
     return [
         {
@@ -461,12 +478,12 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
     which each in-edge merges its terms in place; color products multiply in
     path order, the regime where the algebra behaves associatively.  A dict
     is dropped once its node's out-edges are processed, so the terms held
-    after each contribution, at most circuit.BUDGET, are the frontier's and
+    after each contribution, at most budget.BUDGET, are the frontier's and
     the terminal's.  A Work meter is charged one unit per color-term
     product, before the products are formed.
     """
     parse_bits(target_bits, g.height)
-    work = cir.Work()
+    work = budget.Work()
     what = f"the amplitude DP over {len(g.nodes)} nodes"
     acc = {g.source: {UNIT_PRODUCT: g.ctx.one()}}  # reached, not yet left
     held = 1  # terms in acc
@@ -483,10 +500,10 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
             else:
                 terms[product] = new
         held += len(terms)
-        if held > cir.BUDGET:
+        if held > budget.BUDGET:
             raise CapExceededError(
                 f"{what} would hold {held} color terms at once, over the memory budget "
-                f"of {cir.BUDGET}"
+                f"of {budget.BUDGET}"
             )
 
     for node in _topo_nodes(g):
@@ -542,7 +559,7 @@ def tg_amplitude_paths(g: TensorGraph, target_bits: str) -> ExactScalar:
     Charges a Work meter one unit per path and height up front."""
     parse_bits(target_bits, g.height)
     n_paths = tg_path_count(g)
-    cir.Work().charge(n_paths * g.height, f"summing {n_paths} paths of height {g.height}")
+    budget.Work().charge(n_paths * g.height, f"summing {n_paths} paths of height {g.height}")
     ctx = g.ctx
     total = ctx.zero()
     stack = [(g.source, UNIT_PRODUCT, ctx.one())]

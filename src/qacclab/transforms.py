@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .algebra import get_context
+from . import budget
 from . import circuit as cir
+from .budget import CapExceededError
 from .circuit import (
     AddBlockGate,
     AddModGate,
-    CapExceededError,
     Circuit,
     CNotLayer,
     FanOutGate,
@@ -86,21 +87,21 @@ def _target_layers(target: Target) -> tuple:
     return target.layers if isinstance(target, Circuit) else (TensorLayer((target,)),)
 
 
-def _target_map(target: Target, compiler: statevec.Compiler, aux: int, work: cir.Work):
+def _target_map(target: Target, compiler: statevec.Compiler, aux: int, work: budget.Work):
     """Function from a basis key x to target|x> ⊗ |0^aux> as {basis key:
     ExactScalar}, keyed like the candidate's states; the target is compiled
     once in the candidate's compiler.  A circuit target's runs charge work,
     a gate target's do not."""
     one = compiler.ctx.one()
     program = compiler.program(_target_layers(target))
-    meter = work if isinstance(target, Circuit) else cir.Work()
+    meter = work if isinstance(target, Circuit) else budget.Work()
     return lambda x: program.apply({x << aux: one}, meter)
 
 
-def _charge_inputs(work: cir.Work, lines: int, bound: str = "") -> None:
+def _charge_inputs(work: budget.Work, lines: int, bound: str = "") -> None:
     """Charge one unit per input on `lines` lines; 2^lines is capped just
     past the budget, so that a huge line count builds no huge int."""
-    units = 1 << min(lines, cir.WORK.bit_length())
+    units = 1 << min(lines, budget.WORK.bit_length())
     work.charge(units, f"comparing {bound}2^{lines} inputs")
 
 
@@ -125,9 +126,9 @@ def _key_maps(target: Target) -> int | None:
 def _check_memory(lines: int, words: int) -> None:
     """Columns of `lines` lines, of `words` 64-bit words each, must fit in
     WORK words."""
-    if lines * words > cir.WORK:
+    if lines * words > budget.WORK:
         raise CapExceededError(
-            f"{lines} columns of {words} words exceed the column budget of {cir.WORK} words"
+            f"{lines} columns of {words} words exceed the column budget of {budget.WORK} words"
         )
 
 
@@ -210,7 +211,7 @@ def _column_check(target, candidate, main, inputs, work, maps, target_maps):
     x = low.bit_length() - 1
     index = x if inputs is None else (mask & (low - 1)).bit_count()
     work.charge((index + 1) * per, "a column run")
-    return _per_input_check(target, candidate, main, (x,), cir.Work())
+    return _per_input_check(target, candidate, main, (x,), budget.Work())
 
 
 def equivalence_check(
@@ -272,7 +273,7 @@ def equivalence_check(
             raise ValueError(f"target {diags[0].message}")
     else:
         raise ValueError(f"target {type(target).__name__} is neither a gate nor a circuit")
-    work = cir.Work()
+    work = budget.Work()
     if inputs is None:
         _charge_inputs(work, main)
     maps, target_maps = _key_maps(candidate), _key_maps(target)
@@ -310,7 +311,7 @@ def _report(x: int, entries: dict, want: dict, main: int, aux: int, ctx):
     return None
 
 
-def _choose_cut(inverse, costs: list, state: dict, work: cir.Work) -> tuple[int, int]:
+def _choose_cut(inverse, costs: list, state: dict, work: budget.Work) -> tuple[int, int]:
     """(cut, units): the layer boundary b that minimises costs[b], the
     forward units of the first input up to b, plus the units of running the
     inverse layers from the end back to b on its target state, and the
@@ -677,9 +678,10 @@ def builder_spec(name: str, n: int, q: int, r: int = 0) -> BuilderSpec:
     """The spec of builder `name`, once (n, q, r) is checked, in this order,
     against the domain every builder shares (n >= 0, q >= 2, 0 <= r < q,
     and r = 0 for a builder that takes no r; else BuilderArgumentError),
-    the cyclotomic context of q (else ContextError), and the memory budget
-    on the built circuit's gate lines (else CapExceededError).  A builder
-    may refuse more (its build raises BuilderArgumentError)."""
+    the cyclotomic context of q, whose table the memory budget must admit
+    (else CapExceededError), and the memory budget on the built circuit's
+    gate lines (else CapExceededError).  A builder may refuse more (its
+    build raises BuilderArgumentError)."""
     spec = BUILDERS.get(name)
     if spec is None:
         known = ", ".join(sorted(BUILDERS))
@@ -692,10 +694,10 @@ def builder_spec(name: str, n: int, q: int, r: int = 0) -> BuilderSpec:
         raise BuilderArgumentError(f"r={r} must satisfy 0 <= r < q = {q}")
     if r and not spec.needs_r:
         raise BuilderArgumentError(f"r={r} given, but builder {name!r} takes no r")
-    get_context(f"cyclotomic{q}")  # an unsupported q is refused, whatever the size
+    get_context(f"cyclotomic{q}")  # a q whose table is too large is refused, whatever n is
     size = spec.size(n, q, r)
-    if size > cir.BUDGET:
-        raise CapExceededError(f"{size} gate lines exceed the memory budget {cir.BUDGET}")
+    if size > budget.BUDGET:
+        raise CapExceededError(f"{size} gate lines exceed the memory budget {budget.BUDGET}")
     return spec
 
 
@@ -708,7 +710,7 @@ def check_builder(name: str, n: int, q: int, r: int = 0) -> EquivalenceReport:
     is built.
     """
     spec = builder_spec(name, n, q, r)
-    _charge_inputs(cir.Work(), n + 1, "at least ")
+    _charge_inputs(budget.Work(), n + 1, "at least ")
     candidate = spec.build(n, q, r)
     inputs = spec.inputs(n, q) if spec.inputs is not None else None
     return equivalence_check(spec.target(n, q, r), candidate, inputs=inputs)

@@ -17,6 +17,7 @@ import math
 import random
 from fractions import Fraction
 
+from qacclab import budget
 from qacclab import circuit as cir
 from qacclab.algebra import AlgebraContext, FScalar, polys
 from qacclab.circuit import (
@@ -186,12 +187,12 @@ def per_key_report(target, candidate, main: int, inputs=None):
     program = statevec.compile_circuit(candidate)
     if isinstance(target, cir.Circuit):
         target_program = statevec.compile_circuit(target)
-        target_of = lambda x: target_program.apply({x: one}, cir.Work())  # noqa: E731
+        target_of = lambda x: target_program.apply({x: one}, budget.Work())  # noqa: E731
     else:
         kernel = cir.gate_kernel(target, main, ctx)
         target_of = lambda x: {k: one if s is None else s for k, s in kernel(x)}  # noqa: E731
     for x in range(1 << main) if inputs is None else inputs:
-        state = program.apply({x << aux: one}, cir.Work())
+        state = program.apply({x << aux: one}, budget.Work())
         x_bits = cir.key_to_bits(x, main)
         dirty = sorted(key for key in state if key & ((1 << aux) - 1))
         if dirty:

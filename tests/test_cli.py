@@ -4,6 +4,7 @@ import json
 import pytest
 from support import sqrt_a1_context, two_element_context_json
 
+from qacclab import budget
 from qacclab.algebra import get_context, save_context
 from qacclab.cli import main
 
@@ -249,18 +250,45 @@ def test_graph_json_makes_no_indented_dump(capsys, monkeypatch, bell_file):
 
 
 def test_work_budget_exits_3_with_one_line(capsys, monkeypatch, bell_file):
-    from qacclab import circuit as cir
-
-    monkeypatch.setattr(cir, "BUDGET", 4)
+    get_context("cyclotomic2")  # cached first: its 2^3-entry table is over a budget of 4
+    monkeypatch.setattr(budget, "BUDGET", 4)
     code, out, err = run_cli(capsys, "metrics", "--circuit", bell_file, "--input", "00")
     assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: tensor graph would exceed the memory budget of 4 nodes\n"
+
+
+def test_oversized_contexts_exit_3_with_one_line(capsys, tmp_path):
+    # a cyclotomic context is charged its d^3 table before it is built
+    path = tmp_path / "big.qc"
+    for q in (193, 840, 10007, 10**12):
+        path.write_text(f"circuit n=1 aux=0 context=cyclotomic{q}\n")
+        for argv in (
+            ("simulate", "--circuit", str(path), "--input", "0"),
+            ("build", "--builder", "f_from_fq", "--n", "1", "--q", str(q)),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "", (q, argv)
+            assert err.startswith(f"error: cyclotomic{q} has dimension above 101: "), (q, argv)
+            assert err.count("\n") == 1, (q, argv)
+
+
+def test_dense_lowering_past_the_memory_budget_exits_3_with_one_line(capsys, tmp_path):
+    # 2^20 variants of 20 one-line operators: refused before the first is built
+    path = tmp_path / "mod20.qc"
+    inputs = " ".join(map(str, range(19)))
+    path.write_text(
+        f"circuit n=20 aux=0 context=cyclotomic5\nlayer {{ MOD 5 0 [{inputs} -> 19] }}\n"
+    )
+    code, out, err = run_cli(capsys, "metrics", "--circuit", str(path), "--input", "0" * 20)
+    assert code == 3 and out == ""
+    assert err == (
+        "error: lowering a gate on 20 lines entry by entry takes 1048576 variants of "
+        "20 one-line operators, over the memory budget of 1048576\n"
+    )
 
 
 def test_work_budget_exits_3_with_one_error_line(capsys, monkeypatch, bell_file):
-    from qacclab import circuit as cir
-
-    monkeypatch.setattr(cir, "WORK", 3)
+    monkeypatch.setattr(budget, "WORK", 3)
     for argv in (
         ("simulate", "--circuit", bell_file, "--input", "00"),
         ("check", "--builder", "modq_from_mq", "--n", "1", "--q", "3"),
@@ -272,9 +300,7 @@ def test_work_budget_exits_3_with_one_error_line(capsys, monkeypatch, bell_file)
 
 
 def test_graph_dp_past_the_work_budget_exits_3_with_one_line(capsys, monkeypatch, bell_file):
-    from qacclab import circuit as cir
-
-    monkeypatch.setattr(cir, "WORK", 1)
+    monkeypatch.setattr(budget, "WORK", 1)
     argv = ("graph", "--circuit", bell_file, "--input", "00", "--target", "11")
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
@@ -298,9 +324,10 @@ def test_wide_builds_are_refused_by_their_size(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv, "16")
     assert code == 3 and out == ""
     assert err == "error: 13760248 gate lines exceed the memory budget 1048576\n"
-    # an unsupported q is an input error, whatever the size
+    # a q whose context table is past the memory budget is refused by it first
     code, out, err = run_cli(capsys, *argv, "1000003")
-    assert code == 2 and out == "" and err.count("\n") == 1
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: cyclotomic1000003 has dimension above")
 
 
 def test_accept_n_output(capsys, hadamard_file):

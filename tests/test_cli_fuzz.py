@@ -16,8 +16,7 @@ import random
 import re
 
 from qacclab import cli
-from qacclab.algebra import get_context
-from qacclab.dsl import EXPONENT_CAP
+from qacclab.algebra import get_context, table_dim_bound
 
 SEED = 11
 RUNS = 250
@@ -36,7 +35,7 @@ BASES = (
 # a one-qubit gate whose symbol the exponent mutation can raise
 SCALAR_LAYER = "layer { U [[1,0],[0,z]] [0] }\n"
 INTS = ("-1", "0", "2", "99", str(10**12))
-EXPONENTS = (2, 99, EXPONENT_CAP, EXPONENT_CAP + 1, 10**9, 10**12)
+EXPONENTS = (2, 99, table_dim_bound(), table_dim_bound() + 1, 10**9, 10**12)
 CONTEXT_NAMES = (
     "cyclotomic10007", "cyclotomic0", "rational0", "nonsense", "cyclotomic" + "9" * 5000,
 )

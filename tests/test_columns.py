@@ -17,6 +17,7 @@ import pytest
 
 from support import PERMUTATION_KINDS, per_key_report, random_permutation_gate
 
+from qacclab import budget
 from qacclab import circuit as cir
 from qacclab import transforms as tf
 from qacclab.algebra import get_context
@@ -221,17 +222,17 @@ def test_column_run_charges_what_the_per_input_loop_charges(monkeypatch):
     layers = (TensorLayer((cir.x_gate(2),)), TensorLayer((cir.x_gate(0),)))
     candidate = Circuit(2, 1, layers, ctx)
     target = Circuit(2, 0, (TensorLayer((cir.x_gate(0),)),), ctx)
-    monkeypatch.setattr(cir, "WORK", 4 + 3)
+    monkeypatch.setattr(budget, "WORK", 4 + 3)
     report = tf.equivalence_check(target, candidate)
     assert not report.aux_restored and report.counterexample[0] == "00"
-    monkeypatch.setattr(cir, "WORK", 4 + 2)
+    monkeypatch.setattr(budget, "WORK", 4 + 2)
     with pytest.raises(cir.CapExceededError, match="^a column run exceeds the work budget of 6"):
         tf.equivalence_check(target, candidate)
     # without the aux flip every input costs 2 + 1 maps: 4 + 4 * 3 units
     clean = Circuit(2, 1, layers[1:] * 2 + layers[1:], ctx)
-    monkeypatch.setattr(cir, "WORK", 4 + 4 * 4)
+    monkeypatch.setattr(budget, "WORK", 4 + 4 * 4)
     assert tf.equivalence_check(target, clean).equivalent
-    monkeypatch.setattr(cir, "WORK", 4 + 4 * 4 - 1)
+    monkeypatch.setattr(budget, "WORK", 4 + 4 * 4 - 1)
     with pytest.raises(cir.CapExceededError, match="^a column run exceeds"):
         tf.equivalence_check(target, clean)
 
@@ -241,9 +242,9 @@ def test_columns_past_the_memory_budget_are_refused_before_they_are_built(monkey
     # front fit either budget
     ctx = get_context("cyclotomic2")
     candidate, target = Circuit(10, 60, (), ctx), Circuit(10, 0, (), ctx)
-    monkeypatch.setattr(cir, "WORK", 70 * 16)
+    monkeypatch.setattr(budget, "WORK", 70 * 16)
     assert tf.equivalence_check(target, candidate).equivalent
-    monkeypatch.setattr(cir, "WORK", 70 * 16 - 1)
+    monkeypatch.setattr(budget, "WORK", 70 * 16 - 1)
     monkeypatch.setattr(tf, "_input_column", None)  # no column may be built
     with pytest.raises(
         cir.CapExceededError,
@@ -263,7 +264,7 @@ def test_inputs_must_increase_and_lie_on_the_compared_lines():
 def test_digit_inputs_mask_is_built_in_linear_time():
     # the largest k whose 2k columns of 2^(2k) inputs fit the memory budget:
     # 3^12 digit inputs over 2^24 keys
-    k = max(k for k in range(1, 16) if 2 * k * (1 << 2 * k) // 64 <= cir.WORK)
+    k = max(k for k in range(1, 16) if 2 * k * (1 << 2 * k) // 64 <= budget.WORK)
     assert k == 12
     ctx = get_context("cyclotomic3")
     candidate = Circuit(2 * k, 0, (TensorLayer((cir.x_gate(0),)),), ctx)

@@ -2,12 +2,13 @@ import hashlib
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from support import sqrt_a1_context, two_element_context_json
 
+from qacclab import budget
 from qacclab.algebra import (
-    CONTEXT_DIM_CAP,
     AlgebraContext,
     ContextError,
     FScalar,
@@ -19,7 +20,6 @@ from qacclab.algebra import (
     rational_context,
     save_context,
 )
-from qacclab.algebra import context as context_module
 
 
 def test_cyclotomic_polynomials():
@@ -148,17 +148,25 @@ def test_conjugation_table_is_a_numeric_involution(q):
 
 
 def test_cyclotomic_dimension_cap_refuses_before_building(monkeypatch):
+    # d^3 table entries against BUDGET = 2^20, so d <= 101
     t0 = time.perf_counter()
-    for name in ("cyclotomic10007", "cyclotomic193", "cyclotomic254", f"cyclotomic{10**12}"):
-        with pytest.raises(ContextError, match=f"above the cap {CONTEXT_DIM_CAP}"):
-            get_context(name)
+    for q in (10007, 193, 254, 840, 10**12):
+        refusal = f"^cyclotomic{q} has dimension above 101: "
+        with pytest.raises(budget.CapExceededError, match=refusal):
+            get_context(f"cyclotomic{q}")
     assert time.perf_counter() - t0 < 1
+    # the boundary, exactly: cyclotomic5 (d = 4) holds 4^3 = 64 entries
+    monkeypatch.setattr(budget, "BUDGET", 64)
+    assert cyclotomic_context(5).dim == 4
+    monkeypatch.setattr(budget, "BUDGET", 63)
+    with pytest.raises(budget.CapExceededError, match="^cyclotomic5 has dimension above 3: "):
+        cyclotomic_context(5)
     # the dimension is worked out from q alone: phi(q), doubled for q = 2, 3 mod 4
-    monkeypatch.setattr(context_module, "CONTEXT_DIM_CAP", 12)
+    monkeypatch.setattr(budget, "BUDGET", 12**3)
     for q in range(2, 40):
         try:
             dim = cyclotomic_context(q).dim
-        except ContextError:
+        except budget.CapExceededError:
             dim = None
         phi = sum(math.gcd(k, q) == 1 for k in range(1, q + 1))
         want = phi * (2 if q % 4 in (2, 3) else 1)
@@ -193,6 +201,34 @@ def test_fourier_constants_are_pinned():
         scalars = [s.to_json()] + [z.to_json() for z in zeta]
         h.update((json.dumps(scalars, sort_keys=True) + "\n").encode())
     assert h.hexdigest() == "5b164c63c1f61cb7892eb8aefa00b629d1bd5df1d3fb92921974144023f2d47f"
+
+
+def test_cyclotomic420_is_within_the_budget_and_its_constants_are_exact():
+    # L = lcm(4 * 3, 4 * 5, 4 * 7) = 420 holds the roots MOD_3 = MOD_5 = MOD_7 needs;
+    # d = phi(420) = 96, and 96^3 table entries fit BUDGET = 2^20
+    ctx = get_context("cyclotomic420")
+    assert ctx.dim == 96
+    zeta, s = ctx.fourier_scalars(420)
+    z = ctx.constants["z"]
+    assert all(zeta[e] * z == zeta[(e + 1) % 420] for e in range(420))
+    assert zeta[419] * z == ctx.one() != zeta[210]
+    assert s * s * ctx.from_int(420) == ctx.one()
+    assert abs(s.numeric() - 1 / math.sqrt(420)) < 1e-12
+
+
+def test_any_power_of_u_divides_exactly():
+    ctx = get_context("cyclotomic3")
+    for k in (64, 65, 200):
+        x = ctx.scalar_from_rational(Fraction(7, 3**k))
+        assert x.r == k and x.as_fraction(0) == Fraction(7, 3**k)
+    # the least power: in rational6, 1/12 is 3/6^2 and 5/6 is 5/6^1
+    six = rational_context(6)
+    fs = [six.f_from_rational(Fraction(1, 12)), six.f_from_rational(Fraction(5, 6))]
+    assert [(f.num[()], f.r) for f in fs] == [(3, 2), (5, 1)]
+    with pytest.raises(ContextError, match="^denominator 3 does not divide a power of u=5$"):
+        rational_context(5).scalar_from_rational(Fraction(1, 3))
+    with pytest.raises(ContextError, match="^denominator 12 does not divide a power of u=10$"):
+        rational_context(10).scalar_from_rational(Fraction(1, 12))
 
 
 def test_context_file_fourier_constants_do_not_assume_u_is_q(tmp_path):

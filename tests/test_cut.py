@@ -26,6 +26,7 @@ from support import (
     two_element_context_json,
 )
 
+from qacclab import budget
 from qacclab import circuit as cir
 from qacclab import statevec as sv
 from qacclab import transforms as tf
@@ -98,7 +99,7 @@ def _one_qubit_gates(ctx, q):
 def _basis_runs(layers, width, ctx):
     """The state of each key on `width` lines after the layers, exactly."""
     program = sv.Compiler(width, ctx).program(layers)
-    return [program.apply({k: ctx.one()}, cir.Work()) for k in range(1 << width)]
+    return [program.apply({k: ctx.one()}, budget.Work()) for k in range(1 << width)]
 
 
 @pytest.mark.parametrize("q", QS)
@@ -147,9 +148,9 @@ def test_without_a_conjugation_a_one_qubit_circuit_cannot_be_made(monkeypatch):
     # inputs 1..3 each run one H forward and one back (2 + 2)
     c2 = get_context("cyclotomic2")
     s = c2.constants["s"]
-    monkeypatch.setattr(cir, "WORK", 4 + 6 + 2 + 3 * 4)
+    monkeypatch.setattr(budget, "WORK", 4 + 6 + 2 + 3 * 4)
     assert tf.equivalence_check(Circuit(2, 0, (), c2), _two_hadamards(c2, s)).equivalent
-    monkeypatch.setattr(cir, "WORK", 4 + 6 + 2 + 3 * 4 - 1)
+    monkeypatch.setattr(budget, "WORK", 4 + 6 + 2 + 3 * 4 - 1)
     with pytest.raises(sv.CapExceededError, match="work budget"):
         tf.equivalence_check(Circuit(2, 0, (), c2), _two_hadamards(c2, s))
 
@@ -172,10 +173,10 @@ def test_cut_check_charges_every_run_and_the_probe(monkeypatch):
     target = Circuit(2, 0, (TensorLayer((x_gate(1),)),), ctx)
     made = _spy_cuts(monkeypatch)
     units = 4 + (8 + 1) + 4 + 3 * (4 + 1 + 2)
-    monkeypatch.setattr(cir, "WORK", units)
+    monkeypatch.setattr(budget, "WORK", units)
     assert tf.equivalence_check(target, candidate).equivalent
     assert made == [(2, 4, 3)]
-    monkeypatch.setattr(cir, "WORK", units - 1)
+    monkeypatch.setattr(budget, "WORK", units - 1)
     with pytest.raises(sv.CapExceededError, match="work budget"):
         tf.equivalence_check(target, candidate)
 
@@ -190,10 +191,10 @@ def test_a_dirty_input_is_charged_its_target_run(monkeypatch):
     candidate = Circuit(2, 1, (TensorLayer((x_gate(2),)), h, h), ctx)
     x0 = TensorLayer((x_gate(0),))
     target = Circuit(2, 0, (x0, x0), ctx)
-    monkeypatch.setattr(cir, "WORK", 4 + 7 + 2)
+    monkeypatch.setattr(budget, "WORK", 4 + 7 + 2)
     report = tf.equivalence_check(target, candidate)
     assert not report.aux_restored and report.counterexample[0] == "00"
-    monkeypatch.setattr(cir, "WORK", 4 + 7 + 1)
+    monkeypatch.setattr(budget, "WORK", 4 + 7 + 1)
     with pytest.raises(sv.CapExceededError, match="work budget"):
         tf.equivalence_check(target, candidate)
 
@@ -207,17 +208,17 @@ def test_probe_stops_without_raising(monkeypatch):
     inverse = lambda b: sv.Compiler(3, ctx).program((h,))  # noqa: E731
     state = {k: ctx.one() for k in (0, 1, 2, 3)}
 
-    def choose(costs, left=cir.WORK):
-        work = cir.Work()
+    def choose(costs, left=budget.WORK):
+        work = budget.Work()
         work.left = left
         return tf._choose_cut(inverse, costs, dict(state), work)
 
     assert choose([0, 9]) == (0, 8)
     assert choose([0, 8]) == (1, 0)  # 8 units could at best tie the uncut 8
     assert choose([0, 9], left=7) == (1, 0)  # more than the meter has left
-    monkeypatch.setattr(cir, "BUDGET", 7)  # 8 states would pass the memory budget
+    monkeypatch.setattr(budget, "BUDGET", 7)  # 8 states would pass the memory budget
     assert choose([0, 9]) == (1, 0)
-    monkeypatch.setattr(cir, "BUDGET", 8)
+    monkeypatch.setattr(budget, "BUDGET", 8)
     assert choose([0, 9]) == (0, 8)
 
 

@@ -21,8 +21,9 @@ from qacclab.circuit import (
     ToffoliGate,
     ValidationError,
 )
-from qacclab.algebra import CONTEXT_DIM_CAP
-from qacclab.dsl import EXPONENT_CAP, ParseError, parse_circuit, scalar_to_text, serialize_circuit
+from qacclab import budget
+from qacclab.algebra import table_dim_bound
+from qacclab.dsl import ParseError, parse_circuit, scalar_to_text, serialize_circuit
 
 
 def test_parse_hadamard_circuit():
@@ -138,17 +139,19 @@ def test_u_gate_symbol_powers():
 
 
 def test_exponent_above_the_cap_is_refused_at_its_token():
-    # every basis name z^j of a context has j below its dimension
-    assert EXPONENT_CAP >= CONTEXT_DIM_CAP
+    # every basis name z^j of a context has j below its dimension, and the
+    # cap is the largest dimension whose d^3-entry table the budget admits
+    cap = max(d for d in range(1, 200) if d**3 <= budget.BUDGET)
+    assert table_dim_bound() == cap == 101
     text = "circuit n=1 aux=0 context=cyclotomic5\nlayer {{ U [[1,0],[0,z^{}]] [0] }}"
-    for k in (EXPONENT_CAP + 1, 10**9):
-        with pytest.raises(ParseError, match=f"exponent {k} is above the cap") as exc:
+    for k in (cap + 1, 10**9):
+        with pytest.raises(ParseError, match=f"exponent {k} is above the cap {cap}$") as exc:
             parse_circuit(text.format(k))
         assert (exc.value.line, exc.value.col) == (2, 23)
     z = get_context("cyclotomic5").constants["z"]
     assert parse_circuit(text.format(2)).layers[0].gates[0].matrix[1][1] == z * z
-    z_cap = parse_circuit(text.format(EXPONENT_CAP)).layers[0].gates[0].matrix[1][1]
-    assert z_cap == get_context("cyclotomic5").fourier_scalars(5)[0][EXPONENT_CAP % 5]
+    z_cap = parse_circuit(text.format(cap)).layers[0].gates[0].matrix[1][1]
+    assert z_cap == get_context("cyclotomic5").fourier_scalars(5)[0][cap % 5]
 
 
 def test_overlong_numbers_are_parse_errors():
@@ -162,6 +165,10 @@ def test_overlong_numbers_are_parse_errors():
 def test_rational_literal_requires_compatible_denominator():
     with pytest.raises(ParseError, match="does not divide"):
         parse_circuit("circuit n=1 aux=0 context=rational5\nlayer { U [[1/3,0],[0,1]] [0] }")
+    # no power of u is too large: the literal 1/3^65 loads in cyclotomic3
+    text = "circuit n=1 aux=0 context=cyclotomic3\nlayer {{ U [[1/{0}*{0},0],[0,1]] [0] }}"
+    c = parse_circuit(text.format(3**65))
+    assert c.layers[0].gates[0].matrix[0][0] == c.context.one()
 
 
 def test_unknown_symbol_reported():
@@ -217,8 +224,8 @@ _C3 = "circuit n=4 aux=0 context=cyclotomic3\n"
         ("circuit n=1 aux=0\nlayer { U [[1, 0], [0, ",
          "2:24: unexpected end of input (expected INT, NAME)"),
         (_N2 + "layer { TOF [-> " + "1" * 5000 + "] }", "2:17: " + _int_error("1" * 5000)),
-        ("circuit n=1 aux=0 context=cyclotomic5\nlayer { U [[1,0],[0,z^65]] [0] }",
-         "2:23: exponent 65 is above the cap 64"),
+        ("circuit n=1 aux=0 context=cyclotomic5\nlayer { U [[1,0],[0,z^102]] [0] }",
+         "2:23: exponent 102 is above the cap 101"),
         (_N2 + "layer { U [[w7,0],[0,1]] [0] }", "2:13: context has no symbol 'w7'"),
         ("circuit n=1 aux=0 context=rational5\nlayer { U [[1/3,0],[0,1]] [0] }",
          "2:13: denominator 3 does not divide a power of u=5"),

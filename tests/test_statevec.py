@@ -12,6 +12,7 @@ from support import (
     sqrt_a1_context,
 )
 
+from qacclab import budget
 from qacclab import circuit as cir
 from qacclab import statevec as sv
 from qacclab.algebra import ExactScalar, FScalar, get_context, polys, rational_context, scalars
@@ -132,7 +133,7 @@ def test_permutation_circuits_have_unit_support(c2):
 def test_work_budget_enforced(c2, monkeypatch):
     # width alone is never refused; the budget bounds the stored support
     assert sv.run(Circuit(21, 0, (), c2), "0" * 21).support() == [0]
-    monkeypatch.setattr(cir, "BUDGET", 4)
+    monkeypatch.setattr(budget, "BUDGET", 4)
     two = Circuit(3, 0, (TensorLayer((cir.hadamard_gate(0), cir.hadamard_gate(1))),), c2)
     assert len(sv.run(two, "000").entries) == 4
     three = Circuit(3, 0, (TensorLayer(tuple(cir.hadamard_gate(l) for l in range(3))),), c2)
@@ -147,14 +148,14 @@ def test_run_charges_support_times_cost_per_step(c2, monkeypatch):
     hs = TensorLayer(tuple(cir.hadamard_gate(l) for l in range(3)))
     xs = TensorLayer(tuple(cir.x_gate(l) for l in range(3)))
     c = Circuit(3, 0, (hs, xs), c2)
-    monkeypatch.setattr(cir, "WORK", 14 + 24)
+    monkeypatch.setattr(budget, "WORK", 14 + 24)
     assert len(sv.run(c, "000").entries) == 8
-    monkeypatch.setattr(cir, "WORK", 14 + 23)
+    monkeypatch.setattr(budget, "WORK", 14 + 23)
     with pytest.raises(
         sv.CapExceededError, match="^a state-vector run exceeds the work budget of 37 units$"
     ):
         sv.run(c, "000")
-    monkeypatch.setattr(cir, "WORK", 13)
+    monkeypatch.setattr(budget, "WORK", 13)
     with pytest.raises(sv.CapExceededError, match="work budget"):
         sv.apply_layer(sv.basis_state("000", c2), hs)
 
@@ -327,7 +328,7 @@ def test_branching_steps_match_per_branch_fold(name):
         cancellations += cancelled
         program = sv.Compiler(lines, ctx).program(layers)
         start = {cir.parse_bits(x, lines): ctx.one()}
-        got = sv.StateVector(program.apply(start, cir.Work()), lines, ctx)
+        got = sv.StateVector(program.apply(start, budget.Work()), lines, ctx)
         assert got.entries == want
         assert {k: a.key() for k, a in got.entries.items()} == {k: a.key() for k, a in want.items()}
         assert json.dumps(got.to_json()) == json.dumps(sv.StateVector(want, lines, ctx).to_json())

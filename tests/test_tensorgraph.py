@@ -15,6 +15,7 @@ from support import (
     sqrt_a1_context,
 )
 
+from qacclab import budget
 from qacclab import circuit as cir
 from qacclab import statevec as sv
 from qacclab import tensorgraph as tg
@@ -273,9 +274,9 @@ def test_path_cap(c2, monkeypatch):
         g = one_gate(g, ToffoliGate((0,), 1))
     assert tg.tg_path_count(g) == 8
     # one unit per path and height: 8 paths of height 2 cost 16
-    monkeypatch.setattr(cir, "WORK", 16)
+    monkeypatch.setattr(budget, "WORK", 16)
     assert (tg.tg_amplitude_paths(g, "00") - tg.tg_amplitude_dp(g, "00")).is_zero()
-    monkeypatch.setattr(cir, "WORK", 15)
+    monkeypatch.setattr(budget, "WORK", 15)
     with pytest.raises(
         cir.CapExceededError,
         match="^summing 8 paths of height 2 exceeds the work budget of 15 units$",
@@ -332,15 +333,15 @@ def test_dp_budgets_are_exact(c2, monkeypatch):
     work = len(products)
     peak, every = _dp_held_terms(g, z)
     assert not want.is_zero() and 1 < peak < every
-    monkeypatch.setattr(cir, "WORK", work)
+    monkeypatch.setattr(budget, "WORK", work)
     assert (tg.tg_amplitude_dp(g, z) - want).is_zero()
-    monkeypatch.setattr(cir, "WORK", work - 1)
+    monkeypatch.setattr(budget, "WORK", work - 1)
     with pytest.raises(cir.CapExceededError, match="work budget of"):
         tg.tg_amplitude_dp(g, z)
-    monkeypatch.setattr(cir, "WORK", work)
-    monkeypatch.setattr(cir, "BUDGET", peak)
+    monkeypatch.setattr(budget, "WORK", work)
+    monkeypatch.setattr(budget, "BUDGET", peak)
     assert (tg.tg_amplitude_dp(g, z) - want).is_zero()
-    monkeypatch.setattr(cir, "BUDGET", peak - 1)
+    monkeypatch.setattr(budget, "BUDGET", peak - 1)
     refusal = f"hold {peak} color terms at once, over the memory budget of {peak - 1}$"
     with pytest.raises(cir.CapExceededError, match=refusal):
         tg.tg_amplitude_dp(g, z)
@@ -376,10 +377,35 @@ def test_dense_lowering_past_the_memory_budget_is_refused_before_building(c2):
     assert time.perf_counter() - t0 < 1
 
 
+def test_dense_lowering_is_charged_its_operators_before_building(monkeypatch):
+    # HQ 3 on a 2-line block has 3 x 3 + 1 nonzero entries: 10 variants of
+    # 2 one-line operators
+    ctx = get_context("cyclotomic3")  # built before the budget is lowered
+    fourier = FourierGate(3, (0, 1))
+    monkeypatch.setattr(budget, "BUDGET", 20)
+    assert len(tg._lower(tg.tg_init("00", ctx), fourier)) == 10
+    monkeypatch.setattr(budget, "BUDGET", 19)
+    refusal = (
+        "^lowering a gate on 2 lines entry by entry takes 10 variants of 2 one-line "
+        "operators, over the memory budget of 19$"
+    )
+    with pytest.raises(cir.CapExceededError, match=refusal):
+        tg._lower(tg.tg_init("00", ctx), fourier)
+
+    # a unitary on k lines has at least 2^k entries: refused before its kernel is built
+    def refuse(*_args):
+        raise AssertionError("kernel built for a lowering past the memory budget")
+
+    monkeypatch.setattr(cir, "gate_kernel", refuse)
+    monkeypatch.setattr(budget, "BUDGET", 3 * 8 - 1)
+    with pytest.raises(cir.CapExceededError, match="takes 8 variants of 3 one-line operators"):
+        tg._lower(tg.tg_init("000", ctx), ModGate(2, 0, (0, 1), 2))
+
+
 def test_node_budget(c2, monkeypatch):
     c = Circuit(2, 0, (TensorLayer((ToffoliGate((0,), 1),)),), c2)
     assert len(tg.tg_build(c, "10").nodes) == 6
-    monkeypatch.setattr(cir, "BUDGET", 5)
+    monkeypatch.setattr(budget, "BUDGET", 5)
     with pytest.raises(cir.CapExceededError, match="budget of 5 nodes"):
         tg.tg_build(c, "10")
 

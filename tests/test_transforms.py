@@ -5,6 +5,7 @@ import pytest
 
 from support import _blockval
 
+from qacclab import budget
 from qacclab import circuit as cir
 from qacclab import statevec as sv
 from qacclab import transforms as tf
@@ -206,9 +207,9 @@ def test_main_cap_enforced(monkeypatch):
     # empty circuit's runs cost nothing more
     ctx = get_context("cyclotomic2")
     big = Circuit(13, 0, (), ctx)
-    monkeypatch.setattr(cir, "WORK", 1 << 13)
+    monkeypatch.setattr(budget, "WORK", 1 << 13)
     assert tf.equivalence_check(big, big, 13).equivalent
-    monkeypatch.setattr(cir, "WORK", (1 << 13) - 1)
+    monkeypatch.setattr(budget, "WORK", (1 << 13) - 1)
     with pytest.raises(
         sv.CapExceededError, match=r"^comparing 2\^13 inputs exceeds the work budget of 8191 units$"
     ):
@@ -294,9 +295,9 @@ def test_check_builder_refuses_what_qacc_check_refuses(args, message):
 
 
 def test_check_builder_refuses_by_context_and_size_before_building(monkeypatch):
-    # the order qacc check exits in: domain (2), context (2), size (3), and
-    # only then the 2^(n + 1) work preflight; the builder must not run
-    from qacclab.algebra import ContextError
+    # the order qacc check exits in: domain (2), the context's table (3),
+    # size (3), and only then the 2^(n + 1) work preflight; the builder
+    # must not run
 
     def refuse(*_args):
         raise AssertionError("builder called for a check it refuses")
@@ -307,8 +308,8 @@ def test_check_builder_refuses_by_context_and_size_before_building(monkeypatch):
     )
     with pytest.raises(cir.CapExceededError, match="^4031688 gate lines exceed the memory budget"):
         tf.check_builder("mq_from_modq", 20, 132)
-    with pytest.raises(ContextError):  # unsupported q, past the size budget too
-        tf.check_builder("mq_from_modq", 10000, 1000003)
+    with pytest.raises(cir.CapExceededError, match="^cyclotomic1000003 has dimension above"):
+        tf.check_builder("mq_from_modq", 10000, 1000003)  # past the size budget too
     with pytest.raises(tf.BuilderArgumentError):  # outside the domain, unsupported q too
         tf.check_builder("mq_from_modq", -1, 1000003)
     with pytest.raises(cir.CapExceededError, match="work budget"):  # fits, but 2^25 inputs
@@ -320,9 +321,9 @@ def test_check_charges_every_run_of_candidate_and_target(monkeypatch):
     # applications in the candidate and 2 in the circuit target
     ctx = get_context("cyclotomic2")
     h = Circuit(1, 0, (TensorLayer((cir.hadamard_gate(0),)),), ctx)
-    monkeypatch.setattr(cir, "WORK", 2 + 2 * (2 + 2))
+    monkeypatch.setattr(budget, "WORK", 2 + 2 * (2 + 2))
     assert tf.equivalence_check(h, h).equivalent
-    monkeypatch.setattr(cir, "WORK", 2 + 2 * (2 + 2) - 1)
+    monkeypatch.setattr(budget, "WORK", 2 + 2 * (2 + 2) - 1)
     with pytest.raises(sv.CapExceededError, match="^a state-vector run exceeds the work budget"):
         tf.equivalence_check(h, h)
 
