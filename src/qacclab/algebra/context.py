@@ -22,7 +22,7 @@ Shipped contexts:
   own arithmetic from the quadratic Gauss sum sum_a z^(a^2), and
   z^q = 1 and s*s*q = 1 are checked exactly, as for every context file
   that declares a ``fourier_q``.  The common denominator is u = q.  Its
-  table of d^3 entries is charged to budget.BUDGET before it is built.
+  table of d^3 entries is held against budget.BUDGET before it is built.
 
 * ``rational(u)``: plain rational amplitudes a/u^r (d = 1), as required by
   bounded-error acceptance.
@@ -42,7 +42,6 @@ import re
 from fractions import Fraction
 
 from .. import budget
-from ..budget import CapExceededError
 from . import polys
 from .scalars import (
     ExactScalar,
@@ -411,13 +410,12 @@ def _poly_mod(coeffs: list[int], phi: list[int]) -> list[int]:
 
 def _dimension(q: int, bound: int) -> int | None:
     """The dimension q's Fourier constants need, phi(q), doubled for q = 2,
-    3 mod 4 (s = 1/sqrt(q) is adjoined), if it is at most `bound`, else
-    None.  phi(q) >= sqrt(q/2), so a q above 2 bound^2 is refused before
-    any counting."""
+    3 mod 4 (s = 1/sqrt(q) is adjoined), or None when q alone shows it is
+    above `bound`: phi(q) >= sqrt(q/2), so a q above 2 bound^2 is not
+    counted."""
     if q > 2 * bound * bound:
         return None
-    d = sum(math.gcd(k, q) == 1 for k in range(q)) * (2 if q % 4 in (2, 3) else 1)
-    return d if d <= bound else None
+    return sum(math.gcd(k, q) == 1 for k in range(q)) * (2 if q % 4 in (2, 3) else 1)
 
 
 def table_dim_bound() -> int:
@@ -450,16 +448,15 @@ def cyclotomic_context(q: int) -> AlgebraContext:
     dimension d is phi(q), or 2 phi(q) when sqrt(q) is not in Q(zeta_q)
     (q = 2, 3 mod 4).  Its table's d^3 entries are charged to the memory
     budget from q alone, before anything is built: d above table_dim_bound()
-    raises CapExceededError."""
+    raises CapExceededError.  A q too large to count phi(q) for is charged
+    (table_dim_bound() + 1)^3 entries, a lower bound of its table."""
     if q < 2:
         raise ContextError("q must be at least 2")
     bound = table_dim_bound()
     d = _dimension(q, bound)
     if d is None:
-        raise CapExceededError(
-            f"cyclotomic{q} has dimension above {bound}: its table of d^3 entries "
-            f"exceeds the memory budget {budget.BUDGET}"
-        )
+        budget.hold((bound + 1) ** 3, f"table entries (at least: d > {bound}) of cyclotomic{q}")
+    budget.hold(d**3, f"table entries (d = {d}) of cyclotomic{q}")
     deg, red = _cyclotomic_parts(q)
     extended = d > deg
     heads = ["1" if j == 0 else "z" if j == 1 else f"z^{j}" for j in range(deg)]
@@ -513,7 +510,8 @@ def _attach_fourier_constants(ctx, q, parts=None):
     and unless zeta^q = 1 and s*s*q = 1 hold exactly."""
     if type(q) is not int or q < 1:  # a JSON true is no q
         raise ContextError(f"fourier_q={q!r} must be a positive integer")
-    if _dimension(q, ctx.dim) is None:
+    d = _dimension(q, ctx.dim)
+    if d is None or d > ctx.dim:
         raise ContextError(f"fourier_q={q}: phi(q) exceeds the context dimension {ctx.dim}")
     deg, red = parts or _cyclotomic_parts(q)
     zeta = [ExactScalar(ctx, _coords(z, ctx.dim, arity=ctx.arity)) for z in red]

@@ -16,8 +16,8 @@ raises ValidationError with its diagnostics, so no engine validates again.
 
 Every engine shares the two budgets of the `budget` module, BUDGET (items
 held at once) and WORK (units one operation spends); going past either
-raises CapExceededError.  Here BUDGET bounds the lines of a circuit that
-runs and the per-value tables a gate kernel is built from.
+raises CapExceededError.  Here BUDGET bounds the per-value tables a gate
+kernel is built from.
 """
 
 from __future__ import annotations
@@ -186,6 +186,11 @@ class CNotLayer:
 
     pairs: tuple[tuple[int, int], ...]
 
+    @property
+    def stages(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The layer as one stage, read like a StagedCNotLayer's stages."""
+        return (self.pairs,)
+
 
 @dataclass(frozen=True)
 class StagedCNotLayer:
@@ -335,13 +340,6 @@ def _unitarity_diagnostics(g: OneQubitGate, idx: int, ctx) -> list[Diagnostic]:
     return []
 
 
-def check_width(c: Circuit) -> None:
-    """A basis key holds one bit per line: a circuit wider than BUDGET
-    lines exceeds the memory budget before any key or graph is built."""
-    if c.width > budget.BUDGET:
-        raise CapExceededError(f"{c.width} lines exceed the memory budget {budget.BUDGET}")
-
-
 # -- basis-state helpers -----------------------------------------------------
 
 
@@ -378,29 +376,11 @@ def parse_bits(bits: str, width: int) -> int:
 # value of the block's bits (2^len(block) entries), never one per key.
 
 
-def _check_values(block) -> None:
-    """A table over the block's values fits the memory budget."""
-    if 1 << len(block) > budget.BUDGET:
-        raise CapExceededError(
-            f"a table of the 2^{len(block)} values of {len(block)} lines "
-            f"exceeds the memory budget {budget.BUDGET}"
-        )
-
-
-def _check_adder(block, q: int) -> None:
-    """A modular add's q results per block value fit the memory budget."""
-    if q << len(block) > budget.BUDGET:
-        raise CapExceededError(
-            f"a modular-add table of {q} x 2^{len(block)} codes exceeds the memory budget "
-            f"{budget.BUDGET}"
-        )
-
-
 def block_codes(block: tuple[int, ...], width: int) -> list[int]:
     """Entry v holds the key bits that spell value v in the block.  A
     block with more than BUDGET values exceeds the memory budget before
     any entry is built."""
-    _check_values(block)
+    budget.hold(1 << len(block), f"values of a {len(block)}-line block")
     codes = [0]
     for l in reversed(block):
         m = line_mask(l, width)
@@ -430,7 +410,7 @@ def _digit_adder(block, width: int, q: int):
     """(block mask, table: block bits -> the bits after adding d, at index
     d for d in 0..q-1).  Its q codes per value must fit in the memory
     budget."""
-    _check_adder(block, q)
+    budget.hold(q << len(block), f"modular-add codes of a {len(block)}-line block mod {q}")
     codes = block_codes(block, width)
     return codes[-1], {
         c: tuple(codes[_add_digit(v, d, q)] for d in range(q)) for v, c in enumerate(codes)
@@ -517,7 +497,7 @@ def cnot_action(pairs, width: int) -> Callable[[int], int]:
 def _value_columns(block, cols: list, ones: int) -> list[int]:
     """Entry v is the column of the inputs on which the block holds value
     v (its first line the most significant bit)."""
-    _check_values(block)
+    budget.hold(1 << len(block), f"values of a {len(block)}-line block")
     values = [ones]
     for l in block:
         c, nc = cols[l], ones ^ cols[l]
@@ -546,7 +526,7 @@ def _sum_digits(a: list[int], b: list[int], q: int) -> list[int]:
 
 def _add_columns(block, digits: list[int], cols: list, ones: int, q: int) -> None:
     """Add the digit given by its columns into the block (_add_digit)."""
-    _check_adder(block, q)
+    budget.hold(q << len(block), f"modular-add codes of a {len(block)}-line block mod {q}")
     sums = [0] * (1 << len(block))
     for v, m in enumerate(_value_columns(block, cols, ones)):
         if m:
@@ -608,7 +588,7 @@ def run_columns(layers, cols: list, ones: int) -> None:
             for g in layer.gates:
                 permutation_columns(g, cols, ones)
         else:
-            for stage in layer.stages if isinstance(layer, StagedCNotLayer) else (layer.pairs,):
+            for stage in layer.stages:
                 for c, t in stage:
                     cols[t] ^= cols[c]
 
@@ -718,10 +698,7 @@ def circuit_stats(c: Circuit) -> dict:
                     multi += 1
                 else:
                     onequbit_kinds.add(g.matrix)
-        elif isinstance(layer, CNotLayer):
-            multi += len(layer.pairs)
-            gate_count += len(layer.pairs)
-        elif isinstance(layer, StagedCNotLayer):
+        elif isinstance(layer, (CNotLayer, StagedCNotLayer)):
             n = sum(len(s) for s in layer.stages)
             multi += n
             gate_count += n

@@ -15,10 +15,11 @@ Each of their entries s is compiled once into a multiplier
 output key's slot as integer numerators over one power of u and builds
 one scalar per nonzero slot, not one per product or partial sum.
 
-Both budgets raise CapExceededError.  The memory budget: a run's width is
-at most budget.BUDGET lines, and before a one-qubit or Fourier step runs,
-support x 2^(lines of the gate) must be at most budget.BUDGET.
-Permutation steps map keys one-to-one, so they never grow the support.
+Going past either budget raises CapExceededError.  The memory budget, through
+budget.hold: run holds the circuit's lines before it builds a key, and a
+one-qubit or Fourier step holds support x 2^(lines of the gate), the
+branches it can reach, before it runs.  Permutation steps map keys
+one-to-one, so they never grow the support and hold nothing.
 The work budget: each step charges the run's Work meter, before it runs,
 its support times its cost in key-gate applications: the number of key
 maps a fused permutation run fuses (one per permutation gate or
@@ -32,15 +33,13 @@ from fractions import Fraction
 
 from .algebra import ExactScalar
 from .algebra.scalars import apply_rows, from_numerators, multiplier
-from . import budget
-from .budget import CapExceededError, Work
+from .budget import CapExceededError, Work, hold
 from .circuit import (
     Circuit,
     CNotLayer,
     Layer,
     StagedCNotLayer,
     TensorLayer,
-    check_width,
     cnot_action,
     gate_columns,
     key_to_bits,
@@ -132,13 +131,10 @@ def _branch(mask: int, table: dict, fan: int, ctx):
     the products arrive in does not change the form."""
     keep = ~mask
     dim, zero, mul = ctx.dim, ctx.num_zero, ctx.num_mul
+    what = f"basis-state branches of a {fan}-way step"
 
     def step(entries):
-        if len(entries) * fan > budget.BUDGET:
-            raise CapExceededError(
-                f"{len(entries)} basis states x {fan} branches exceed the memory budget "
-                f"{budget.BUDGET}"
-            )
+        hold(len(entries) * fan, what)
         slots: dict = {}
         for key, amp in entries.items():
             rest, nums, r = key & keep, amp.nums, amp.r
@@ -221,9 +217,7 @@ class Compiler:
                     else:
                         close_run()
                         steps.append(part)
-            elif isinstance(layer, CNotLayer):
-                maps.append(cnot_action(layer.pairs, self.width))
-            elif isinstance(layer, StagedCNotLayer):
+            elif isinstance(layer, (CNotLayer, StagedCNotLayer)):
                 maps.extend(cnot_action(stage, self.width) for stage in layer.stages)
             else:
                 raise TypeError(f"unknown layer {type(layer).__name__}")
@@ -244,7 +238,7 @@ def apply_layer(state: StateVector, layer: Layer) -> StateVector:
 
 def run(c: Circuit, input_bits: str) -> StateVector:
     """U_t ... U_1 |x, 0^aux> with exact amplitudes."""
-    check_width(c)
+    hold(c.width, "circuit lines")  # a basis key holds one bit per line
     key = parse_bits(input_bits, c.n_inputs) << c.n_aux
     program = compile_circuit(c)
     return StateVector(program.apply({key: c.context.one()}, Work()), c.width, c.context)

@@ -50,18 +50,19 @@ its input graph once and returns the copy.  The private rules behind it
 a layer costs one copy, not one per gate.  The add_* methods change the
 graph they are called on; they are for construction.
 
-A graph holds at most budget.BUDGET nodes, the memory budget: add_node,
-through which every node passes, raises CapExceededError before the count
-would go past it.  A gate on k lines lowered entry by entry holds k
-one-line operators per variant, and these are charged to the memory budget
-before any variant is built: first k x 2^k, as a unitary has an entry in
-every column, then k x its entries.  A path sum charges the work budget one
-scalar product per vertical edge of each path, before it walks.  The DP
-keeps one dict {ColorProduct: nonzero scalar} per node it has reached but
-not yet left, and the terminal's, and merges each edge's terms into the
-destination's dict in place.  It charges the work budget one unit per
-color-term product, before it forms them, and raises CapExceededError once
-the terms of its dicts together would go past the memory budget.
+Every memory refusal goes through budget.hold.  A graph holds at most
+budget.BUDGET nodes: add_node, through which every node passes, holds the
+count the new node makes.  A gate on k > 1 lines lowered entry by entry
+adds one copy of its span per variant past the first, so the graph's
+nodes after all the copies are held before any is built: first with 2^k
+variants, before the gate's kernel is built (a unitary has an entry in
+every column), then with one variant per entry.  A path sum charges the
+work budget one scalar product per vertical edge of each path, before it
+walks.  The DP keeps one dict {ColorProduct: nonzero scalar} per node it
+has reached but not yet left, and the terminal's, and merges each edge's
+terms into the destination's dict in place.  It charges the work budget
+one unit per color-term product, before it forms them, and holds the
+terms of its dicts together after each merge.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from heapq import heapify, heappop, heappush
 from .algebra import ExactScalar
 from . import budget
 from . import circuit as cir
-from .budget import CapExceededError
+from .budget import hold
 from .circuit import (
     Circuit,
     CNotLayer,
@@ -80,7 +81,6 @@ from .circuit import (
     TensorLayer,
     ToffoliGate,
     FanOutGate,
-    check_width,
     parse_bits,
 )
 
@@ -184,10 +184,7 @@ class TensorGraph:
     # construction ---------------------------------------------------------
 
     def add_node(self, height: int, node_id: int | None = None) -> int:
-        if len(self.nodes) >= budget.BUDGET:
-            raise CapExceededError(
-                f"tensor graph would exceed the memory budget of {budget.BUDGET} nodes"
-            )
+        hold(len(self.nodes) + 1, "tensor graph nodes")
         nid = self._next_node if node_id is None else node_id
         if nid in self.nodes:
             raise GraphError(f"duplicate node id {nid}")
@@ -277,14 +274,14 @@ def _local(entries, zero):
     return op
 
 
-def _check_dense(k: int, variants: int) -> None:
-    """A gate on k lines lowered entry by entry holds k one-line operators
-    per variant; they fit the memory budget before any is built."""
-    if variants * k > budget.BUDGET:
-        raise CapExceededError(
-            f"lowering a gate on {k} lines entry by entry takes {variants} variants of "
-            f"{k} one-line operators, over the memory budget of {budget.BUDGET}"
-        )
+def _span_copy_nodes(g: TensorGraph, lines) -> int:
+    """The nodes _apply_variants adds per variant past the first: one per
+    edge into height lo, per node at heights lo..hi-1 and per edge into
+    height hi."""
+    lo, hi = min(lines) + 1, max(lines) + 1
+    levels, vout = g.levels, g.vout
+    inner = sum(len(levels.get(h, ())) for h in range(lo, hi))
+    return inner + sum(src in vout for h in (lo - 1, hi - 1) for src in levels.get(h, ()))
 
 
 def _lower(g: TensorGraph, gate) -> list[dict]:
@@ -313,13 +310,15 @@ def _lower(g: TensorGraph, gate) -> list[dict]:
     k = len(lines)
     codes = cir.block_codes(lines, g.height)  # value x of the lines -> key bits
     if k > 1:  # a unitary has an entry in every column: at least 2^k variants
-        _check_dense(k, 1 << k)
+        copies = _span_copy_nodes(g, lines)
+        what = f"tensor graph nodes after the span copies of a {k}-line gate"
+        hold(len(g.nodes) + ((1 << k) - 1) * copies, what)
     value_of = {c: x for x, c in enumerate(codes)}
     kernel = cir.gate_kernel(gate, g.height, g.ctx)
     entries = [(x, value_of[y], s) for x, c in enumerate(codes) for y, s in kernel(c)]
     if k == 1:
         return [{lines[0]: _local(entries, zero)}]
-    _check_dense(k, len(entries))
+    hold(len(g.nodes) + (len(entries) - 1) * copies, what)
     g.dense_lowered_gates += 1
     return [
         {
@@ -412,14 +411,10 @@ def apply_layer(g: TensorGraph, layer) -> TensorGraph:
         for gate in layer.gates:
             _apply_variants(out, gate.lines(), _lower(out, gate))
         return out
-    if isinstance(layer, CNotLayer):
-        stages = (layer.pairs,)
-    elif isinstance(layer, StagedCNotLayer):
-        stages = layer.stages
-    else:
+    if not isinstance(layer, (CNotLayer, StagedCNotLayer)):
         raise TypeError(f"unknown layer {type(layer).__name__}")
     out = g.copy()
-    for stage in stages:
+    for stage in layer.stages:
         for control, target in stage:
             _cnot_pair(out, control, target)
     return out
@@ -428,7 +423,7 @@ def apply_layer(g: TensorGraph, layer) -> TensorGraph:
 def tg_build(c: Circuit, input_bits: str) -> TensorGraph:
     """Graph whose amplitude map equals running the circuit on |x, 0^aux>."""
     parse_bits(input_bits, c.n_inputs)
-    check_width(c)
+    hold(c.width, "circuit lines")  # a basis key holds one bit per line
     g = tg_init(input_bits + "0" * c.n_aux, c.context)
     for layer in c.layers:
         g = apply_layer(g, layer)
@@ -485,6 +480,7 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
     parse_bits(target_bits, g.height)
     work = budget.Work()
     what = f"the amplitude DP over {len(g.nodes)} nodes"
+    held_what = f"color terms held at once by {what}"
     acc = {g.source: {UNIT_PRODUCT: g.ctx.one()}}  # reached, not yet left
     held = 1  # terms in acc
 
@@ -500,11 +496,7 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
             else:
                 terms[product] = new
         held += len(terms)
-        if held > budget.BUDGET:
-            raise CapExceededError(
-                f"{what} would hold {held} color terms at once, over the memory budget "
-                f"of {budget.BUDGET}"
-            )
+        hold(held, held_what)
 
     for node in _topo_nodes(g):
         terms = acc.get(node)

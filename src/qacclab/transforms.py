@@ -36,7 +36,6 @@ from .circuit import (
     Gate,
     ModGate,
     OneQubitGate,
-    StagedCNotLayer,
     TensorLayer,
     ToffoliGate,
     block_width,
@@ -119,17 +118,16 @@ def _key_maps(target: Target) -> int | None:
                 return None
             maps += len(layer.gates)
         else:
-            maps += len(layer.stages) if isinstance(layer, StagedCNotLayer) else 1
+            maps += len(layer.stages)
     return maps
 
 
 def _check_memory(lines: int, words: int) -> None:
     """Columns of `lines` lines, of `words` 64-bit words each, must fit in
-    WORK words."""
+    WORK words; past it they are charged to a fresh work meter, which
+    refuses them."""
     if lines * words > budget.WORK:
-        raise CapExceededError(
-            f"{lines} columns of {words} words exceed the column budget of {budget.WORK} words"
-        )
+        budget.Work().charge(lines * words, f"holding {lines} columns of {words} words")
 
 
 def _input_column(shift: int, bits: int) -> int:
@@ -695,9 +693,7 @@ def builder_spec(name: str, n: int, q: int, r: int = 0) -> BuilderSpec:
     if r and not spec.needs_r:
         raise BuilderArgumentError(f"r={r} given, but builder {name!r} takes no r")
     get_context(f"cyclotomic{q}")  # a q whose table is too large is refused, whatever n is
-    size = spec.size(n, q, r)
-    if size > budget.BUDGET:
-        raise CapExceededError(f"{size} gate lines exceed the memory budget {budget.BUDGET}")
+    budget.hold(spec.size(n, q, r), "gate lines of the built circuit")
     return spec
 
 

@@ -2,8 +2,8 @@
 per-branch exact reference for the simulator's branching steps, a per-input
 reference for equivalence checks that runs the whole candidate, dense gate
 matrices, a Fraction reference for scalar arithmetic, a context with one
-indeterminate, two-element context files and a seeded random-circuit
-generator.
+indeterminate, two-element context files, a seeded random-circuit
+generator and a from-scratch count of the color terms the graph DP holds.
 
 The numeric simulator is deliberately written from scratch (own bit
 conventions, cmath roots of unity) so it can serve as a cross-check
@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from qacclab import budget
 from qacclab import circuit as cir
+from qacclab import tensorgraph
 from qacclab.algebra import AlgebraContext, FScalar, polys
 from qacclab.circuit import (
     AddBlockGate,
@@ -456,3 +457,35 @@ def multiline_gate_count(c) -> int:
         elif isinstance(layer, StagedCNotLayer):
             count += sum(len(s) for s in layer.stages)
     return count
+
+
+def dp_held_terms(g, target):
+    """(most color terms the DP holds at once, terms in every node's final
+    value), counted from scratch after each contribution: a node's value is
+    held from its first contribution until its out-edges are processed,
+    and the terminal's to the end.  A value is a dict {ColorProduct:
+    nonzero scalar}."""
+    held = {g.source: {tensorgraph.UNIT_PRODUCT: g.ctx.one()}}
+    peak, every = 1, 0
+    for node in tensorgraph._topo_nodes(g):
+        value = held.get(node)
+        if value is None:
+            continue
+        outs = [(dst, value) for dst in g.hout.get(node, ())]
+        if node in g.vout:
+            dst, product, a0, a1 = g.vout[node]
+            amp = a0 if target[g.nodes[dst] - 1] == "0" else a1
+            if not amp.is_zero():
+                products = {p: p.times(product) for p in value}
+                term = {pq: value[p] * amp for p, pq in products.items() if pq is not None}
+                outs.append((dst, term))
+        for dst, term in outs:
+            total = dict(held.get(dst, {}))
+            for p, s in term.items():
+                total[p] = total[p] + s if p in total else s
+            held[dst] = {p: s for p, s in total.items() if not s.is_zero()}
+            peak = max(peak, sum(map(len, held.values())))
+        every += len(value)
+        if node != g.terminal:
+            del held[node]
+    return peak, every

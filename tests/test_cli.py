@@ -1,5 +1,7 @@
 import argparse
 import json
+import re
+import time
 
 import pytest
 from support import sqrt_a1_context, two_element_context_json
@@ -254,7 +256,7 @@ def test_work_budget_exits_3_with_one_line(capsys, monkeypatch, bell_file):
     monkeypatch.setattr(budget, "BUDGET", 4)
     code, out, err = run_cli(capsys, "metrics", "--circuit", bell_file, "--input", "00")
     assert code == 3 and out == ""
-    assert err == "error: tensor graph would exceed the memory budget of 4 nodes\n"
+    assert err == "error: 5 tensor graph nodes exceed the memory budget of 4\n"
 
 
 def test_oversized_contexts_exit_3_with_one_line(capsys, tmp_path):
@@ -268,23 +270,28 @@ def test_oversized_contexts_exit_3_with_one_line(capsys, tmp_path):
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 3 and out == "", (q, argv)
-            assert err.startswith(f"error: cyclotomic{q} has dimension above 101: "), (q, argv)
+            refusal = rf"error: \d+ table entries \(.*\) of cyclotomic{q} exceed"
+            assert re.match(refusal, err), (q, argv)
             assert err.count("\n") == 1, (q, argv)
 
 
 def test_dense_lowering_past_the_memory_budget_exits_3_with_one_line(capsys, tmp_path):
-    # 2^20 variants of 20 one-line operators: refused before the first is built
-    path = tmp_path / "mod20.qc"
-    inputs = " ".join(map(str, range(19)))
-    path.write_text(
-        f"circuit n=20 aux=0 context=cyclotomic5\nlayer {{ MOD 5 0 [{inputs} -> 19] }}\n"
-    )
-    code, out, err = run_cli(capsys, "metrics", "--circuit", str(path), "--input", "0" * 20)
-    assert code == 3 and out == ""
-    assert err == (
-        "error: lowering a gate on 20 lines entry by entry takes 1048576 variants of "
-        "20 one-line operators, over the memory budget of 1048576\n"
-    )
+    # 2^k variants, each past the first adding a copy of the k + 1 nodes of
+    # the span: refused before the first copy is built
+    for k in (20, 16):
+        path = tmp_path / f"mod{k}.qc"
+        inputs = " ".join(map(str, range(k - 1)))
+        path.write_text(
+            f"circuit n={k} aux=0 context=cyclotomic5\nlayer {{ MOD 5 0 [{inputs} -> {k - 1}] }}\n"
+        )
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "metrics", "--circuit", str(path), "--input", "0" * k)
+        assert time.perf_counter() - t0 < 5, k
+        assert code == 3 and out == "", k
+        assert err == (
+            f"error: {(k + 1) << k} tensor graph nodes after the span copies of a {k}-line "
+            "gate exceed the memory budget of 1048576\n"
+        )
 
 
 def test_work_budget_exits_3_with_one_error_line(capsys, monkeypatch, bell_file):
@@ -323,11 +330,13 @@ def test_wide_builds_are_refused_by_their_size(capsys, monkeypatch):
     argv = ("build", "--builder", "mq_from_modq", "--n", "10000", "--q")
     code, out, err = run_cli(capsys, *argv, "16")
     assert code == 3 and out == ""
-    assert err == "error: 13760248 gate lines exceed the memory budget 1048576\n"
+    assert err == (
+        "error: 13760248 gate lines of the built circuit exceed the memory budget of 1048576\n"
+    )
     # a q whose context table is past the memory budget is refused by it first
     code, out, err = run_cli(capsys, *argv, "1000003")
     assert code == 3 and out == "" and err.count("\n") == 1
-    assert err.startswith("error: cyclotomic1000003 has dimension above")
+    assert err.startswith("error: 1061208 table entries (at least: d > 101) of cyclotomic1000003")
 
 
 def test_accept_n_output(capsys, hadamard_file):

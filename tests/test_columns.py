@@ -248,7 +248,7 @@ def test_columns_past_the_memory_budget_are_refused_before_they_are_built(monkey
     monkeypatch.setattr(tf, "_input_column", None)  # no column may be built
     with pytest.raises(
         cir.CapExceededError,
-        match="^70 columns of 16 words exceed the column budget of 1119 words$",
+        match="^holding 70 columns of 16 words exceeds the work budget of 1119 units$",
     ):
         tf.equivalence_check(target, candidate)
 

@@ -138,7 +138,7 @@ def test_work_budget_enforced(c2, monkeypatch):
     assert len(sv.run(two, "000").entries) == 4
     three = Circuit(3, 0, (TensorLayer(tuple(cir.hadamard_gate(l) for l in range(3))),), c2)
     # refused at 4 stored states, before the step that would reach 8
-    with pytest.raises(sv.CapExceededError, match="^4 basis states x 2 branches"):
+    with pytest.raises(sv.CapExceededError, match="^8 basis-state branches of a 2-way step"):
         sv.run(three, "000")
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from support import (
+    dp_held_terms,
     multiline_gate_count,
     random_bits,
     random_circuit,
@@ -284,38 +285,6 @@ def test_path_cap(c2, monkeypatch):
         tg.tg_amplitude_paths(g, "00")
 
 
-def _dp_held_terms(g, target):
-    """(most color terms the DP holds at once, terms in every node's final
-    value), counted from scratch after each contribution: a node's value is
-    held from its first contribution until its out-edges are processed,
-    and the terminal's to the end.  A value is a dict {ColorProduct:
-    nonzero scalar}."""
-    held = {g.source: {tg.UNIT_PRODUCT: g.ctx.one()}}
-    peak, every = 1, 0
-    for node in tg._topo_nodes(g):
-        value = held.get(node)
-        if value is None:
-            continue
-        outs = [(dst, value) for dst in g.hout.get(node, ())]
-        if node in g.vout:
-            dst, product, a0, a1 = g.vout[node]
-            amp = a0 if target[g.nodes[dst] - 1] == "0" else a1
-            if not amp.is_zero():
-                products = {p: p.times(product) for p in value}
-                term = {pq: value[p] * amp for p, pq in products.items() if pq is not None}
-                outs.append((dst, term))
-        for dst, term in outs:
-            total = dict(held.get(dst, {}))
-            for p, s in term.items():
-                total[p] = total[p] + s if p in total else s
-            held[dst] = {p: s for p, s in total.items() if not s.is_zero()}
-            peak = max(peak, sum(map(len, held.values())))
-        every += len(value)
-        if node != g.terminal:
-            del held[node]
-    return peak, every
-
-
 def test_dp_budgets_are_exact(c2, monkeypatch):
     # one work unit per color-term product formed; the memory budget
     # bounds the terms of the values held at once, which are the
@@ -331,7 +300,7 @@ def test_dp_budgets_are_exact(c2, monkeypatch):
         m.setattr(tg.ColorProduct, "times", lambda a, b: products.append(1) or times(a, b))
         want = tg.tg_amplitude_dp(g, z)
     work = len(products)
-    peak, every = _dp_held_terms(g, z)
+    peak, every = dp_held_terms(g, z)
     assert not want.is_zero() and 1 < peak < every
     monkeypatch.setattr(budget, "WORK", work)
     assert (tg.tg_amplitude_dp(g, z) - want).is_zero()
@@ -342,7 +311,7 @@ def test_dp_budgets_are_exact(c2, monkeypatch):
     monkeypatch.setattr(budget, "BUDGET", peak)
     assert (tg.tg_amplitude_dp(g, z) - want).is_zero()
     monkeypatch.setattr(budget, "BUDGET", peak - 1)
-    refusal = f"hold {peak} color terms at once, over the memory budget of {peak - 1}$"
+    refusal = f"^{peak} color terms held at once by .* exceed the memory budget of {peak - 1}$"
     with pytest.raises(cir.CapExceededError, match=refusal):
         tg.tg_amplitude_dp(g, z)
 
@@ -372,41 +341,59 @@ def test_dense_lowering_past_the_memory_budget_is_refused_before_building(c2):
     # values; it is refused before the table is built
     c = Circuit(26, 0, (TensorLayer((ModGate(3, 0, tuple(range(25)), 25),)),), c2)
     t0 = time.perf_counter()
-    with pytest.raises(cir.CapExceededError, match="2\\^26 values of 26 lines exceeds the memory"):
+    with pytest.raises(cir.CapExceededError, match="^67108864 values of a 26-line block exceed"):
         tg.tg_build(c, "0" * 26)
     assert time.perf_counter() - t0 < 1
 
 
-def test_dense_lowering_is_charged_its_operators_before_building(monkeypatch):
-    # HQ 3 on a 2-line block has 3 x 3 + 1 nonzero entries: 10 variants of
-    # 2 one-line operators
+def test_dense_lowering_is_charged_its_operators_before_building(c2, monkeypatch):
+    # each variant past the first copies the span: on the 3 nodes of "00",
+    # HQ 3 on a 2-line block has 3 x 3 + 1 nonzero entries, so its 9 copies
+    # of 3 nodes make 30 nodes in all
     ctx = get_context("cyclotomic3")  # built before the budget is lowered
     fourier = FourierGate(3, (0, 1))
-    monkeypatch.setattr(budget, "BUDGET", 20)
+    monkeypatch.setattr(budget, "BUDGET", 30)
     assert len(tg._lower(tg.tg_init("00", ctx), fourier)) == 10
-    monkeypatch.setattr(budget, "BUDGET", 19)
+    assert len(tg.apply_layer(tg.tg_init("00", ctx), TensorLayer((fourier,))).nodes) == 30
+    monkeypatch.setattr(budget, "BUDGET", 29)
     refusal = (
-        "^lowering a gate on 2 lines entry by entry takes 10 variants of 2 one-line "
-        "operators, over the memory budget of 19$"
+        "^30 tensor graph nodes after the span copies of a 2-line gate exceed the memory "
+        "budget of 29$"
     )
     with pytest.raises(cir.CapExceededError, match=refusal):
         tg._lower(tg.tg_init("00", ctx), fourier)
 
-    # a unitary on k lines has at least 2^k entries: refused before its kernel is built
+    # a permutation on k lines has exactly 2^k entries: at the graph's node
+    # count after the layer it builds, and one less is refused before the
+    # gate's kernel is built.  After the two Toffolis' copies, the span of
+    # lines 1..3 holds 2 entry edges, the 3 + 2 nodes at heights 2 and 3 and
+    # 2 exit edges: 9 nodes a copy
+    monkeypatch.setattr(budget, "BUDGET", 1 << 20)
+    toffolis = TensorLayer((ToffoliGate((0,), 1), ToffoliGate((2,), 3)))
+    g = tg.tg_build(Circuit(4, 0, (toffolis,), c2), "1010")
+    before = len(g.nodes)
+    mod = ModGate(2, 0, (1, 3), 2)
+    layer = TensorLayer((mod,))
+    after = len(tg.apply_layer(g, layer).nodes)
+    assert after == before + 7 * 9
+    monkeypatch.setattr(budget, "BUDGET", after)
+    assert len(tg.apply_layer(g, layer).nodes) == after
+
     def refuse(*_args):
         raise AssertionError("kernel built for a lowering past the memory budget")
 
     monkeypatch.setattr(cir, "gate_kernel", refuse)
-    monkeypatch.setattr(budget, "BUDGET", 3 * 8 - 1)
-    with pytest.raises(cir.CapExceededError, match="takes 8 variants of 3 one-line operators"):
-        tg._lower(tg.tg_init("000", ctx), ModGate(2, 0, (0, 1), 2))
+    monkeypatch.setattr(budget, "BUDGET", after - 1)
+    with pytest.raises(cir.CapExceededError, match=f"^{after} tensor graph nodes after"):
+        tg._lower(g, mod)
+    assert len(g.nodes) == before
 
 
 def test_node_budget(c2, monkeypatch):
     c = Circuit(2, 0, (TensorLayer((ToffoliGate((0,), 1),)),), c2)
     assert len(tg.tg_build(c, "10").nodes) == 6
     monkeypatch.setattr(budget, "BUDGET", 5)
-    with pytest.raises(cir.CapExceededError, match="budget of 5 nodes"):
+    with pytest.raises(cir.CapExceededError, match="^6 tensor graph nodes exceed the memory budget of 5$"):
         tg.tg_build(c, "10")
 
 
