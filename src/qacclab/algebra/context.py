@@ -3,8 +3,9 @@
 A context fixes the ordered indeterminates A, the basis B (with basis
 element 0 being 1), the d x d basis multiplication table, the common
 denominator u, and floating approximations of the basis elements.  The
-approximations serve display alone: validate() refuses a table they
-disagree with by more than 1e-9, and no verdict reads them.
+approximations serve display alone: each must be finite, validate()
+refuses a table they disagree with by more than 1e-9 or that divides by a
+u they evaluate to ~0, and no verdict reads them.
 From the table (and the conjugation, when given) it computes once the
 structure constants the scalar kernel reads: for each basis product
 beta_a beta_b the nonzero (j, numerator) pairs of its coordinates over one
@@ -44,6 +45,7 @@ from fractions import Fraction
 from .. import budget
 from . import polys
 from .scalars import (
+    EvaluationError,
     ExactScalar,
     FScalar,
     f_from_json,
@@ -217,11 +219,17 @@ class AlgebraContext:
         for a in range(d):
             for b in range(d):
                 direct = self.basis_values[a] * self.basis_values[b]
-                via_table = sum(
-                    f_numeric(entry, self) * self.basis_values[j]
-                    for j, entry in enumerate(self.mult_table[a][b])
-                    if not entry.is_zero()
-                )
+                try:
+                    via_table = sum(
+                        f_numeric(entry, self) * self.basis_values[j]
+                        for j, entry in enumerate(self.mult_table[a][b])
+                        if not entry.is_zero()
+                    )
+                except EvaluationError:
+                    raise ContextError(
+                        f"numeric assignment makes u ~0, but mult_table at ({a},{b}) "
+                        "divides by a power of u"
+                    ) from None
                 if abs(direct - via_table) > 1e-9:
                     raise ContextError(
                         f"numeric assignment violates mult_table at ({a},{b}): "
@@ -347,10 +355,13 @@ def _rational_value(x: ExactScalar) -> Fraction | None:
 
 def _pair(v):
     if isinstance(v, complex):
-        return [v.real, v.imag]
-    if len(v) != 2 or not all(isinstance(x, (int, float)) and type(x) is not bool for x in v):
+        v = [v.real, v.imag]
+    elif len(v) != 2 or not all(isinstance(x, (int, float)) and type(x) is not bool for x in v):
         raise ContextError(f"numeric value {v!r} is not a pair of numbers")
-    return [float(v[0]), float(v[1])]
+    pair = [float(v[0]), float(v[1])]
+    if not all(map(math.isfinite, pair)):  # json.load reads NaN and Infinity
+        raise ContextError(f"numeric value {v!r} is not a pair of finite numbers")
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -599,5 +610,5 @@ def load_context(path) -> AlgebraContext:
         raise
     except KeyError as exc:
         raise ContextError(f"context file {path} lacks the key {exc}") from exc
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ContextError(f"context file {path} is malformed: {exc}") from exc

@@ -58,7 +58,7 @@ nodes after all the copies are held before any is built: first with 2^k
 variants, before the gate's kernel is built (a unitary has an entry in
 every column), then with one variant per entry.  A path sum charges the
 work budget one scalar product per vertical edge of each path, before it
-walks.  The DP keeps one dict {ColorProduct: nonzero scalar} per node it
+walks.  The DP keeps one dict {(colors, antis): nonzero scalar} per node it
 has reached but not yet left, and the terminal's, and merges each edge's
 terms into the destination's dict in place.  It charges the work budget
 one unit per color-term product, before it forms them, and holds the
@@ -94,61 +94,38 @@ class GraphError(RuntimeError):
 # -- color algebra -------------------------------------------------------------
 
 
-class ColorProduct:
-    """Product of colors/anticolors as two bit masks: bit i of colors is
-    color i, bit i of antis its anticolor; no bit is set in both.
+# A color product is a pair (colors, antis) of bit masks: bit i of colors is
+# color i, bit i of antis its anticolor; no bit is set in both.  The empty
+# product is the scalar 1.
 
-    times() returns None when the product annihilates (a color meets its
-    anticolor); matching factors cancel pairwise.  The empty product is
-    the scalar 1.
-    """
-
-    __slots__ = ("colors", "antis")
-
-    def __init__(self, colors: int = 0, antis: int = 0):
-        self.colors = colors
-        self.antis = antis
-
-    def times(self, other: "ColorProduct"):
-        if self.colors & other.antis or self.antis & other.colors:
-            return None  # c * anti(c) = 0
-        return ColorProduct(self.colors ^ other.colors, self.antis ^ other.antis)
-
-    def factors(self):
-        """(color id, is anticolor) pairs, by color id."""
-        both = self.colors | self.antis
-        while both:
-            low = both & -both
-            yield low.bit_length() - 1, bool(self.antis & low)
-            both ^= low
-
-    def is_unit(self) -> bool:
-        return not (self.colors or self.antis)
-
-    def __eq__(self, other):
-        if not isinstance(other, ColorProduct):
-            return NotImplemented
-        return self.colors == other.colors and self.antis == other.antis
-
-    def __hash__(self):
-        return hash((self.colors, self.antis))
-
-    def __repr__(self):
-        if self.is_unit():
-            return "{1}"
-        names = [f"~c{cid}" if anti else f"c{cid}" for cid, anti in self.factors()]
-        return "{" + "*".join(names) + "}"
+UNIT_PRODUCT = (0, 0)
 
 
-UNIT_PRODUCT = ColorProduct()
+def color(cid: int) -> tuple[int, int]:
+    return 1 << cid, 0
 
 
-def color(cid: int) -> ColorProduct:
-    return ColorProduct(colors=1 << cid)
+def anticolor(cid: int) -> tuple[int, int]:
+    return 0, 1 << cid
 
 
-def anticolor(cid: int) -> ColorProduct:
-    return ColorProduct(antis=1 << cid)
+def times(a, b):
+    """The product a*b, or None when it annihilates (a color meets its
+    anticolor); matching factors cancel pairwise."""
+    (colors, antis), (other_colors, other_antis) = a, b
+    if colors & other_antis or antis & other_colors:
+        return None  # c * anti(c) = 0
+    return colors ^ other_colors, antis ^ other_antis
+
+
+def factors(p):
+    """(color id, is anticolor) pairs of p, by color id."""
+    colors, antis = p
+    both = colors | antis
+    while both:
+        low = both & -both
+        yield low.bit_length() - 1, bool(antis & low)
+        both ^= low
 
 
 # -- the graph -----------------------------------------------------------------
@@ -170,7 +147,7 @@ class TensorGraph:
         self.height = height
         self.nodes: dict[int, int] = {}
         self.levels: dict[int, list[int]] = {}
-        self.vout: dict[int, tuple] = {}  # src -> (dst, ColorProduct, a0, a1)
+        self.vout: dict[int, tuple] = {}  # src -> (dst, color product, a0, a1)
         self.vin: dict[int, int] = {}
         self.hout: dict[int, list[int]] = {}
         self.source: int | None = None
@@ -194,7 +171,7 @@ class TensorGraph:
         self._next_node = max(self._next_node, nid + 1)
         return nid
 
-    def add_vedge(self, src: int, dst: int, product: ColorProduct, a0, a1):
+    def add_vedge(self, src: int, dst: int, product: tuple[int, int], a0, a1):
         if src in self.vout:
             raise GraphError(f"node {src} already has a vertical out-edge")
         if dst in self.vin:
@@ -308,11 +285,11 @@ def _lower(g: TensorGraph, gate) -> list[dict]:
         return [{gate.control: p0}, {**dict.fromkeys(gate.targets, flip), gate.control: p1}]
     lines = gate.lines()
     k = len(lines)
-    codes = cir.block_codes(lines, g.height)  # value x of the lines -> key bits
     if k > 1:  # a unitary has an entry in every column: at least 2^k variants
         copies = _span_copy_nodes(g, lines)
         what = f"tensor graph nodes after the span copies of a {k}-line gate"
         hold(len(g.nodes) + ((1 << k) - 1) * copies, what)
+    codes = cir.block_codes(lines, g.height)  # value x of the lines -> key bits
     value_of = {c: x for x, c in enumerate(codes)}
     kernel = cir.gate_kernel(gate, g.height, g.ctx)
     entries = [(x, value_of[y], s) for x, c in enumerate(codes) for y, s in kernel(c)]
@@ -389,8 +366,8 @@ def _cnot_pair(g: TensorGraph, control: int, target: int) -> None:
         # control companions start no vertical edge at the target height,
         # so its pass reads the original edges there
         for src, dst, product, a0, a1 in g.vedges_at(height):
-            tagged = product.times(c)
-            companion_product = product.times(anti)
+            tagged = times(product, c)
+            companion_product = times(product, anti)
             if is_control:
                 g.vout[src] = (dst, tagged, a0, zero)
                 comp = (companion_product, zero, a1)
@@ -469,7 +446,7 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
     """Height-by-height dynamic program over color terms.
 
     Accumulates, per reached node, the amplitude of the target prefix over
-    all partial paths as one dict {ColorProduct: nonzero ExactScalar}, into
+    all partial paths as one dict {(colors, antis): nonzero ExactScalar}, into
     which each in-edge merges its terms in place; color products multiply in
     path order, the regime where the algebra behaves associatively.  A dict
     is dropped once its node's out-edges are processed, so the terms held
@@ -514,12 +491,12 @@ def tg_amplitude_dp(g: TensorGraph, target_bits: str) -> ExactScalar:
                     work.charge(n, what)
                     # p -> p*product XORs the masks: no two of these pairs share a product
                     add(dst, ((pq, s * amp) for p, s in terms.items()
-                              if (pq := p.times(product)) is not None))
+                              if (pq := times(p, product)) is not None))
         if node != g.terminal:
             del acc[node]
             held -= n
     final = acc.get(g.terminal, {})
-    if any(not p.is_unit() for p in final):
+    if any(p != UNIT_PRODUCT for p in final):
         raise GraphError("terminal value keeps color factors: graph is not color consistent")
     return final.get(UNIT_PRODUCT, g.ctx.zero())
 
@@ -558,7 +535,7 @@ def tg_amplitude_paths(g: TensorGraph, target_bits: str) -> ExactScalar:
     while stack:
         node, product, scalar = stack.pop()
         if node == g.terminal:
-            if not product.is_unit():
+            if product != UNIT_PRODUCT:
                 raise GraphError("path ends with open colors: graph is not color consistent")
             total = total + scalar
             continue
@@ -569,7 +546,7 @@ def tg_amplitude_paths(g: TensorGraph, target_bits: str) -> ExactScalar:
             amp = a0 if target_bits[g.nodes[dst] - 1] == "0" else a1
             if amp.is_zero():
                 continue
-            new_product = product.times(eproduct)
+            new_product = times(product, eproduct)
             if new_product is None:
                 continue
             new_scalar = scalar * amp
@@ -599,7 +576,7 @@ def tg_metrics(g: TensorGraph) -> GraphMetrics:
     heights_of_color: dict[int, dict[bool, set]] = {}
     for src, (dst, product, _a0, _a1) in g.vout.items():
         h = g.nodes[dst]
-        for cid, anti in product.factors():
+        for cid, anti in factors(product):
             heights_of_color.setdefault(cid, {False: set(), True: set()})[anti].add(h)
     consistent = True
     spans = []
@@ -635,7 +612,7 @@ def tg_to_json(g: TensorGraph) -> dict:
             {
                 "from": src,
                 "to": dst,
-                "colors": [[cid, int(anti)] for cid, anti in product.factors()],
+                "colors": [[cid, int(anti)] for cid, anti in factors(product)],
                 "amp0": a0.to_json(),
                 "amp1": a1.to_json(),
             }

@@ -463,7 +463,7 @@ def dp_held_terms(g, target):
     """(most color terms the DP holds at once, terms in every node's final
     value), counted from scratch after each contribution: a node's value is
     held from its first contribution until its out-edges are processed,
-    and the terminal's to the end.  A value is a dict {ColorProduct:
+    and the terminal's to the end.  A value is a dict {(colors, antis):
     nonzero scalar}."""
     held = {g.source: {tensorgraph.UNIT_PRODUCT: g.ctx.one()}}
     peak, every = 1, 0
@@ -476,7 +476,7 @@ def dp_held_terms(g, target):
             dst, product, a0, a1 = g.vout[node]
             amp = a0 if target[g.nodes[dst] - 1] == "0" else a1
             if not amp.is_zero():
-                products = {p: p.times(product) for p in value}
+                products = {p: tensorgraph.times(p, product) for p in value}
                 term = {pq: value[p] * amp for p, pq in products.items() if pq is not None}
                 outs.append((dst, term))
         for dst, term in outs:

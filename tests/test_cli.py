@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import time
 
@@ -540,6 +541,35 @@ def test_a_context_file_with_a_non_number_value_or_a_non_name_name_exits_2(
     code, out, err = _simulate_u_swap(capsys, tmp_path, context)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("part", [math.nan, math.inf, -math.inf])
+def test_a_context_file_with_a_non_finite_numeric_value_exits_2(capsys, tmp_path, part):
+    # json.load reads NaN and Infinity; with b = NaN, abs(b*b - 2) > 1e-9
+    # is false, so the numeric check alone would let b*b = 2 pass
+    context = {**_two_element_context_with_conjugation(), "numeric": {"b": [part, 0.0]}}
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err == f"error: numeric value [{part!r}, 0.0] is not a pair of finite numbers\n"
+
+
+def test_a_context_file_numeric_value_past_the_float_range_exits_2(capsys, tmp_path):
+    context = {**_two_element_context_with_conjugation(), "numeric": {"b": [10**400, 0.0]}}
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err.startswith("error: context file ") and "is malformed: int too large" in err
+    assert err.count("\n") == 1
+
+
+def test_a_context_file_whose_u_evaluates_to_0_exits_2(capsys, tmp_path):
+    # u = a1 and b*b = 1/u: with a1 = 0 the table entry cannot be evaluated
+    context = sqrt_a1_context().to_json()
+    context["numeric"]["a1"] = [0, 0]
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: numeric assignment makes u ~0, but mult_table at (1,1) divides by a power of u\n"
+    )
 
 
 def _non_associative_cyclotomic3() -> dict:

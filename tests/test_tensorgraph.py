@@ -49,22 +49,22 @@ def one_gate(g, gate):
 
 def test_color_pair_collapse():
     b = tg.color(1)
-    assert b.times(b) == tg.UNIT_PRODUCT
-    assert b.times(tg.anticolor(1)) is None
+    assert tg.times(b, b) == tg.UNIT_PRODUCT
+    assert tg.times(b, tg.anticolor(1)) is None
     anti = tg.anticolor(1)
-    assert anti.times(anti) == tg.UNIT_PRODUCT
+    assert tg.times(anti, anti) == tg.UNIT_PRODUCT
 
 
 def test_distinct_colors_commute():
     b, c = tg.color(1), tg.color(2)
-    assert b.times(c) == c.times(b)
+    assert tg.times(b, c) == tg.times(c, b)
 
 
 def test_nonassociative_fold_witness():
     a, anti = tg.color(5), tg.anticolor(5)
     # (a*a)*~a = ~a, while a*(a*~a) = 0
-    assert a.times(a).times(anti) == anti
-    inner = a.times(anti)
+    assert tg.times(tg.times(a, a), anti) == anti
+    inner = tg.times(a, anti)
     assert inner is None
 
 
@@ -148,7 +148,7 @@ def test_color_appears_at_exactly_two_heights(c2):
     g = tg.apply_layer(tg.tg_init("0101", c2), CNotLayer(((0, 2), (1, 3))))
     heights: dict = {}
     for src, (dst, product, _a0, _a1) in g.vout.items():
-        for cid, _anti in product.factors():
+        for cid, _anti in tg.factors(product):
             heights.setdefault(cid, set()).add(g.nodes[dst])
     assert heights and all(len(hs) == 2 for hs in heights.values())
     assert tg.tg_metrics(g).color_consistent
@@ -295,9 +295,9 @@ def test_dp_budgets_are_exact(c2, monkeypatch):
     z = cir.key_to_bits(sv.run(c, x).support()[0], 6)
     g = tg.tg_build(c, x)  # built before the count: _cnot_pair's products stay out of it
     products = []
-    times = tg.ColorProduct.times
+    times = tg.times
     with monkeypatch.context() as m:
-        m.setattr(tg.ColorProduct, "times", lambda a, b: products.append(1) or times(a, b))
+        m.setattr(tg, "times", lambda a, b: products.append(1) or times(a, b))
         want = tg.tg_amplitude_dp(g, z)
     work = len(products)
     peak, every = dp_held_terms(g, z)
@@ -341,9 +341,24 @@ def test_dense_lowering_past_the_memory_budget_is_refused_before_building(c2):
     # values; it is refused before the table is built
     c = Circuit(26, 0, (TensorLayer((ModGate(3, 0, tuple(range(25)), 25),)),), c2)
     t0 = time.perf_counter()
-    with pytest.raises(cir.CapExceededError, match="^67108864 values of a 26-line block exceed"):
+    refusal = "^1811939328 tensor graph nodes after the span copies of a 26-line gate exceed"
+    with pytest.raises(cir.CapExceededError, match=refusal):
         tg.tg_build(c, "0" * 26)
     assert time.perf_counter() - t0 < 1
+
+
+def test_refused_dense_gate_never_builds_its_value_table(c2, monkeypatch):
+    # 2^20 values of a 20-line block fit the memory budget, but the
+    # gate's 2^20 span copies do not: the copies are held first, so the
+    # table is never built
+    c = Circuit(20, 0, (TensorLayer((ModGate(5, 0, tuple(range(19)), 19),)),), c2)
+    tables = []
+    block_codes = cir.block_codes
+    monkeypatch.setattr(cir, "block_codes", lambda *a: tables.append(a) or block_codes(*a))
+    refusal = "^22020096 tensor graph nodes after the span copies of a 20-line gate exceed"
+    with pytest.raises(cir.CapExceededError, match=refusal):
+        tg.tg_build(c, "0" * 20)
+    assert tables == []
 
 
 def test_dense_lowering_is_charged_its_operators_before_building(c2, monkeypatch):
@@ -528,9 +543,8 @@ def test_horizontal_cycle_is_reported(c2):
 
 
 def test_color_product_factors_are_sorted(c2):
-    p = tg.anticolor(7).times(tg.color(2)).times(tg.color(40))
-    assert list(p.factors()) == [(2, False), (7, True), (40, False)]
-    assert repr(p) == "{c2*~c7*c40}" and repr(tg.UNIT_PRODUCT) == "{1}"
+    p = tg.times(tg.times(tg.anticolor(7), tg.color(2)), tg.color(40))
+    assert list(tg.factors(p)) == [(2, False), (7, True), (40, False)]
     g = tg.TensorGraph(c2, 1)
     g.source, g.terminal = g.add_node(0), g.add_node(1)
     g.add_vedge(g.source, g.terminal, p, c2.one(), c2.zero())
