@@ -605,6 +605,10 @@ def load_context(path) -> AlgebraContext:
     if not isinstance(data, dict):
         raise ContextError(f"context file {path} does not hold a JSON object")
     try:
+        for key in ("indeterminates", "basis"):  # a string would be read as its characters
+            names = data[key]
+            if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+                raise TypeError(f"{key} {names!r} is not a list of strings")
         return AlgebraContext.from_json(data)
     except ContextError:
         raise

@@ -3,10 +3,11 @@
 Lines are indexed 0..width-1 and gates carry explicit line lists, so a
 layer is a genuine Kronecker product with no unspoken permutations; wire
 crossings only ever happen through controlled-not layers.  Block gates
-(q-ary modular add, q-ary fan-out, the q-ary Fourier gate, and the
-block-add transform) address ceil(log2 q)-bit registers; register values
->= q ("non-qudigit" states) and control registers >= q are left fixed,
-which keeps every block gate unitary as a direct sum.
+address ceil(log2 q)-bit registers: the q-ary Fourier gate one, and the
+q-ary modular add, q-ary fan-out and block-add transform add the digit
+sum mod q of their source blocks into each destination (block_roles).  A
+value >= q ("non-qudigit") reads as 0 and is left fixed, which keeps
+every block gate unitary as a direct sum.
 
 Basis states are ints whose binary expansion, read most significant bit
 first, lists line 0 first.
@@ -167,6 +168,19 @@ Gate = Union[
     AddBlockGate,
 ]
 
+
+def block_roles(g: Gate) -> tuple[tuple, tuple]:
+    """(sources, destinations) of a q-ary block gate: it adds the digit sum
+    of its source blocks (negated when inverse) into each destination, mod q."""
+    if isinstance(g, AddModGate):
+        return g.blocks, (g.result,)
+    if isinstance(g, AddBlockGate):
+        return (g.addend,), (g.result,)
+    if isinstance(g, FanOutModGate):
+        return (g.control,), g.blocks
+    raise TypeError(f"{type(g).__name__} is not a block gate")
+
+
 # -- layers ------------------------------------------------------------------
 
 
@@ -296,18 +310,15 @@ def _gate_diagnostics(g: Gate, idx: int, width: int, ctx) -> list[Diagnostic]:
             out.append(
                 Diagnostic(idx, f"MOD gate weights {w!r} are not one positive int per input")
             )
-    if isinstance(g, AddModGate):
-        out.extend(_block_diagnostics(g.blocks + (g.result,), g.q, idx))
-    if isinstance(g, FanOutModGate):
-        out.extend(_block_diagnostics(g.blocks + (g.control,), g.q, idx))
+    if isinstance(g, (AddModGate, FanOutModGate, AddBlockGate)):
+        sources, destinations = block_roles(g)
+        out.extend(_block_diagnostics(sources + destinations, g.q, idx))
     if isinstance(g, FourierGate):
         out.extend(_block_diagnostics((g.block,), g.q, idx))
         try:
             ctx.fourier_scalars(g.q)
         except ContextError as exc:
             out.append(Diagnostic(idx, str(exc)))
-    if isinstance(g, AddBlockGate):
-        out.extend(_block_diagnostics((g.addend, g.result), g.q, idx))
     if isinstance(g, OneQubitGate):
         out.extend(_unitarity_diagnostics(g, idx, ctx))
     return out
@@ -400,47 +411,28 @@ def _add_digit(v: int, d: int, q: int) -> int:
     return (v + d) % q if v < q else v
 
 
-def _digit_reader(block, width: int, q: int, sign: int):
-    """(block mask, table: block bits -> the digit they read as)."""
-    codes = block_codes(block, width)
-    return codes[-1], {c: _read_digit(v, q, sign) for v, c in enumerate(codes)}
-
-
-def _digit_adder(block, width: int, q: int):
-    """(block mask, table: block bits -> the bits after adding d, at index
-    d for d in 0..q-1).  Its q codes per value must fit in the memory
-    budget."""
-    budget.hold(q << len(block), f"modular-add codes of a {len(block)}-line block mod {q}")
-    codes = block_codes(block, width)
-    return codes[-1], {
-        c: tuple(codes[_add_digit(v, d, q)] for d in range(q)) for v, c in enumerate(codes)
-    }
-
-
-def _modular_add(blocks, result, q: int, inverse: bool, width: int) -> Callable[[int], int]:
-    digits = tuple(_digit_reader(b, width, q, -1 if inverse else 1) for b in blocks)
-    rmask, shifted = _digit_adder(result, width, q)
-    keep = ~rmask
+def _modular_add(g: Gate, width: int) -> Callable[[int], int]:
+    """The key map of every block gate (block_roles)."""
+    sources, destinations = block_roles(g)
+    q, sign = g.q, -1 if g.inverse else 1
+    reads = []  # (block mask, table: block bits -> the digit they read as)
+    for b in sources:
+        codes = block_codes(b, width)
+        reads.append((codes[-1], {c: _read_digit(v, q, sign) for v, c in enumerate(codes)}))
+    adds = []  # (block mask, its complement, table: block bits -> their sums with 0..q-1)
+    for b in destinations:
+        budget.hold(q << len(b), f"modular-add codes of a {len(b)}-line block mod {q}")
+        codes = block_codes(b, width)
+        sums = [tuple(codes[_add_digit(v, d, q)] for d in range(q)) for v in range(len(codes))]
+        adds.append((codes[-1], ~codes[-1], dict(zip(codes, sums))))
 
     def act(k):
         d = 0
-        for m, digit in digits:
+        for m, digit in reads:
             d += digit[k & m]
-        return k & keep | shifted[k & rmask][d % q]
-
-    return act
-
-
-def _modular_fanout(g: FanOutModGate, width: int) -> Callable[[int], int]:
-    cmask, control = _digit_reader(g.control, width, g.q, -1 if g.inverse else 1)
-    targets = tuple(
-        (m, ~m, shifted) for m, shifted in (_digit_adder(b, width, g.q) for b in g.blocks)
-    )
-
-    def act(k):
-        d = control[k & cmask]
+        d %= q
         if d:
-            for m, keep, shifted in targets:
+            for m, keep, shifted in adds:
                 k = k & keep | shifted[k & m][d]
         return k
 
@@ -461,12 +453,8 @@ def permutation_action(g: Gate, width: int) -> Callable[[int], int] | None:
             masks[w] = masks.get(w, 0) | line_mask(l, width)
         pairs, o, q, r = tuple(masks.items()), line_mask(g.output, width), g.q, g.r
         return lambda k: k ^ o if sum(w * (k & m).bit_count() for w, m in pairs) % q == r else k
-    if isinstance(g, AddModGate):
-        return _modular_add(g.blocks, g.result, g.q, g.inverse, width)
-    if isinstance(g, AddBlockGate):
-        return _modular_add((g.addend,), g.result, g.q, g.inverse, width)
-    if isinstance(g, FanOutModGate):
-        return _modular_fanout(g, width)
+    if isinstance(g, (AddModGate, FanOutModGate, AddBlockGate)):
+        return _modular_add(g, width)
     return None
 
 
@@ -490,8 +478,8 @@ def cnot_action(pairs, width: int) -> Callable[[int], int]:
 # The permutation gates above, run on many inputs at once (bitslicing):
 # cols[l] is one int per line whose bit i is line l's value on input i, and
 # `ones` has the bit of every input set.  Each form below restates its key
-# map above in exact boolean operations; the tests pin the two to each other
-# on every key.
+# map above in exact boolean operations, one branch again for the three
+# adding block gates; the tests pin the two forms to each other on every key.
 
 
 def _value_columns(block, cols: list, ones: int) -> list[int]:
@@ -565,16 +553,14 @@ def permutation_columns(g: Gate, cols: list, ones: int) -> None:
             counts = [m ^ ((m ^ counts[j - w]) & x) for j, m in enumerate(counts)]
         if g.r < len(counts):
             cols[g.output] ^= counts[g.r]
-    elif isinstance(g, (AddModGate, AddBlockGate)):
+    elif isinstance(g, (AddModGate, FanOutModGate, AddBlockGate)):
+        sources, destinations = block_roles(g)
         sign = -1 if g.inverse else 1
         total = [ones] + [0] * (g.q - 1)
-        for b in g.blocks if isinstance(g, AddModGate) else (g.addend,):
+        for b in sources:
             total = _sum_digits(total, _digit_columns(b, cols, ones, g.q, sign), g.q)
-        _add_columns(g.result, total, cols, ones, g.q)
-    elif isinstance(g, FanOutModGate):
-        digits = _digit_columns(g.control, cols, ones, g.q, -1 if g.inverse else 1)
-        for b in g.blocks:
-            _add_columns(b, digits, cols, ones, g.q)
+        for b in destinations:
+            _add_columns(b, total, cols, ones, g.q)
     else:
         raise TypeError(f"{type(g).__name__} is not a permutation gate")
 

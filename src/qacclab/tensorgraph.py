@@ -152,7 +152,6 @@ class TensorGraph:
         self.hout: dict[int, list[int]] = {}
         self.source: int | None = None
         self.terminal: int | None = None
-        self._next_node = 0
         self._next_color = 0
         self.dense_lowered_gates = 0
         self._order: list[int] | None = None
@@ -160,15 +159,13 @@ class TensorGraph:
 
     # construction ---------------------------------------------------------
 
-    def add_node(self, height: int, node_id: int | None = None) -> int:
-        hold(len(self.nodes) + 1, "tensor graph nodes")
-        nid = self._next_node if node_id is None else node_id
-        if nid in self.nodes:
-            raise GraphError(f"duplicate node id {nid}")
+    def add_node(self, height: int) -> int:
+        """A new node at `height`; node ids count up from 0."""
+        nid = len(self.nodes)
+        hold(nid + 1, "tensor graph nodes")
         self.nodes[nid] = height
         self.levels.setdefault(height, []).append(nid)
         self._order = self._paths = None
-        self._next_node = max(self._next_node, nid + 1)
         return nid
 
     def add_vedge(self, src: int, dst: int, product: tuple[int, int], a0, a1):
@@ -197,7 +194,6 @@ class TensorGraph:
         g.hout = {k: list(v) for k, v in self.hout.items()}
         g.source = self.source
         g.terminal = self.terminal
-        g._next_node = self._next_node
         g._next_color = self._next_color
         g.dense_lowered_gates = self.dense_lowered_gates
         return g
@@ -218,6 +214,7 @@ class TensorGraph:
 
 def tg_init(bits: str, ctx) -> TensorGraph:
     """Width-1 chain for a basis state: edge k carries (1,0) or (0,1)."""
+    parse_bits(bits, len(bits))  # refuses a character other than 0 or 1
     g = TensorGraph(ctx, len(bits))
     prev = g.add_node(0)
     g.source = prev

@@ -561,6 +561,26 @@ def test_a_context_file_numeric_value_past_the_float_range_exits_2(capsys, tmp_p
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "change, shown",
+    [
+        ({"basis": "1b"}, "basis '1b'"),
+        ({"indeterminates": ""}, "indeterminates ''"),
+        ({"basis": ["1", 2]}, "basis ['1', 2]"),
+    ],
+)
+def test_a_context_file_whose_names_are_not_a_list_of_strings_exits_2(
+    capsys, tmp_path, change, shown
+):
+    # a string is a sequence too, but "1b" does not name the basis 1, b
+    context = {**_two_element_context_with_conjugation(), **change}
+    code, out, err = _simulate_u_swap(capsys, tmp_path, context)
+    assert code == 2 and out == ""
+    assert err.startswith("error: context file ")
+    assert err.endswith(f" is malformed: {shown} is not a list of strings\n")
+    assert err.count("\n") == 1
+
+
 def test_a_context_file_whose_u_evaluates_to_0_exits_2(capsys, tmp_path):
     # u = a1 and b*b = 1/u: with a1 = 0 the table entry cannot be evaluated
     context = sqrt_a1_context().to_json()

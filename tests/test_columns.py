@@ -4,9 +4,11 @@ that run on it.
 Each permutation gate kind is drawn at random (q in {2,3,4,5,7}, both
 inverse flags, scattered line orders, widths up to 7) and its column form
 is compared on every key, non-qudigit block values included, with
-permutation_action.  Seeded random permutation circuits are then checked
-through equivalence_check and compared, byte for byte, with
-support.per_key_report, which runs one input at a time.
+permutation_action.  The q-ary modular add and fan-out are checked, in both
+forms, against the single-block adds they factor into.  Seeded random
+permutation circuits are then checked through equivalence_check and
+compared, byte for byte, with support.per_key_report, which runs one input
+at a time.
 """
 
 import json
@@ -21,7 +23,15 @@ from qacclab import budget
 from qacclab import circuit as cir
 from qacclab import transforms as tf
 from qacclab.algebra import get_context
-from qacclab.circuit import Circuit, CNotLayer, StagedCNotLayer, TensorLayer
+from qacclab.circuit import (
+    AddBlockGate,
+    AddModGate,
+    Circuit,
+    CNotLayer,
+    FanOutModGate,
+    StagedCNotLayer,
+    TensorLayer,
+)
 
 QS = (2, 3, 4, 5, 7)
 
@@ -54,6 +64,38 @@ def test_column_form_matches_permutation_action_on_every_key(kind, q):
         act = cir.permutation_action(gate, width)
         assert _keys(cols, width) == [act(k) for k in range(1 << width)], (gate, width)
         done += 1
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("q", QS)
+def test_block_gates_factor_into_single_block_adds(q, inverse):
+    # M_q on k blocks is k AddBlock_q into its result, in sequence, and F_q
+    # on k targets is k AddBlock_q from its control: on every key of 10
+    # lines, non-qudigit block values included, as key maps and as columns
+    width, w = 10, cir.block_width(q)
+    rng = random.Random(f"factoring:{q}:{inverse}")
+    ones = (1 << (1 << width)) - 1
+    for k in range(1, width // w):
+        lines = rng.sample(range(width), (k + 1) * w)
+        *blocks, last = (tuple(lines[i * w:(i + 1) * w]) for i in range(k + 1))
+        for gate, adds in (
+            (AddModGate(q, tuple(blocks), last, inverse),
+             [AddBlockGate(q, b, last, inverse) for b in blocks]),
+            (FanOutModGate(q, tuple(blocks), last, inverse),
+             [AddBlockGate(q, last, b, inverse) for b in blocks]),
+        ):
+            act = cir.permutation_action(gate, width)
+            steps = [cir.permutation_action(a, width) for a in adds]
+            for key in range(1 << width):
+                want = key
+                for step in steps:
+                    want = step(want)
+                assert act(key) == want, (gate, key)
+            cols, want = _columns(width), _columns(width)
+            cir.permutation_columns(gate, cols, ones)
+            for a in adds:
+                cir.permutation_columns(a, want, ones)
+            assert cols == want, gate
 
 
 def test_controlled_not_layers_in_column_form():

@@ -80,6 +80,16 @@ def test_init_chain(c2):
     assert tg.tg_amplitude_dp(g, "00").is_zero()
 
 
+@pytest.mark.parametrize("bits", ["0x2", "2", "01 "])
+def test_init_chain_refuses_what_basis_state_refuses(c2, bits):
+    # a character other than 0 is not a 1: "0x2" is no spelling of |011>
+    with pytest.raises(cir.ValidationError) as want:
+        sv.basis_state(bits, c2)
+    with pytest.raises(cir.ValidationError) as got:
+        tg.tg_init(bits, c2)
+    assert str(got.value) == str(want.value)
+
+
 def test_one_qubit_preserves_shape(c2):
     g = tg.tg_init("0", c2)
     s = c2.constants["s"]
@@ -328,7 +338,7 @@ def test_path_count_runs_once_per_graph_structure(c2, monkeypatch):
     for zb in expected:
         tg.tg_amplitude_paths(g, zb)
     assert len(passes) == 1
-    g.add_node(2, right[2])
+    right[2] = g.add_node(2)
     _right_middle_edges(g, right)
     for zb, want in expected.items():
         assert (tg.tg_amplitude_paths(g, zb) - want).is_zero()
@@ -423,10 +433,7 @@ def _uncolored_figure(ctx, middle=True):
     half = ctx.scalar_from_rational(Fraction(1, 2))
     g = tg.TensorGraph(ctx, 3)
     left = [g.add_node(h) for h in range(4)]
-    right = [4, 5, 6, 7]
-    for h in range(4):
-        if middle or h != 2:
-            g.add_node(h, right[h])
+    right = [g.add_node(h) if middle or h != 2 else None for h in range(4)]
     g.source, g.terminal = left[0], left[3]
     g.add_vedge(left[0], left[1], tg.UNIT_PRODUCT, zero, one)
     g.add_vedge(left[1], left[2], tg.UNIT_PRODUCT, s, s)
@@ -511,7 +518,7 @@ def test_extraction_order_follows_structure_changes(c2):
     g, _left, right = _uncolored_figure(c2, middle=False)
     assert tg.tg_path_count(g) == 1
     assert (tg.tg_amplitude_dp(g, "100") - expected["100"]).is_zero()
-    g.add_node(2, right[2])
+    right[2] = g.add_node(2)
     _right_middle_edges(g, right)
     assert tg.tg_path_count(g) == 2
     for zb, want in expected.items():
