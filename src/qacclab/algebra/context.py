@@ -574,9 +574,11 @@ def get_context(name: str) -> AlgebraContext:
     """Resolve a context name: cyclotomic<q> or rational<u> (default u=10)."""
     if name in _REGISTRY_CACHE:
         return _REGISTRY_CACHE[name]
-    m = re.fullmatch(r"(cyclotomic|rational)(\d*)", name)
+    m = re.fullmatch(r"(cyclotomic|rational)([0-9]*)", name)  # not \d: int() reads other digits
     if m is None or m.group(1) == "cyclotomic" and not m.group(2):
         raise ContextError(f"unknown context name {name!r}")
+    if m.group(2)[:1] == "0" and len(m.group(2)) > 1:  # another spelling of another name
+        raise ContextError(f"context name {name!r}: its number has a leading zero")
     try:
         number = int(m.group(2)) if m.group(2) else 10
     except ValueError as exc:  # more digits than int() converts

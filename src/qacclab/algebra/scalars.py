@@ -12,10 +12,10 @@ and key() compare the stored form.
 
 Products run one loop over the context's structure constants: mult_table
 and conjugation as numerators over one power of u each, computed once per
-context.  Conjugates, and products by a scalar s fixed in advance, run
-apply_rows instead: each numerator times its row of (j, numerator) cells,
-the conjugation's or those of s's multiplier (basis_element(i) * s, built
-once by the product loop).
+context.  Conjugates run one loop instead: each numerator times its row
+of the conjugation's (j, numerator) cells.  A product by a scalar s fixed
+in advance does the same with the rows of s's multiplier (basis_element(i)
+* s, built once by the product loop); statevec lays those rows out flat.
 """
 
 from __future__ import annotations
@@ -91,20 +91,9 @@ def structure_constants(ctx, vectors) -> tuple[int, list]:
 def multiplier(ctx, s: "ExactScalar") -> tuple[int, list]:
     """(t, rows): rows[i] holds the (j, numerator) cells of
     basis_element(i) * s over one u^t, each product built by __mul__.  Then
-    x * s has the numerators apply_rows(ctx, x.nums, rows, zeros) over
-    u^(x.r + t)."""
+    x * s has the numerators sum_i x.nums[i] * rows[i] over u^(x.r + t);
+    statevec.Compiler raises a gate's rows to one t and runs them raw."""
     return structure_constants(ctx, ((ctx.basis_element(i) * s).coords for i in range(ctx.dim)))
-
-
-def apply_rows(ctx, nums, rows, acc: list) -> list:
-    """Add sum_i nums[i] * rows[i] into the numerator list acc, each row
-    given by its (j, numerator) cells, and return acc."""
-    add, mul = ctx.num_add, ctx.num_mul
-    for a, cells in zip(nums, rows):
-        if a:
-            for j, c in cells:
-                acc[j] = add(acc[j], mul(a, c))
-    return acc
 
 
 def from_numerators(ctx, nums, r: int) -> "ExactScalar":
@@ -239,7 +228,12 @@ class ExactScalar:
         ctx = self.ctx
         if ctx.conjugation is None:
             raise ValueError("context does not define a conjugation involution")
-        acc = apply_rows(ctx, self.nums, ctx.conj_constants, [ctx.num_zero] * ctx.dim)
+        add, mul = ctx.num_add, ctx.num_mul
+        acc = [ctx.num_zero] * ctx.dim
+        for a, cells in zip(self.nums, ctx.conj_constants):
+            if a:
+                for j, c in cells:
+                    acc[j] = add(acc[j], mul(a, c))
         return from_numerators(ctx, acc, self.r + ctx.conj_r)
 
     def is_zero(self) -> bool:

@@ -10,10 +10,11 @@ Program runs any number of inputs; run, apply_layer and the equivalence
 checker, which compiles a candidate's layers, their inverses and its
 target with one Compiler, all go through it.  Permutation steps move keys
 with no scalar arithmetic; only one-qubit and Fourier gates touch the algebra.
-Each of their entries s is compiled once into a multiplier
-(scalars.multiplier), so a branching step adds every product into its
-output key's slot as integer numerators over one power of u and builds
-one scalar per nonzero slot, not one per product or partial sum.
+Inside a run a state is raw, {key: list of d numerators}, over one power
+u^r for the whole state.  A branching gate is compiled over its entries'
+largest power t of u, so its step adds t to r and builds no scalar.
+Program.apply reads its result as reduced scalars; the equivalence checker
+compares raw states exactly at the larger r (same_state).
 
 Going past either budget raises CapExceededError.  The memory budget, through
 budget.hold: run holds the circuit's lines before it builds a key, and a
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ExactScalar
-from .algebra.scalars import apply_rows, from_numerators, multiplier
+from .algebra.scalars import from_numerators, multiplier
 from .budget import CapExceededError, Work, hold
 from .circuit import (
     Circuit,
@@ -85,15 +86,50 @@ def basis_state(bits: str, ctx) -> StateVector:
     return StateVector({parse_bits(bits, len(bits)): ctx.one()}, len(bits), ctx)
 
 
+def lifted(ctx, nums, k: int) -> list:
+    """The numerators times u^k, as a fresh list."""
+    if not k:
+        return list(nums)
+    up, mul = ctx.u_power(k), ctx.num_mul
+    return [mul(n, up) for n in nums]
+
+
+def same_state(ctx, a: tuple, b: tuple) -> bool:
+    """Whether two raw states (entries, r) hold the same amplitudes: the
+    lower-r numerators times u^Δ equal the others.  Exact, since at one r a
+    value's numerators are unique; neither state holds an all-zero slot."""
+    (x, rx), (y, ry) = sorted((a, b), key=lambda state: state[1])
+    if rx == ry:
+        return x == y
+    return x.keys() == y.keys() and all(lifted(ctx, x[k], ry - rx) == y[k] for k in x)
+
+
+def read(ctx, state: tuple) -> dict:
+    """The raw state (entries, r) as {key: reduced ExactScalar}."""
+    entries, r = state
+    return {key: from_numerators(ctx, nums, r) for key, nums in entries.items()}
+
+
 @dataclass(frozen=True)
 class Program:
     """A circuit compiled for repeated runs: each (step, cost) pair maps a
-    sparse state (basis key -> amplitude) to the next, at cost key-gate
-    applications per basis state."""
+    raw state's entries to the next, at cost key-gate applications per
+    basis state, and the run adds r to the state's power of u."""
 
     steps: tuple
+    r: int
+    ctx: object
 
     def apply(self, entries: dict, work: Work) -> dict:
+        """The run of a state {key: ExactScalar}, read as reduced scalars."""
+        r = max((amp.r for amp in entries.values()), default=0)
+        raw = {key: lifted(self.ctx, amp.nums, r - amp.r) for key, amp in entries.items()}
+        return read(self.ctx, self.apply_raw((raw, r), work))
+
+    def apply_raw(self, state: tuple, work: Work) -> tuple:
+        """The run of a raw state (entries, r); its numerator lists are
+        read, never changed."""
+        entries, r = state
         left = work.left
         for step, cost in self.steps:
             left -= len(entries) * cost
@@ -102,7 +138,7 @@ class Program:
                 work.charge(0, "a state-vector run")  # raises: the meter is spent
             entries = step(entries)
         work.left = left
-        return entries
+        return entries, r + self.r
 
 
 def _fuse(maps: list):
@@ -119,43 +155,38 @@ def _fuse(maps: list):
 
 
 def _permute(key_map):
-    return lambda entries: {key_map(key): amp for key, amp in entries.items()}
+    return lambda entries: {key_map(key): nums for key, nums in entries.items()}
 
 
-def _branch(mask: int, table: dict, fan: int, ctx):
-    """A step that sends each key to at most `fan` keys: table[key & mask]
-    lists the (bits, multiplier) pairs of the gate's column.  Each product
-    is added, as numerators, into its output key's [numerators, r] slot,
-    whose r is the largest of its terms' (the alignment _combine makes);
-    one reduced scalar is built per nonzero slot at the end, so the order
-    the products arrive in does not change the form."""
-    keep = ~mask
-    dim, zero, mul = ctx.dim, ctx.num_zero, ctx.num_mul
+def _branch(mask: int, codes: tuple, table: dict, ctx):
+    """A step that sends each key to at most fan = len(codes) keys:
+    table[key & mask][i] lists the (p·d + j, numerator) cells that
+    numerator i adds into numerator j of output codes[p].  Keys that share
+    their bits outside the mask add into one list of fan·d numerators,
+    sliced into output keys at the end; all-zero outputs are dropped."""
+    keep, fan, dim = ~mask, len(codes), ctx.dim
+    zero, add, mul = ctx.num_zero, ctx.num_add, ctx.num_mul
     what = f"basis-state branches of a {fan}-way step"
 
     def step(entries):
         hold(len(entries) * fan, what)
-        slots: dict = {}
-        for key, amp in entries.items():
-            rest, nums, r = key & keep, amp.nums, amp.r
-            for bits, (t, rows) in table[key & mask]:
-                out, rt = rest | bits, r + t
-                slot = slots.get(out)
-                if slot is None:
-                    slot = slots[out] = [[zero] * dim, rt]
-                acc, rs = slot
-                terms = nums
-                if rt < rs:
-                    up = ctx.u_power(rs - rt)
-                    terms = [mul(n, up) for n in nums]
-                elif rt > rs:
-                    up = ctx.u_power(rt - rs)
-                    acc[:] = [mul(n, up) for n in acc]
-                    slot[1] = rt
-                apply_rows(ctx, terms, rows, acc)
-        return {
-            out: from_numerators(ctx, acc, r) for out, (acc, r) in slots.items() if any(acc)
-        }
+        sums: dict = {}
+        for key, nums in entries.items():
+            rest = key & keep
+            acc = sums.get(rest)
+            if acc is None:
+                acc = sums[rest] = [zero] * (fan * dim)
+            for a, cells in zip(nums, table[key & mask]):
+                if a:
+                    for p, c in cells:
+                        acc[p] = add(acc[p], mul(a, c))
+        out = {}
+        for rest, acc in sums.items():
+            for p, bits in enumerate(codes):
+                nums = acc[p * dim:(p + 1) * dim]
+                if any(nums):
+                    out[rest | bits] = nums
+        return out
 
     return step
 
@@ -172,7 +203,8 @@ class Compiler:
     def __init__(self, width: int, ctx):
         self.width, self.ctx = width, ctx
         self._multipliers: dict = {}  # scalar form -> its multiplier
-        self._gates: dict = {}  # gate -> its key map, or its (branch step, fan)
+        self._columns: dict = {}  # (t, column form) -> its cells
+        self._gates: dict = {}  # gate -> its key map, or its (branch step, fan, t)
 
     def _multiplier(self, s):
         form = s.key()
@@ -180,18 +212,40 @@ class Compiler:
             self._multipliers[form] = multiplier(self.ctx, s)
         return self._multipliers[form]
 
+    def _column(self, col: list, t: int) -> tuple:
+        """For each input numerator i, the (p·d + j, numerator) cells that a
+        column of (output position p, scalar) pairs adds over u^t: each
+        scalar's multiplier rows, raised from its own power of u to t.
+        Built once per form, so gates alike on other lines share it."""
+        form = (t, tuple((p, s.key()) for p, s in col))
+        if form not in self._columns:
+            ctx, dim = self.ctx, self.ctx.dim
+            rows = [(p * dim, *self._multiplier(s)) for p, s in col]
+            self._columns[form] = tuple(
+                tuple(
+                    (at + j, c if te == t else ctx.num_mul(c, ctx.u_power(t - te)))
+                    for at, te, cells in rows
+                    for j, c in cells[i]
+                )
+                for i in range(dim)
+            )
+        return self._columns[form]
+
     def _gate(self, gate):
+        """A permutation gate's key map, or a branching gate's (step, fan,
+        t), its columns compiled over the largest power t of u among its
+        entries' multipliers."""
         part = self._gates.get(gate)
         if part is None:
             part = permutation_action(gate, self.width)
             if part is None:
                 mask, columns = gate_columns(gate, self.width, self.ctx)
-                table = {
-                    b: tuple((bits, self._multiplier(s)) for bits, s in col)
-                    for b, col in columns.items()
-                }
-                fan = 1 << len(gate.lines())
-                part = (_branch(mask, table, fan, self.ctx), fan)
+                codes = tuple(columns)
+                at = {bits: p for p, bits in enumerate(codes)}
+                cols = {b: [(at[bits], s) for bits, s in col] for b, col in columns.items()}
+                t = max(self._multiplier(s)[0] for col in cols.values() for _, s in col)
+                table = {b: self._column(col, t) for b, col in cols.items()}
+                part = (_branch(mask, codes, table, self.ctx), len(codes), t)
             self._gates[gate] = part
         return part
 
@@ -202,6 +256,7 @@ class Compiler:
         commute, so they are applied in sequence."""
         steps: list = []
         maps: list = []
+        r = 0
 
         def close_run():
             if maps:
@@ -216,13 +271,14 @@ class Compiler:
                         maps.append(part)
                     else:
                         close_run()
-                        steps.append(part)
+                        steps.append(part[:2])
+                        r += part[2]
             elif isinstance(layer, (CNotLayer, StagedCNotLayer)):
                 maps.extend(cnot_action(stage, self.width) for stage in layer.stages)
             else:
                 raise TypeError(f"unknown layer {type(layer).__name__}")
         close_run()
-        return Program(tuple(steps))
+        return Program(tuple(steps), r, self.ctx)
 
 
 def compile_circuit(c: Circuit) -> Program:

@@ -87,14 +87,14 @@ def _target_layers(target: Target) -> tuple:
 
 
 def _target_map(target: Target, compiler: statevec.Compiler, aux: int, work: budget.Work):
-    """Function from a basis key x to target|x> ⊗ |0^aux> as {basis key:
-    ExactScalar}, keyed like the candidate's states; the target is compiled
-    once in the candidate's compiler.  A circuit target's runs charge work,
-    a gate target's do not."""
+    """Function from a basis key x to target|x> ⊗ |0^aux> as a raw state
+    (statevec.Program.apply_raw), keyed like the candidate's states; the
+    target is compiled once in the candidate's compiler.  A circuit target's
+    runs charge work, a gate target's do not."""
     one = compiler.ctx.one()
     program = compiler.program(_target_layers(target))
     meter = work if isinstance(target, Circuit) else budget.Work()
-    return lambda x: program.apply({x << aux: one}, meter)
+    return lambda x: program.apply_raw(({x << aux: list(one.nums)}, one.r), meter)
 
 
 def _charge_inputs(work: budget.Work, lines: int, bound: str = "") -> None:
@@ -280,13 +280,12 @@ def equivalence_check(
     return _per_input_check(target, candidate, main, inputs, work)
 
 
-def _report(x: int, entries: dict, want: dict, main: int, aux: int, ctx):
-    """The counterexample of input x, or None when its candidate state
-    equals its target state (keyed on the candidate's lines, with clean aux
+def _report(x: int, state: tuple, want: tuple, main: int, aux: int, ctx):
+    """The counterexample of input x, whose raw candidate state differs from
+    its raw target state (keyed on the candidate's lines, with clean aux
     lines).  It names the smallest output that leaves an aux line dirty if
     there is one, else the smallest output whose amplitudes differ."""
-    if want == entries:  # amplitudes compared with ExactScalar.__eq__
-        return None
+    entries, want = statevec.read(ctx, state), statevec.read(ctx, want)
     aux_mask = (1 << aux) - 1
     dirty = [k for k in entries if k & aux_mask]
     if dirty:
@@ -306,18 +305,17 @@ def _report(x: int, entries: dict, want: dict, main: int, aux: int, ctx):
                 "counterexample", "0" * aux, main, aux_restored=True,
                 counterexample=(cir.key_to_bits(x, main), y_bits, lhs, rhs),
             )
-    return None
 
 
 def _choose_cut(inverse, costs: list, state: dict, work: budget.Work) -> tuple[int, int]:
     """(cut, units): the layer boundary b that minimises costs[b], the
     forward units of the first input up to b, plus the units of running the
-    inverse layers from the end back to b on its target state, and the
-    units that backward probe spent.  The probe stops, without raising,
-    before a step that would leave no boundary further back cheaper than
-    the best so far (at first the whole forward run), that would spend more
-    than the meter has left, or that would hold more than BUDGET states.
-    The last boundary, len(costs) - 1, means no cut."""
+    inverse layers from the end back to b on the raw entries of its target
+    state, and the units that backward probe spent.  The probe stops,
+    without raising, before a step that would leave no boundary further
+    back cheaper than the best so far (at first the whole forward run),
+    that would spend more than the meter has left, or that would hold more
+    than BUDGET states.  The last boundary, len(costs) - 1, means no cut."""
     cut = len(costs) - 1
     best, spent = costs[cut], 0
     for b in range(cut - 1, -1, -1):
@@ -346,7 +344,9 @@ def _per_input_check(target, candidate, main, inputs, work) -> EquivalenceReport
     the cut skips the U⁻¹ that collapses the superposition U spread.  The
     first input runs the whole candidate, layer by layer, and prices each
     cut (_choose_cut); no cut is the cut at the last boundary, where A and
-    A⁻¹ have no steps."""
+    A⁻¹ have no steps.  Every state stays raw, numerators over one power of
+    u (statevec.Program.apply_raw), and is compared raw (statevec.same_state);
+    scalars are read only for the report of a mismatch."""
     ctx = candidate.context
     aux = candidate.width - main
     layers = candidate.layers
@@ -357,28 +357,24 @@ def _per_input_check(target, candidate, main, inputs, work) -> EquivalenceReport
     x = next(xs, None)
     if x is None:
         return EquivalenceReport("equivalent", "0" * aux, main, aux_restored=True)
-    state, costs = {x << aux: one}, [0]
+    state, costs = ({x << aux: list(one.nums)}, one.r), [0]
     for layer in layers:
         left = work.left
-        state = compiler.program((layer,)).apply(state, work)
+        state = compiler.program((layer,)).apply_raw(state, work)
         costs.append(costs[-1] + left - work.left)
     want = target_of(x)
-    report = _report(x, state, want, main, aux, ctx)
-    if report is not None:
-        return report
+    if not statevec.same_state(ctx, state, want):
+        return _report(x, state, want, main, aux, ctx)
     inverse_layers = [cir.inverse_layer(layer) for layer in layers]
-    cut, spent = _choose_cut(lambda b: compiler.program((inverse_layers[b],)), costs, want, work)
+    cut, spent = _choose_cut(lambda b: compiler.program((inverse_layers[b],)), costs, want[0], work)
     work.charge(spent, "a backward probe")
     front, rest = compiler.program(layers[:cut]), compiler.program(layers[cut:])
     back = compiler.program(reversed(inverse_layers[cut:]))
     for x in xs:
-        mid = front.apply({x << aux: one}, work)
+        mid = front.apply_raw(({x << aux: list(one.nums)}, one.r), work)
         want = target_of(x)
-        if mid == back.apply(want, work):
-            continue
-        report = _report(x, rest.apply(mid, work), want, main, aux, ctx)
-        if report is not None:
-            return report
+        if not statevec.same_state(ctx, mid, back.apply_raw(want, work)):
+            return _report(x, rest.apply_raw(mid, work), want, main, aux, ctx)
     return EquivalenceReport("equivalent", "0" * aux, main, aux_restored=True)
 
 

@@ -114,6 +114,14 @@ def test_fourier_outside_context_exits_2_with_one_line(capsys, tmp_path):
         assert err.startswith("error: layer 0: ") and err.count("\n") == 1
 
 
+def test_a_context_header_with_a_leading_zero_exits_2_with_one_line(capsys, tmp_path):
+    qc = tmp_path / "z02.qc"
+    qc.write_text("circuit n=1 aux=0 context=cyclotomic02\nlayer { H [0] }\n")
+    code, out, err = run_cli(capsys, "simulate", "--circuit", qc.as_posix(), "--input", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "leading zero" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -95,6 +95,30 @@ def test_registry_names():
         get_context("nonsense")
 
 
+@pytest.mark.parametrize("name", ["cyclotomic02", "cyclotomic007", "rational010", "rational00"])
+def test_a_context_number_with_a_leading_zero_is_refused(name):
+    # not read as the context its digits name, which would build a second table
+    with pytest.raises(ContextError, match="leading zero"):
+        get_context(name)
+
+
+@pytest.mark.parametrize("name", ["cyclotomic\u0663", "rational\uff11\uff10"])
+def test_a_context_number_in_other_digits_is_unknown(name):
+    # int() reads Arabic-Indic or fullwidth digits as 3 or 10
+    with pytest.raises(ContextError, match="unknown context name"):
+        get_context(name)
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [("cyclotomic0", "q must be at least 2"), ("cyclotomic1", "q must be at least 2"),
+     ("rational0", "u must be nonzero")],
+)
+def test_a_context_number_out_of_range_keeps_its_message(name, message):
+    with pytest.raises(ContextError, match=f"^{message}$"):
+        get_context(name)
+
+
 def test_identity_row_enforced():
     bad = [
         [(FScalar(polys.const(0, 1), 0), FScalar({}, 0)), (FScalar({}, 0), FScalar(polys.const(0, 1), 0))],

@@ -13,6 +13,7 @@ time, on builders, their mutants and seeded random conjugations; and a
 cut check's work charges are pinned unit for unit.
 """
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -206,7 +207,7 @@ def test_probe_stops_without_raising(monkeypatch):
     ctx = get_context("cyclotomic2")
     h = TensorLayer((cir.hadamard_gate(0),))
     inverse = lambda b: sv.Compiler(3, ctx).program((h,))  # noqa: E731
-    state = {k: ctx.one() for k in (0, 1, 2, 3)}
+    state = {k: list(ctx.one().nums) for k in (0, 1, 2, 3)}  # raw entries, as the check passes
 
     def choose(costs, left=budget.WORK):
         work = budget.Work()
@@ -318,24 +319,47 @@ def test_random_conjugations_report_as_the_whole_candidate(monkeypatch, q):
     ctx = get_context(f"cyclotomic{q}")
     rng = random.Random(f"cut:random:{q}")
     main = 5 if q == 5 else 4
-    # the whole candidate's state is looked at only for the first input and
-    # on a mismatch, so a cut check that passes looks at it once
-    whole = []
-    report = tf._report
-    monkeypatch.setattr(tf, "_report", lambda *a: whole.append(a[0]) or report(*a))
+    # the whole candidate runs only for the first input and on a mismatch,
+    # so a cut check that passes runs it once: count the runs of programs
+    # that end at the candidate's last layer, each layer of the candidate
+    # a copy of its own, so that no other program ends at that object
+    whole, last = [], []
+    compile_program = sv.Compiler.program
+
+    class Counted(sv.Program):
+        def apply_raw(self, state, work):
+            whole.append(state)
+            return super().apply_raw(state, work)
+
+    def program(self, layers):
+        layers = tuple(layers)
+        p = compile_program(self, layers)
+        return Counted(p.steps, p.r, p.ctx) if layers[-1:] and layers[-1] is last[0] else p
+
+    check, runs = tf.equivalence_check, []  # the count of each check, not its reference's
+
+    def counted_check(*args):
+        whole.clear()
+        report = check(*args)
+        runs.append(len(whole))
+        return report
+
+    monkeypatch.setattr(sv.Compiler, "program", program)
+    monkeypatch.setattr(tf, "equivalence_check", counted_check)
     seen = []  # (whether the check cut, its verdict)
     for _ in range(6):
         target, candidate = _random_conjugation(rng, ctx, q, main, rng.randint(1, 2))
         subset = sorted(rng.sample(range(1 << main), rng.randint(1, 1 << main)))
         for c in (candidate, *_aux_mutants(rng, candidate), *_mutants(candidate)):
+            c = _with_layers(c, map(copy.copy, c.layers))
+            last[:] = c.layers[-1:]
             for inputs in (None, subset):
                 before = len(made)
-                whole.clear()
                 verdict = _same(target, c, main, inputs).verdict
                 cut = len(made) > before and made[-1][0] < made[-1][2]
                 seen.append((cut, verdict))
                 if cut and verdict == "equivalent":
-                    assert len(whole) == 1
+                    assert runs[-1] == 1
     # checks that cut, and both agree and report counterexamples found past
     # the cut, after A ran on B's state
     assert seen.count((True, "equivalent")) >= 10

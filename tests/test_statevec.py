@@ -336,13 +336,54 @@ def test_branching_steps_match_per_branch_fold(name):
 
 
 def test_cancelled_branches_leave_the_third_terms_form():
-    # Three branches into one key, the first two cancelling: the slot keeps
-    # their power of u, and the reduced scalar built from it has the form
-    # that __mul__ gives the third term alone.
+    # Three branches into one key, the first two cancelling: the raw slot
+    # keeps their power of u, and the scalar read from it has the form that
+    # __mul__ gives the third term alone.
     ctx = sqrt_a1_context()
     x = ExactScalar(ctx, [FScalar({(1,): 3}, 2), ctx.f_zero])
     z = ExactScalar(ctx, [FScalar({(0,): 5}, 0), ctx.f_zero])
-    one = scalars.multiplier(ctx, ctx.one())
-    step = sv._branch(0b11, {bits: ((0, one),) for bits in range(3)}, 1, ctx)
-    out = step({0: x, 1: -x, 2: z})
+    t, rows = scalars.multiplier(ctx, ctx.one())
+    step = sv._branch(0b11, (0,), {bits: rows for bits in range(3)}, ctx)
+    entries = {k: sv.lifted(ctx, a.nums, x.r - a.r) for k, a in enumerate((x, -x, z))}
+    out = sv.read(ctx, (step(entries), x.r + t))
     assert out[0].key() == (z * ctx.one()).key()
+
+
+def _raw(ctx, amps: dict, r: int) -> tuple:
+    """{key: scalar} as a raw state over u^r, r at least every scalar's."""
+    return {k: sv.lifted(ctx, a.nums, r - a.r) for k, a in amps.items()}, r
+
+
+@pytest.mark.parametrize("name", ["rational10", "cyclotomic5", "cyclotomic7", "sqrt_a1"])
+def test_raw_states_compare_as_their_reduced_scalars(name):
+    """same_state on raw states at different powers of u gives the verdict
+    of == on the scalars read from them."""
+    ctx = sqrt_a1_context() if name == "sqrt_a1" else get_context(name)
+    rng = random.Random(f"raw-{name}")
+    one = ctx.one()
+    h = TensorLayer((OneQubitGate(((one, one), (one, -one)), 0),))  # the unnormalised H
+    h = sv.Compiler(1, ctx).program((h,))
+    verdicts = []
+    for _ in range(40):
+        amps = {k: _random_scalar(rng, ctx) for k in rng.sample(range(16), rng.randint(1, 4))}
+        r = max(a.r for a in amps.values())
+        a, b = _raw(ctx, amps, r), _raw(ctx, amps, r + rng.randint(1, 3))
+        assert sv.same_state(ctx, a, b) and sv.same_state(ctx, b, a)  # equal at different r
+        # a slot that cancelled to zero is dropped: H sends c|0> + c|1> to 2c|0>
+        c = _random_scalar(rng, ctx)
+        cancelled = h.apply_raw(_raw(ctx, {0: c, 1: c}, c.r), budget.Work())
+        assert list(cancelled[0]) == [0]
+        assert sv.same_state(ctx, cancelled, _raw(ctx, {0: c + c}, c.r + rng.randint(0, 2)))
+        # the same numerators over another power of u, or one numerator
+        # moved by one after alignment: unequal
+        key = rng.choice(list(amps))
+        other = dict(b[0])
+        j = rng.randrange(ctx.dim)
+        other[key] = list(other[key])
+        other[key][j] = ctx.num_add(other[key][j], ctx.u_power(0))
+        changed, shifted = (other, b[1]), (a[0], a[1] + 1)
+        for p, q in ((a, b), (a, changed), (changed, b), (b, cancelled), (a, shifted)):
+            same = sv.same_state(ctx, p, q)
+            assert same == (sv.read(ctx, p) == sv.read(ctx, q)) == sv.same_state(ctx, q, p)
+            verdicts.append(same)
+    assert verdicts.count(False) >= 40 and verdicts.count(True) >= 40

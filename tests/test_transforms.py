@@ -9,8 +9,8 @@ from qacclab import budget
 from qacclab import circuit as cir
 from qacclab import statevec as sv
 from qacclab import transforms as tf
-from qacclab.algebra import get_context
-from qacclab.dsl import serialize_circuit
+from qacclab.algebra import get_context, scalars
+from qacclab.dsl import parse_circuit, serialize_circuit
 from qacclab.circuit import (
     AddModGate,
     Circuit,
@@ -429,3 +429,29 @@ def test_conjugate_mirrors_the_outer_layers():
         f, g, middle, cir.inverse_layer(g), cir.inverse_layer(f)
     )
     assert tf.conjugate((), (middle,)) == (middle,)
+
+
+def test_a_passing_check_builds_no_scalar_per_input(monkeypatch):
+    # states stay raw numerators through every compared input, so the
+    # scalars a passing check builds are its gates' multipliers alone; the
+    # first check (on seed 1's first q = 3 block circuit of the
+    # equiv-fourier benchmark) fills the context's caches
+    c = parse_circuit(
+        "circuit n=6 aux=0 context=cyclotomic3\n"
+        "layer { HQ' 3 [(2 3)] }\n"
+        "layer { MQ 3 [(2 3),(0 1) -> (4 5)] }\n"
+        "layer { FQ 3 [(4 5),(2 3) <- (0 1)] }\n"
+    )
+    lowered = tf.expand_addmod(c)
+    assert tf.equivalence_check(c, lowered, c.width, inputs=range(1)).equivalent
+    calls = []
+    build = scalars.from_numerators
+    counted = lambda *args: calls.append(args) or build(*args)  # noqa: E731
+    monkeypatch.setattr(scalars, "from_numerators", counted)
+    monkeypatch.setattr(sv, "from_numerators", counted)
+    counts = []
+    for k in (8, 32, 64):
+        calls.clear()
+        assert tf.equivalence_check(c, lowered, c.width, inputs=range(k)).equivalent
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] > 0
