@@ -20,10 +20,11 @@ Shipped contexts:
   root of unity z, reduced by the q-th cyclotomic polynomial, with the
   extra element s = 1/sqrt(q) adjoined only when sqrt(q) is not already in
   Q(z).  Otherwise (q = 0, 1 mod 4) sqrt(q) is computed in the context's
-  own arithmetic from the quadratic Gauss sum sum_a z^(a^2), and
-  z^q = 1 and s*s*q = 1 are checked exactly, as for every context file
-  that declares a ``fourier_q``.  The common denominator is u = q.  Its
-  table of d^3 entries is held against budget.BUDGET before it is built.
+  own arithmetic from the quadratic Gauss sum sum_a z^(a^2).  Phi_q(z) = 0
+  (z^q = 1 and sum_(j<m) z^(jq/m) = 0 for every m > 1 dividing q) and
+  s*s*q = 1 are checked exactly, as for every context file that declares
+  a ``fourier_q``.  The common denominator is u = q.  Its table of d^3
+  entries is held against budget.BUDGET before it is built.
 
 * ``rational(u)``: plain rational amplitudes a/u^r (d = 1), as required by
   bounded-error acceptance.
@@ -405,20 +406,6 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _poly_mod(coeffs: list[int], phi: list[int]) -> list[int]:
-    """Remainder of a dense integer polynomial modulo monic phi."""
-    rem = list(coeffs)
-    deg = len(phi) - 1
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(deg + 1):
-                rem[i - deg + j] -= c * phi[j]
-    rem = rem[:deg]
-    rem += [0] * (deg - len(rem))
-    return rem
-
-
 def _dimension(q: int, bound: int) -> int | None:
     """The dimension q's Fourier constants need, phi(q), doubled for q = 2,
     3 mod 4 (s = 1/sqrt(q) is adjoined), or None when q alone shows it is
@@ -436,21 +423,12 @@ def table_dim_bound() -> int:
     return d if d**3 <= budget.BUDGET else d - 1
 
 
-def _cyclotomic_parts(q: int):
-    """(deg, red): the degree phi(q) of Q(zeta_q) and zeta^e in its power
-    basis for e = 0..q-1."""
-    phi = cyclotomic_polynomial(q)
-    return len(phi) - 1, [_poly_mod([0] * e + [1], phi) for e in range(q)]
-
-
-def _coords(
-    vec: list[int], dim: int, offset: int = 0, r: int = 0, arity: int = 0
-) -> list[FScalar]:
+def _coords(vec: list[int], dim: int, offset: int = 0, r: int = 0) -> list[FScalar]:
     """Integer coordinates over u^r, placed from basis index `offset` on."""
     coords = [FScalar({}, 0)] * dim
     for j, c in enumerate(vec):
         if c:
-            coords[offset + j] = FScalar(polys.const(arity, c), r)
+            coords[offset + j] = FScalar(polys.const(0, c), r)
     return coords
 
 
@@ -468,7 +446,14 @@ def cyclotomic_context(q: int) -> AlgebraContext:
     if d is None:
         budget.hold((bound + 1) ** 3, f"table entries (at least: d > {bound}) of cyclotomic{q}")
     budget.hold(d**3, f"table entries (d = {d}) of cyclotomic{q}")
-    deg, red = _cyclotomic_parts(q)
+    phi = cyclotomic_polynomial(q)
+    deg = len(phi) - 1
+    # zeta^e in the power basis for e = 0..q-1: each is the one before times
+    # z, its top coefficient folded back through the monic phi_q
+    red = [[1] + [0] * (deg - 1)]
+    for _ in range(q - 1):
+        top = red[-1][-1]
+        red.append([c - top * p for c, p in zip([0] + red[-1][:-1], phi)])
     extended = d > deg
     heads = ["1" if j == 0 else "z" if j == 1 else f"z^{j}" for j in range(deg)]
     basis = heads + (["s"] + [f"{h}*s" for h in heads[1:]] if extended else [])
@@ -506,28 +491,31 @@ def cyclotomic_context(q: int) -> AlgebraContext:
         fourier_q=q,
         name=f"cyclotomic{q}",
     )
-    _attach_fourier_constants(ctx, q, (deg, red))
+    _attach_fourier_constants(ctx, q)
     return ctx
 
 
-def _attach_fourier_constants(ctx, q, parts=None):
+def _attach_fourier_constants(ctx, q):
     """Bind z (= w), s and the zeta power list used by gates, computed in
-    the context's own arithmetic from (deg, red) = `parts`, or else
-    `_cyclotomic_parts(q)`.  s is basis element phi(q) for q = 2, 3 mod 4,
+    the context's own arithmetic: z is basis element 1 (-1 for q = 2, 1 for
+    q = 1) and zeta^e = z^e.  s is basis element phi(q) for q = 2, 3 mod 4,
     and 1 for q = 1; otherwise sqrt(q) is the Gauss sum G = sum zeta^(a^2),
     or G (1 - i)/2 with i = zeta^(q/4) when 4 | q, and dividing it by q
-    needs a constant u.  Raises ContextError, before Phi_q is
-    built, when phi(q), doubled for q = 2, 3 mod 4, exceeds the dimension,
-    and unless zeta^q = 1 and s*s*q = 1 hold exactly."""
+    needs a constant u.  Raises ContextError when phi(q), doubled for
+    q = 2, 3 mod 4, exceeds the dimension, and unless s*s*q = 1 and
+    Phi_q(z) = 0 hold exactly, the latter as z^q = 1 and sum_(j<m)
+    zeta^(jq/m) = 0 for every m > 1 dividing q, with no Phi_q built."""
     if type(q) is not int or q < 1:  # a JSON true is no q
         raise ContextError(f"fourier_q={q!r} must be a positive integer")
     d = _dimension(q, ctx.dim)
     if d is None or d > ctx.dim:
         raise ContextError(f"fourier_q={q}: phi(q) exceeds the context dimension {ctx.dim}")
-    deg, red = parts or _cyclotomic_parts(q)
-    zeta = [ExactScalar(ctx, _coords(z, ctx.dim, arity=ctx.arity)) for z in red]
+    z = ctx.from_int(-1) if q == 2 else ctx.one() if q == 1 else ctx.basis_element(1)
+    zeta = [ctx.one()]
+    for _ in range(q - 1):
+        zeta.append(zeta[-1] * z)
     if q % 4 in (2, 3):
-        s = ctx.basis_element(deg)
+        s = ctx.basis_element(d // 2)
     elif q == 1:
         s = ctx.one()
     else:
@@ -538,12 +526,10 @@ def _attach_fourier_constants(ctx, q, parts=None):
             s = root * ctx.scalar_from_rational(Fraction(1, q))
         except ContextError as exc:  # no constant u to divide by
             raise ContextError(f"fourier_q={q}: {exc}") from exc
-    z = zeta[1 % q]
-    if any(zeta[e] * z != zeta[(e + 1) % q] for e in range(q)):
-        raise ContextError(
-            f"fourier_q={q}: zeta^0..zeta^{q - 1} are not the powers of a zeta "
-            "with zeta^q = 1 in this context"
-        )
+    if zeta[-1] * z != ctx.one() or any(
+        not sum(zeta[:: q // m], ctx.zero()).is_zero() for m in range(2, q + 1) if q % m == 0
+    ):
+        raise ContextError(f"fourier_q={q}: zeta is not a root of Phi_{q} in this context")
     if s * s * ctx.from_int(q) != ctx.one():
         raise ContextError(f"fourier_q={q}: s*s*q = 1 fails in this context")
     ctx._zeta_pows = zeta

@@ -3,7 +3,8 @@ per-branch exact reference for the simulator's branching steps, a per-input
 reference for equivalence checks that runs the whole candidate, dense gate
 matrices, a Fraction reference for scalar arithmetic, a context with one
 indeterminate, two-element context files, a seeded random-circuit
-generator and a from-scratch count of the color terms the graph DP holds.
+generator, a from-scratch count of the color terms the graph DP holds and
+the one-edit mutants of a circuit.
 
 The numeric simulator is deliberately written from scratch (own bit
 conventions, cmath roots of unity) so it can serve as a cross-check
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from qacclab import budget
@@ -489,3 +491,47 @@ def dp_held_terms(g, target):
         if node != g.terminal:
             del held[node]
     return peak, every
+
+
+# -- mutant corpus ----------------------------------------------------------------
+
+
+def mutants(circuit):
+    """(label, layers) for each one-edit mutant of `circuit`, in a fixed
+    order: per layer, per gate, drop it; flip its `inverse`; drop the last
+    fan-out target, Toffoli control or F_q block; move a MOD gate's r to
+    (r + 1) mod q.  Per controlled-not pair, drop it.  A layer left empty
+    stays in place."""
+    layers = circuit.layers
+    for i, layer in enumerate(layers):
+
+        def at(new_layer, i=i):
+            return layers[:i] + (new_layer,) + layers[i + 1:]
+
+        if isinstance(layer, TensorLayer):
+            gates = layer.gates
+            for j, g in enumerate(gates):
+                edits = [("drop", None)]
+                if isinstance(g, (AddModGate, FanOutModGate, FourierGate, AddBlockGate)):
+                    edits.append(("inverse", replace(g, inverse=not g.inverse)))
+                if isinstance(g, FanOutGate) and g.targets:
+                    edits.append(("drop target", replace(g, targets=g.targets[:-1])))
+                if isinstance(g, ToffoliGate) and g.controls:
+                    edits.append(("drop control", replace(g, controls=g.controls[:-1])))
+                if isinstance(g, FanOutModGate) and g.blocks:
+                    edits.append(("drop block", replace(g, blocks=g.blocks[:-1])))
+                if isinstance(g, ModGate):
+                    edits.append(("r+1", replace(g, r=(g.r + 1) % g.q)))
+                for rule, new in edits:
+                    kept = gates[:j] + ((new,) if new is not None else ()) + gates[j + 1:]
+                    yield f"layer {i} gate {j} {rule}", at(TensorLayer(kept))
+        elif isinstance(layer, CNotLayer):
+            for j in range(len(layer.pairs)):
+                kept = layer.pairs[:j] + layer.pairs[j + 1:]
+                yield f"layer {i} pair {j} drop", at(CNotLayer(kept))
+        else:
+            stages = layer.stages
+            for s, stage in enumerate(stages):
+                for j in range(len(stage)):
+                    kept = stages[:s] + (stage[:j] + stage[j + 1:],) + stages[s + 1:]
+                    yield f"layer {i} stage {s} pair {j} drop", at(StagedCNotLayer(kept))

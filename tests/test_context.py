@@ -275,6 +275,7 @@ def test_context_file_fourier_constants_do_not_assume_u_is_q(tmp_path):
     "square,u,q,match",
     [
         (2, 2, 4, "fourier_q=4: zeta"),  # zeta = b has zeta^2 = 2, not -1
+        (1, 2, 4, "fourier_q=4: zeta"),  # zeta = b has zeta^4 = 1, but order 2
         (1, 1, 2, "fourier_q=2: s\\*s\\*q"),  # s = b has s*s*2 = 2
     ],
 )
@@ -283,6 +284,39 @@ def test_context_file_with_false_fourier_constants_is_refused(tmp_path, square, 
     path.write_text(json.dumps(two_element_context_json(square, u, q)))
     with pytest.raises(ContextError, match=match):
         load_context(path)
+
+
+def test_a_root_of_unity_that_is_not_a_root_of_phi_q_is_refused(tmp_path):
+    # Q[C3] (x) Q[s]/(3s^2 - 1), basis z^a s^b: z^3 = 1, z != 1 and s*s*3 = 1,
+    # but 1 + z + z^2 != 0, so an F_3 built from z would not be unitary
+    index = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1)]
+    zero = {"num": [], "r": 0}
+
+    def vec(a, b):  # z^a s^b, with s^2 = 1/3
+        out = [zero] * 6
+        out[index.index((a % 3, b % 2))] = {"num": [[1, []]], "r": b // 2}
+        return out
+
+    omega = complex(-0.5, math.sqrt(3) / 2)
+    data = {
+        "indeterminates": [],
+        "basis": ["1", "z", "s", "z^2", "z*s", "z^2*s"],
+        "mult_table": [[vec(a + c, b + e) for c, e in index] for a, b in index],
+        "u": [[3, []]],
+        "numeric": {
+            name: [(omega**a / 3 ** (b / 2)).real, (omega**a / 3 ** (b / 2)).imag]
+            for name, (a, b) in zip(["1", "z", "s", "z^2", "z*s", "z^2*s"][1:], index[1:])
+        },
+        "conjugation": [vec(-a, b) for a, b in index],
+        "fourier_q": 3,
+    }
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ContextError, match="^fourier_q=3: zeta is not a root of Phi_3"):
+        load_context(path)
+    del data["fourier_q"]
+    path.write_text(json.dumps(data))
+    load_context(path)  # the algebra itself is a valid context
 
 
 def test_fourier_q_with_indeterminates_names_fourier_q(tmp_path):

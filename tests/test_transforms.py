@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from support import _blockval
+from support import _blockval, mutants
 
 from qacclab import budget
 from qacclab import circuit as cir
@@ -455,3 +455,48 @@ def test_a_passing_check_builds_no_scalar_per_input(monkeypatch):
         assert tf.equivalence_check(c, lowered, c.width, inputs=range(k)).equivalent
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] > 0
+
+
+# -- the mutant corpus ----------------------------------------------------------
+
+# Digest of "name n q r label verdict input" for every mutant below, the
+# input being the counterexample's, or None for an equivalent mutant.  A
+# new verdict engine must reach the same verdicts on the same corpus.
+MUTANT_VERDICTS_SHA256 = "1b32ad4070fb4719d3311eded1dd2381da884dd671883369187ba07791d1334a"
+
+# (mutants, equivalent) per builder over the three q; every equivalent
+# mutant is an inverse flip at q = 2, where the Fourier gate and adding
+# mod 2 are their own inverses (README lists them)
+MUTANT_COUNTS = {
+    "f_from_fq": (24, 2),
+    "modhat": (30, 0),
+    "modq_from_mq": (30, 2),
+    "modqr_from_modq": (20, 0),
+    "mq_from_modq": (298, 1),
+    "mq_via_conjugation": (45, 7),
+}
+
+
+def _mutant_points():
+    for q in (2, 5, 3):
+        for name in sorted(tf.BUILDERS):
+            n = {"modqr_from_modq": 3, "mq_from_modq": 1}.get(name, 2) if q == 3 else 2
+            yield name, n, q, 1 if tf.BUILDERS[name].needs_r else 0
+
+
+def test_mutant_verdicts_are_pinned():
+    digest = hashlib.sha256()
+    counts = {name: [0, 0] for name in tf.BUILDERS}
+    for name, n, q, r in _mutant_points():
+        spec = tf.BUILDERS[name]
+        built = spec.build(n, q, r)
+        for label, layers in mutants(built):
+            candidate = Circuit(built.n_inputs, built.n_aux, layers, built.context)
+            inputs = spec.inputs(n, q) if spec.inputs is not None else None
+            report = tf.equivalence_check(spec.target(n, q, r), candidate, inputs=inputs)
+            x = report.counterexample[0] if report.counterexample else None
+            digest.update(f"{name} {n} {q} {r} {label} {report.verdict} {x}\n".encode())
+            counts[name][0] += 1
+            counts[name][1] += report.equivalent
+    assert {name: tuple(c) for name, c in counts.items()} == MUTANT_COUNTS
+    assert digest.hexdigest() == MUTANT_VERDICTS_SHA256
