@@ -11,7 +11,7 @@ structure constants the scalar kernel reads: for each basis product
 beta_a beta_b the nonzero (j, numerator) pairs of its coordinates over one
 power u^mul_r (`mul_constants`), and likewise over u^conj_r for the
 conjugates (`conj_constants`).  Numerators are ints without
-indeterminates and polynomials with them.
+indeterminates and polys.Numerator polynomials with them.
 
 Shipped contexts:
 
@@ -52,7 +52,6 @@ from .scalars import (
     f_from_json,
     f_numeric,
     f_to_json,
-    numerator_ring,
     structure_constants,
 )
 
@@ -100,9 +99,7 @@ class AlgebraContext:
 
         self.is_rational = self.dim == 1 and self.arity == 0
         self.u_int = None if self.arity else self.denominator[()]
-        self.num_zero, self.num_add, self.num_sub, self.num_neg, self.num_mul = (
-            numerator_ring(self.arity)
-        )
+        self.num_zero = polys.Numerator() if self.arity else 0
         self.f_zero = FScalar({}, 0)
         self.f_one = FScalar(polys.const(self.arity, 1), 0)
 
@@ -187,10 +184,10 @@ class AlgebraContext:
         return FScalar(polys.const(self.arity, num * (self.u_int**r // den)), r)
 
     def u_power(self, k: int):
-        """u^k as a numerator: an int without indeterminates, else a polynomial."""
+        """u^k as a numerator: an int without indeterminates, else a Numerator."""
         if self.u_int is not None:
             return self.u_int**k
-        return polys.power(self.denominator, k)
+        return polys.Numerator(polys.power(self.denominator, k))
 
     def symbol(self, name: str) -> ExactScalar:
         if name in self.constants:
@@ -314,14 +311,14 @@ def _check_file_exactly(ctx) -> None:
     and the conjugation, if any, is an involution, is multiplicative on basis
     pairs (so it fixes 1) and makes each b*conj(b) nonzero and, where
     rational, positive (it must be |b|^2).  Generated contexts pass."""
-    name, table, add, mul = ctx.basis, ctx.mul_constants, ctx.num_add, ctx.num_mul
+    name, table, zero = ctx.basis, ctx.mul_constants, ctx.num_zero
 
     # sparse, as ExactScalar products are not: with them a d = 64 file loads 5x slower
     def times(cells, k):  # (sum of n * b_m over the cells) * b_k, over u^(2 mul_r)
         acc = {}
         for m, n in cells:
             for p, c in table[m][k]:
-                acc[p] = add(acc.get(p, ctx.num_zero), mul(n, c))
+                acc[p] = acc.get(p, zero) + n * c
         return {p: v for p, v in acc.items() if v}
 
     # triples with 1 hold by the identity row, (k, j, i) with (i, j, k) by symmetry
@@ -370,40 +367,25 @@ def _pair(v):
 
 
 def cyclotomic_polynomial(q: int) -> list[int]:
-    """Coefficients (ascending) of the q-th cyclotomic polynomial."""
+    """Coefficients (ascending) of the q-th cyclotomic polynomial: for q > 1
+    the product over d | q of (1 - x^d)^mu(q/d), run as a power series cut
+    at its degree phi(q).  mu(q/d) is (-1)^k when q/d is a product of k of
+    the primes of q, found by trial division, and 0 otherwise."""
     if q < 1:
         raise ValueError("q must be positive")
-    memo = {}
-
-    def build(n: int) -> list[int]:
-        if n in memo:
-            return memo[n]
-        # X^n - 1 divided by the product of all proper-divisor cyclotomics
-        num = [-1] + [0] * (n - 1) + [1]
-        for d in range(1, n):
-            if n % d == 0:
-                num = _poly_div_exact(num, build(d))
-        memo[n] = num
-        return num
-
-    return build(q)
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= den[-1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % f for f in range(2, p))]
+    deg = q // math.prod(primes) * math.prod(p - 1 for p in primes)  # phi(q)
+    coeffs = [1] + [0] * deg
+    for k in range(len(primes) + 1):
+        for chosen in itertools.combinations(primes, k):
+            d = q // math.prod(chosen)
+            if k % 2:  # over 1 - x^d: times 1 + x^d + x^(2d) + ...
+                for i in range(d, deg + 1):
+                    coeffs[i] += coeffs[i - d]
+            else:  # times 1 - x^d
+                for i in range(deg, d - 1, -1):
+                    coeffs[i] -= coeffs[i - d]
+    return coeffs if q > 1 else [-1, 1]  # Phi_1 = x - 1 = -(1 - x)
 
 
 def _dimension(q: int, bound: int) -> int | None:

@@ -4,6 +4,10 @@ A polynomial in m variables is a dict mapping exponent tuples of length m
 to nonzero arbitrary-precision integer coefficients; the zero polynomial is
 the empty dict.  Zero-coefficient terms are never stored, so dict equality
 is polynomial equality.
+
+A polynomial numerator of an exact scalar is a `Numerator`: the same dict,
+with +, binary and unary - and * through add, sub, neg and mul, so scalar
+kernels state their arithmetic once for int and polynomial numerators.
 """
 
 from __future__ import annotations
@@ -106,6 +110,25 @@ def mul(a: Poly, b: Poly) -> Poly:
             else:
                 out[exps] = new
     return out
+
+
+class Numerator(dict):
+    """A polynomial with arithmetic operators; each returns a new Numerator.
+    Unhashable, as a dict: it is mutable."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Numerator(add(self, other))
+
+    def __sub__(self, other):
+        return Numerator(sub(self, other))
+
+    def __neg__(self):
+        return Numerator(neg(self))
+
+    def __mul__(self, other):
+        return Numerator(mul(self, other))
 
 
 def div_exact(a: Poly, b: Poly) -> Poly | None:

@@ -3,8 +3,10 @@
 An amplitude lives in the extension field G = Q(A)(B).  It is stored in one
 form: d numerators over one power u^r of the context's common denominator
 u, the scalar being sum_j (nums[j] / u^r) beta_j.  A numerator is an int
-when the context has no indeterminates and an integer polynomial (a
-``polys`` dict) otherwise.  The form is reduced in every context: u is
+when the context has no indeterminates and a ``polys.Numerator`` (an
+integer polynomial with +, - and *) otherwise, so each kernel writes its
+arithmetic once, with + and *, for both; `lifted` alone raises numerators
+to a higher power of u.  The form is reduced in every context: u is
 stripped while r > 0 and it divides every numerator (polys.div_exact in
 Z[A] with indeterminates).  Z[A] is a domain, so two reduced forms of one
 value are equal whenever the declared basis really is one, and ==, hash
@@ -55,25 +57,24 @@ class FScalar:
         return f"FScalar({self.num!r}, r={self.r})"
 
 
-def numerator_ring(arity: int):
-    """(zero, add, sub, neg, mul) on numerators: ints without
-    indeterminates, polynomial dicts with them."""
-    if arity == 0:
-        return 0, operator.add, operator.sub, operator.neg, operator.mul
-    return {}, polys.add, polys.sub, polys.neg, polys.mul
-
-
 def numerators(ctx, coords, r: int | None = None) -> tuple[list, int]:
     """(numerators, r): FScalar coordinates over u^r, r their largest
     power of u unless given."""
     if r is None:
         r = max((c.r for c in coords), default=0)
-    mul = ctx.num_mul
     out = []
     for c in coords:
-        n = c.num if ctx.arity else (c.num[()] if c.num else 0)
-        out.append(n if c.r == r else mul(n, ctx.u_power(r - c.r)))
+        n = polys.Numerator(c.num) if ctx.arity else (c.num[()] if c.num else 0)
+        out.append(n if c.r == r else n * ctx.u_power(r - c.r))
     return out, r
+
+
+def lifted(ctx, nums, k: int) -> list:
+    """The numerators times u^k, as a fresh list."""
+    if not k:
+        return list(nums)
+    up = ctx.u_power(k)
+    return [n * up for n in nums]
 
 
 def structure_constants(ctx, vectors) -> tuple[int, list]:
@@ -106,7 +107,7 @@ def from_numerators(ctx, nums, r: int) -> "ExactScalar":
             quotients = [polys.div_exact(n, ctx.denominator) for n in nums]
             if None in quotients:
                 break
-            nums, r = quotients, r - 1
+            nums, r = list(map(polys.Numerator, quotients)), r - 1
     elif r:
         # u^k divides every numerator iff it divides their gcd: strip the
         # largest such power, k <= r, in one division
@@ -185,55 +186,46 @@ class ExactScalar:
             raise ValueError("scalars from different algebra contexts")
 
     def _combine(self, other: "ExactScalar", op) -> "ExactScalar":
-        """Numerators combined by `op` after aligning both powers of u."""
+        """Numerators combined by `op`, both lifted to the larger power of u."""
         ctx = self.ctx
         if other.ctx is not ctx:
             self._same_context(other)
-        a, b, r = self.nums, other.nums, self.r
-        if other.r != r:
-            mul = ctx.num_mul
-            if other.r > r:
-                up = ctx.u_power(other.r - r)
-                a, r = [mul(n, up) for n in a], other.r
-            else:
-                up = ctx.u_power(r - other.r)
-                b = [mul(n, up) for n in b]
+        r = max(self.r, other.r)
+        a, b = lifted(ctx, self.nums, r - self.r), lifted(ctx, other.nums, r - other.r)
         return from_numerators(ctx, list(map(op, a, b)), r)
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        return self._combine(other, self.ctx.num_add)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self._combine(other, self.ctx.num_sub)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "ExactScalar":
-        return from_numerators(self.ctx, list(map(self.ctx.num_neg, self.nums)), self.r)
+        return from_numerators(self.ctx, [-n for n in self.nums], self.r)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
         ctx = self.ctx
         if other.ctx is not ctx:
             self._same_context(other)
-        add, mul = ctx.num_add, ctx.num_mul
         acc = [ctx.num_zero] * ctx.dim
         for a, row in zip(self.nums, ctx.mul_constants):
             if a:
                 for b, cell in zip(other.nums, row):
                     if b:
-                        w = mul(a, b)
+                        w = a * b
                         for j, c in cell:
-                            acc[j] = add(acc[j], mul(w, c))
+                            acc[j] += w * c
         return from_numerators(ctx, acc, self.r + other.r + ctx.mul_r)
 
     def conjugate(self) -> "ExactScalar":
         ctx = self.ctx
         if ctx.conjugation is None:
             raise ValueError("context does not define a conjugation involution")
-        add, mul = ctx.num_add, ctx.num_mul
         acc = [ctx.num_zero] * ctx.dim
         for a, cells in zip(self.nums, ctx.conj_constants):
             if a:
                 for j, c in cells:
-                    acc[j] = add(acc[j], mul(a, c))
+                    acc[j] += a * c
         return from_numerators(ctx, acc, self.r + ctx.conj_r)
 
     def is_zero(self) -> bool:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ExactScalar
-from .algebra.scalars import from_numerators, multiplier
+from .algebra.scalars import from_numerators, lifted, multiplier
 from .budget import CapExceededError, Work, hold
 from .circuit import (
     Circuit,
@@ -84,14 +84,6 @@ class StateVector:
 
 def basis_state(bits: str, ctx) -> StateVector:
     return StateVector({parse_bits(bits, len(bits)): ctx.one()}, len(bits), ctx)
-
-
-def lifted(ctx, nums, k: int) -> list:
-    """The numerators times u^k, as a fresh list."""
-    if not k:
-        return list(nums)
-    up, mul = ctx.u_power(k), ctx.num_mul
-    return [mul(n, up) for n in nums]
 
 
 def same_state(ctx, a: tuple, b: tuple) -> bool:
@@ -164,8 +156,7 @@ def _branch(mask: int, codes: tuple, table: dict, ctx):
     numerator i adds into numerator j of output codes[p].  Keys that share
     their bits outside the mask add into one list of fan·d numerators,
     sliced into output keys at the end; all-zero outputs are dropped."""
-    keep, fan, dim = ~mask, len(codes), ctx.dim
-    zero, add, mul = ctx.num_zero, ctx.num_add, ctx.num_mul
+    keep, fan, dim, zero = ~mask, len(codes), ctx.dim, ctx.num_zero
     what = f"basis-state branches of a {fan}-way step"
 
     def step(entries):
@@ -179,7 +170,7 @@ def _branch(mask: int, codes: tuple, table: dict, ctx):
             for a, cells in zip(nums, table[key & mask]):
                 if a:
                     for p, c in cells:
-                        acc[p] = add(acc[p], mul(a, c))
+                        acc[p] += a * c
         out = {}
         for rest, acc in sums.items():
             for p, bits in enumerate(codes):
@@ -223,7 +214,7 @@ class Compiler:
             rows = [(p * dim, *self._multiplier(s)) for p, s in col]
             self._columns[form] = tuple(
                 tuple(
-                    (at + j, c if te == t else ctx.num_mul(c, ctx.u_power(t - te)))
+                    (at + j, c if te == t else c * ctx.u_power(t - te))
                     for at, te, cells in rows
                     for j, c in cells[i]
                 )

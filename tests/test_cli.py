@@ -648,3 +648,104 @@ def test_a_mod_gate_of_no_inputs_in_a_circuit_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "simulate", "--circuit", str(path), "--input", "0")
     assert code == 2 and out == ""
     assert err == "error: layer 0: MOD gate needs at least one input\n"
+
+
+def _cyclotomic2_over_x() -> dict:
+    """cyclotomic2's context file lifted over one indeterminate x: every
+    table entry, and u = 2, a constant polynomial in x."""
+    data = get_context("cyclotomic2").to_json()
+
+    def lift(entry):
+        return {**entry, "num": [[c, [0]] for c, _ in entry["num"]]}
+
+    data.update(
+        indeterminates=["x"],
+        numeric={**data["numeric"], "x": [0.5, 0.0]},
+        u=[[2, [0]]],
+        mult_table=[[[lift(e) for e in vec] for vec in row] for row in data["mult_table"]],
+        conjugation=[[lift(e) for e in vec] for vec in data["conjugation"]],
+    )
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        (
+            ["simulate"],
+            "|10>  ([[1, [0]]])*s ~ (+0.707106781+0.000000000i)\n"
+            "|11>  ([[-1, [0]]])*s ~ (-0.707106781+0.000000000i)\n",
+        ),
+        (
+            ["simulate", "--json"],
+            '[{"amplitude":{"coords":[{"num":[],"r":0},{"num":[[1,[0]]],"r":0}]},'
+            '"approx":[0.7071067811865475,0.0],"basis":"10"},'
+            '{"amplitude":{"coords":[{"num":[],"r":0},{"num":[[-1,[0]]],"r":0}]},'
+            '"approx":[-0.7071067811865475,0.0],"basis":"11"}]\n',
+        ),
+        (
+            ["amplitude", "--target", "11"],
+            "<11|C|01> = ([[-1, [0]]])*s ~ (-0.707106781+0.000000000i)\n",
+        ),
+        (
+            ["amplitude", "--target", "11", "--json"],
+            '{"approx":[-0.7071067811865475,0.0],'
+            '"exact":{"coords":[{"num":[],"r":0},{"num":[[-1,[0]]],"r":0}]}}\n',
+        ),
+        (["amplitude", "--target", "00"], "<00|C|01> = 0 ~ (+0.000000000+0.000000000i)\n"),
+    ],
+)
+def test_a_context_with_an_indeterminate_runs_end_to_end(capsys, tmp_path, command, want):
+    # the state vector's branching steps on polynomial numerators, and the
+    # repr fallback for scalars the DSL cannot print
+    circuit, path = tmp_path / "hc.qc", tmp_path / "x.json"
+    circuit.write_text(
+        "circuit n=2 aux=0\nlayer { H [0]; H [1] }\ncnotlayer { 0 -> 1 }\nlayer { H [0] }\n"
+    )
+    path.write_text(json.dumps(_cyclotomic2_over_x()))
+    argv = ["--circuit", str(circuit), "--input", "01", "--context-file", str(path)]
+    assert run_cli(capsys, command[0], *argv, *command[1:]) == (0, want, "")
+
+
+def test_build_json_holds_the_circuit_text(capsys):
+    args = ("build", "--builder", "f_from_fq", "--n", "1", "--q", "2")
+    code, text, _ = run_cli(capsys, *args)
+    assert code == 0
+    want = json.dumps({"dsl": text}, separators=(",", ":")) + "\n"
+    assert run_cli(capsys, *args, "--json") == (0, want, "")
+
+
+def test_check_names_the_counterexample_on_one_line(capsys, monkeypatch):
+    # a candidate built for residue r + 1 against the target of residue r
+    from qacclab import transforms
+
+    spec = transforms.BUILDERS["modqr_from_modq"]
+    monkeypatch.setitem(
+        transforms.BUILDERS,
+        "modqr_from_modq",
+        transforms.BuilderSpec(
+            True, lambda n, q, r=0: spec.build(n, q, (r + 1) % q), spec.target, spec.size
+        ),
+    )
+    argv = ("check", "--builder", "modqr_from_modq", "--n", "2", "--q", "3", "--r", "1")
+    assert run_cli(capsys, *argv) == (1, "counterexample at input 010, output 010\n", "")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert code == 1 and data["verdict"] == "counterexample"
+    assert (data["counterexample"]["input"], data["counterexample"]["output"]) == ("010", "010")
+
+
+def test_accept_b_json_reports_the_exact_probability(capsys, tmp_path):
+    # the (3/5, 4/5) rotation twice: |<1|U U|0>|^2 = 576/625, |<0|U U|0>|^2 = 49/625
+    path = tmp_path / "rot.qc"
+    path.write_text(
+        "circuit n=1 aux=0 context=rational5\n"
+        + "layer { U [[3/5, -4/5], [4/5, 3/5]] [0] }\n" * 2
+    )
+    argv = ("accept", "--circuit", str(path), "--input", "0", "--mode", "B", "--json")
+    assert run_cli(capsys, *argv, "--target", "1") == (
+        0, '{"decision":"accept","mode":"B","probability":"576/625"}\n', ""
+    )
+    assert run_cli(capsys, *argv, "--target", "0") == (
+        1, '{"decision":"reject","mode":"B","probability":"49/625"}\n', ""
+    )

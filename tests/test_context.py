@@ -32,6 +32,24 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
 
 
+def test_cyclotomic_polynomials_multiply_to_x_q_minus_1():
+    # Phi_105 is the first with a coefficient outside -1..1
+    phi = cyclotomic_polynomial(105)
+    assert len(phi) == 49 and [k for k, c in enumerate(phi) if abs(c) > 1] == [7, 41]
+    assert phi[7] == phi[41] == -2
+    for q in range(1, 201):
+        product = [1]
+        for d in range(1, q + 1):
+            if q % d == 0:
+                factor = cyclotomic_polynomial(d)
+                out = [0] * (len(product) + len(factor) - 1)
+                for i, a in enumerate(product):
+                    for j, b in enumerate(factor):
+                        out[i + j] += a * b
+                product = out
+        assert product == [-1] + [0] * (q - 1) + [1], q
+
+
 @pytest.mark.parametrize("q,dim", [(2, 2), (3, 4), (4, 2), (5, 4), (6, 4), (7, 12), (8, 4)])
 def test_basis_dimensions(q, dim):
     # sqrt(q) already lies in the cyclotomic field iff q is square or 0,1 mod 4
@@ -420,3 +438,24 @@ def test_a_conjugation_with_indeterminates_is_checked_where_rational():
     data["conjugation"][1][1] = {"num": [[-1, [0]]], "r": 0}
     with pytest.raises(ContextError, match=r"^conjugation: b\*conj\(b\) = -2, but "):
         AlgebraContext.from_json(data)
+
+
+def test_two_loads_of_one_file_are_one_context(tmp_path):
+    # b*b = 2 over u = 2; the copy's b*b = 2 + 2^-40 passes every check a
+    # two-element table meets, and is another context
+    data = two_element_context_json(2, 2, 4)
+    del data["fourier_q"]
+    path, changed = tmp_path / "b.json", tmp_path / "changed.json"
+    path.write_text(json.dumps(data))
+    data["mult_table"][1][1][0] = {"num": [[2**41 + 1, []]], "r": 40}
+    changed.write_text(json.dumps(data))
+    first, second, other = load_context(path), load_context(path), load_context(changed)
+    assert first is not second and first == second and hash(first) == hash(second)
+    b1, b2 = first.basis_element(1), second.basis_element(1)
+    assert b1 * b2 == first.from_int(2) and b2 * b1 == second.from_int(2)
+    assert b1 + b2 == first.from_int(2) * b1 and b1 - b2 == second.zero()
+    assert first != other and other != first
+    b3 = other.basis_element(1)
+    for mix in (lambda: b1 + b3, lambda: b3 - b1, lambda: b1 * b3, lambda: b1 == b3):
+        with pytest.raises(ValueError, match="^scalars from different algebra contexts$"):
+            mix()

@@ -380,7 +380,7 @@ def test_raw_states_compare_as_their_reduced_scalars(name):
         other = dict(b[0])
         j = rng.randrange(ctx.dim)
         other[key] = list(other[key])
-        other[key][j] = ctx.num_add(other[key][j], ctx.u_power(0))
+        other[key][j] = other[key][j] + ctx.u_power(0)
         changed, shifted = (other, b[1]), (a[0], a[1] + 1)
         for p, q in ((a, b), (a, changed), (changed, b), (b, cancelled), (a, shifted)):
             same = sv.same_state(ctx, p, q)

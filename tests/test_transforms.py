@@ -500,3 +500,34 @@ def test_mutant_verdicts_are_pinned():
             counts[name][1] += report.equivalent
     assert {name: tuple(c) for name, c in counts.items()} == MUTANT_COUNTS
     assert digest.hexdigest() == MUTANT_VERDICTS_SHA256
+
+
+def test_circuit_targets_of_another_shape_are_refused_before_any_input_runs(monkeypatch):
+    ctx = get_context("cyclotomic2")
+    x0 = TensorLayer((cir.x_gate(0),))
+    two = Circuit(2, 0, (x0,), ctx)
+    monkeypatch.setattr(sv.Program, "apply", None)  # no per-input run may start
+    monkeypatch.setattr(tf, "_input_column", None)  # no column run may start
+    with pytest.raises(ValueError, match="^target circuit width differs from compared lines$"):
+        tf.equivalence_check(Circuit(3, 0, (x0,), ctx), two)
+    with pytest.raises(ValueError, match="^target circuit must have no auxiliary lines$"):
+        tf.equivalence_check(Circuit(1, 1, (x0,), ctx), two)
+
+
+def test_a_column_check_reads_no_input_past_the_meters_reach(monkeypatch):
+    # X against X on three lines costs 2 key maps per input, so a meter of
+    # 10 units reaches 5 inputs: the sixth input read ends the scan, and the
+    # check, which cannot end equivalent, is refused
+    ctx = get_context("cyclotomic2")
+    x = Circuit(3, 0, (TensorLayer((cir.x_gate(0),)),), ctx)
+    read = []
+
+    def inputs():
+        for k in range(8):
+            read.append(k)
+            yield k
+
+    monkeypatch.setattr(budget, "WORK", 10)
+    with pytest.raises(budget.CapExceededError, match="^a column run exceeds the work budget of 10"):
+        tf.equivalence_check(x, x, inputs=inputs())
+    assert read == list(range(6))
